@@ -229,8 +229,8 @@ class LinearPolicy(Policy):
     def observe(self, context: np.ndarray, reward: float) -> None:
         x = np.asarray(context, dtype=np.float64)
         u = self.a_inv @ x
+        # a_inv stays exactly symmetric: u_i u_j == u_j u_i
         self.a_inv -= np.outer(u, u) / (1.0 + float(x @ u))
-        self.a_inv = (self.a_inv + self.a_inv.T) / 2.0
         self.b += reward * x
 
 

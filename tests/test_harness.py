@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -249,6 +250,25 @@ class TestOutputs:
 
         name = "trace_neural-ts_0.jsonl"
         assert strip(tmp_path / "a" / name) == strip(tmp_path / "b" / name)
+
+    def test_full_posterior_traces_match_seed_algorithm(self, monkeypatch):
+        from banditbench import policies
+        from test_posterior import SeedDesignMatrix
+
+        config = fast_config(horizon=60, repeats=1)
+        config = replace(config, policy=replace(config.policy, posterior="full",
+                                                width=8))
+
+        def rows():
+            return [{k: v for k, v in r.items() if k != "wall_us"}
+                    for r in run_episode(config, 0).rounds]
+
+        real = rows()
+        monkeypatch.setattr(policies, "DesignMatrix", SeedDesignMatrix)
+        assert isinstance(policies.make_policy(config.policy, 8, 0).design,
+                          SeedDesignMatrix)
+        assert rows() == real
+        assert any(r["sigma"] > 0 for r in real)
 
 
 class TestPool:

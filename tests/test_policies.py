@@ -205,6 +205,19 @@ class TestLinear:
         np.testing.assert_allclose(policy.a_inv, np.linalg.inv(A), atol=1e-8)
         np.testing.assert_allclose(policy.b, b, atol=1e-12)
 
+    def test_inverse_exactly_symmetric_without_resymmetrising(self):
+        rng = np.random.default_rng(14)
+        policy = LinearPolicy(7, neural_cfg("lin-ucb", reg=0.3), 0, thompson=False)
+        ref = np.eye(7) / 0.3
+        for _ in range(60):
+            x = rng.standard_normal(7)
+            policy.observe(x, float(rng.uniform()))
+            u = ref @ x
+            ref -= np.outer(u, u) / (1.0 + float(x @ u))
+            ref = (ref + ref.T) / 2.0
+        np.testing.assert_array_equal(policy.a_inv, policy.a_inv.T)
+        np.testing.assert_array_equal(policy.a_inv, ref)
+
 
 class TestKernel:
     def test_fresh_variance_one(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,103 @@ class TestUpdate:
         design._rebuild()
         assert design.n_rebuilds == 1
         assert np.max(np.abs(design.inverse - np.linalg.inv(design.matrix))) < 1e-10
+
+
+class SeedDesignMatrix:
+    """The one-shot full-mode algorithm the in-place update must reproduce:
+    U and its inverse both updated by np.outer every round, and the inverse
+    re-symmetrised after each Sherman-Morrison step."""
+
+    def __init__(self, dim, reg, width, mode="full"):
+        assert mode == "full"
+        self.reg, self.width = reg, width
+        self.logdet = dim * np.log(reg)
+        self._U = reg * np.eye(dim)
+        self._inv = np.eye(dim) / reg
+
+    def sigma(self, g):
+        quad = float(g @ self._inv @ g)
+        return float(np.sqrt(max(self.reg * quad / self.width, 0.0)))
+
+    def update(self, g):
+        m = self.width
+        self._U += np.outer(g, g) / m
+        u = self._inv @ g
+        denom = 1.0 + float(g @ u) / m
+        assert denom > 0.0
+        self._inv -= np.outer(u, u) / (m * denom)
+        self._inv = (self._inv + self._inv.T) / 2.0
+        self.logdet += float(np.log(denom))
+
+    @property
+    def inverse(self):
+        return self._inv.copy()
+
+
+def _features(n, p, seed=9):
+    return np.random.default_rng(seed).standard_normal((n, p))
+
+
+class TestInPlaceUpdate:
+    # p is not a multiple of the 32-row block, N not a multiple of the
+    # 64-feature fold block, and p=5 is smaller than one row block
+
+    @pytest.mark.parametrize("p,n", [(5, 70), (77, 150)])
+    def test_bit_identical_to_seed_algorithm(self, p, n):
+        design = DesignMatrix(p, reg=0.6, width=3, mode="full")
+        ref = SeedDesignMatrix(p, reg=0.6, width=3)
+        for g in _features(n, p):
+            design.update(g)
+            ref.update(g)
+        assert np.array_equal(design.inverse, ref.inverse)
+        assert design.logdet == ref.logdet
+        probe = _features(1, p, seed=10)[0]
+        assert design.sigma(probe) == ref.sigma(probe)
+
+    def test_matrix_includes_pending_features(self):
+        p, m, reg = 77, 3, 0.6
+        design = DesignMatrix(p, reg=reg, width=m, mode="full")
+        G = _features(150, p)
+        for g in G:
+            design.update(g)
+        want = reg * np.eye(p) + sum(np.outer(g, g) for g in G) / m
+        assert np.max(np.abs(design.matrix - want)) < 1e-12
+
+    def test_rebuild_includes_pending_features(self):
+        p, m, reg = 77, 3, 0.6
+        design = DesignMatrix(p, reg=reg, width=m, mode="full")
+        G = _features(70, p)
+        for g in G:
+            design.update(g)
+        design._rebuild()
+        want = np.linalg.inv(reg * np.eye(p) + G.T @ G / m)
+        assert np.max(np.abs(design.inverse - want)) < 1e-10
+        assert np.max(np.abs(design.inverse - np.linalg.inv(design.matrix))) < 1e-10
+        assert design.logdet == pytest.approx(np.linalg.slogdet(design.matrix)[1],
+                                              abs=1e-9)
+
+    def test_update_allocates_less_than_one_matrix(self):
+        p = 400
+        design = DesignMatrix(p, reg=1.0, width=2, mode="full")
+        G = _features(3, p)
+        design.update(G[0])  # the buffer holds one feature; no fold follows
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            design.update(G[1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < p * p * 8
+
+    def test_rebuild_failure_names_config_and_remedy(self):
+        # reg far below the rounding of g g^T: U rounds to the singular ones
+        # matrix, so the fallback cannot rebuild its inverse
+        design = DesignMatrix(3, reg=1e-20, width=1, mode="full")
+        design.update(np.ones(3))
+        with pytest.raises(np.linalg.LinAlgError) as err:
+            design._rebuild()
+        message = str(err.value)
+        for part in ("after 1 updates", "dim=3", "reg=1e-20", "width=1",
+                     "--lambda", "--posterior diag"):
+            assert part in message
