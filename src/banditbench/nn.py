@@ -5,6 +5,11 @@ block-structured random initialization that makes the output exactly zero on
 duplicated-half inputs.  Parameters are exposed both as per-layer matrices and
 as one flat vector (layer-major, row-major) so gradient features line up with
 the design matrix in the posterior module.
+
+Training runs one loop over a stack of N networks (ParamStack, layers held as
+(N, rows, cols) arrays): each iteration is one forward, backward and in-place
+update for the whole stack.  A single network is the stack of one, and every
+network of a stack gets the same bits as when trained alone.
 """
 
 from __future__ import annotations
@@ -15,7 +20,9 @@ import numpy as np
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss stops being finite (step size too large)."""
+    """Raised when the training residuals stop being finite (step size too
+    large for the history); the message names the network, the rows, the
+    settings and a remedy."""
 
 
 @dataclass(frozen=True)
@@ -128,17 +135,21 @@ def init_params(shape: NetShape, rng_seed: int) -> ParamVector:
     return ParamVector(shape, layers)
 
 
-def _forward_cached(theta: ParamVector, X: np.ndarray):
-    """Forward pass keeping pre-activations; X is (n, d)."""
-    m = theta.shape.width
-    pre = []
-    A = X
-    for W in theta.layers[:-1]:
-        Z = A @ W.T
+def _forward_cached(layers: list[np.ndarray], X: np.ndarray, m: int):
+    """Outputs, the activations entering each layer, and the hidden
+    pre-activations.
+
+    Works on one network (2-D weights, X (n, d)) and on a stack (weights
+    (N, rows, cols), X (N, n, d)): np.matmul runs each slice of a stack through
+    the same BLAS call as the 2-D product of that network alone.
+    """
+    acts, pre = [X], []
+    for W in layers[:-1]:
+        Z = acts[-1] @ W.swapaxes(-1, -2)
         pre.append(Z)
-        A = np.maximum(Z, 0.0)
-    out = np.sqrt(m) * (A @ theta.layers[-1].T)[:, 0]
-    return out, pre
+        acts.append(np.maximum(Z, 0.0))
+    out = np.sqrt(m) * (acts[-1] @ layers[-1].swapaxes(-1, -2))[..., 0]
+    return out, acts, pre
 
 
 def forward_batch(theta: ParamVector, X: np.ndarray) -> np.ndarray:
@@ -148,7 +159,7 @@ def forward_batch(theta: ParamVector, X: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input dim {X.shape[1]} does not match network d={theta.shape.input_dim}"
         )
-    out, _ = _forward_cached(theta, X)
+    out, _, _ = _forward_cached(theta.layers, X, theta.shape.width)
     return out
 
 
@@ -157,23 +168,24 @@ def forward(theta: ParamVector, x: np.ndarray) -> float:
     return float(forward_batch(theta, np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
-def _backward_weighted(theta: ParamVector, X: np.ndarray, pre, seed: np.ndarray):
-    """Summed gradient of sum_i seed_i * f(x_i) w.r.t. each layer.
+def _backward_weighted(layers: list[np.ndarray], acts, pre, seed: np.ndarray,
+                       m: int) -> list[np.ndarray]:
+    """Summed gradient of sum_i seed_i * f(x_i) w.r.t. each layer, from the
+    activations and pre-activations of _forward_cached (per network for a
+    stack, with seed (N, n)).
 
     ReLU subgradient at exactly 0 is taken as 0.
     """
-    m = theta.shape.width
-    acts = [X] + [np.maximum(Z, 0.0) for Z in pre]
-    grads = [None] * len(theta.layers)
-    # delta: (n, fan_out) sensitivity of the weighted output sum
-    delta = np.sqrt(m) * seed[:, None] * np.ones((X.shape[0], 1))
-    grads[-1] = delta.T @ acts[-1]
-    back = delta @ theta.layers[-1]
-    for l in range(len(theta.layers) - 2, -1, -1):
+    grads = [None] * len(layers)
+    # delta: (..., n, fan_out) sensitivity of the weighted output sum
+    delta = np.sqrt(m) * seed[..., None]
+    grads[-1] = delta.swapaxes(-1, -2) @ acts[-1]
+    back = delta @ layers[-1]
+    for l in range(len(layers) - 2, -1, -1):
         delta = back * (pre[l] > 0.0)
-        grads[l] = delta.T @ acts[l]
+        grads[l] = delta.swapaxes(-1, -2) @ acts[l]
         if l > 0:
-            back = delta @ theta.layers[l]
+            back = delta @ layers[l]
     return grads
 
 
@@ -189,8 +201,7 @@ def grad_batch(theta: ParamVector, X: np.ndarray) -> np.ndarray:
         )
     m = theta.shape.width
     n = X.shape[0]
-    _, pre = _forward_cached(theta, X)
-    acts = [X] + [np.maximum(Z, 0.0) for Z in pre]
+    _, acts, pre = _forward_cached(theta.layers, X, m)
     pieces = [None] * len(theta.layers)
     delta = np.full((n, 1), np.sqrt(m))
     pieces[-1] = np.einsum("ni,nj->nij", delta, acts[-1]).reshape(n, -1)
@@ -217,14 +228,84 @@ def loss(theta: ParamVector, theta0: ParamVector, X: np.ndarray, r: np.ndarray,
     return float(0.5 * np.sum(resid ** 2) + 0.5 * m * reg * np.dot(drift, drift))
 
 
-def train(theta0: ParamVector, theta_init: ParamVector,
-          dataset: list[tuple[np.ndarray, float]], cfg: TrainConfig,
-          rng: np.random.Generator | None = None) -> ParamVector:
+@dataclass
+class ParamStack:
+    """The weights of N networks of one shape, layer l held as one
+    (N, rows, cols) array, so that one step trains all N at once."""
+
+    shape: NetShape
+    layers: list[np.ndarray] = field(repr=False)
+
+    @classmethod
+    def of(cls, params: list[ParamVector]) -> "ParamStack":
+        return cls(params[0].shape, [np.stack(Ws) for Ws in
+                                     zip(*(p.layers for p in params))])
+
+    def __len__(self) -> int:
+        return len(self.layers[0])
+
+    def member(self, j: int) -> ParamVector:
+        """Network j's weights as views, which follow in-place training."""
+        return ParamVector(self.shape, [W[j] for W in self.layers])
+
+    def copy(self) -> "ParamStack":
+        return ParamStack(self.shape, [W.copy() for W in self.layers])
+
+
+@dataclass(frozen=True)
+class Batches:
+    """What each network of a stack trains on, drawn before any step runs.
+
+    X (n, d) and r (n,) are the history all networks share; network j trains
+    on n_rows[j] of its rows, and rows[j] (iterations, b_j) holds the history
+    rows of each iteration's batch (see draw_batches).
+    """
+
+    X: np.ndarray
+    r: np.ndarray
+    n_rows: list[int]
+    rows: list[np.ndarray]
+
+    def __len__(self) -> int:
+        """History rows trained on, summed over the networks."""
+        return sum(self.n_rows)
+
+
+def draw_batches(rows: np.ndarray, cfg: TrainConfig,
+                 rng: np.random.Generator | None) -> np.ndarray:
+    """The history rows of each iteration's batch for a network that trains
+    on `rows`: (iterations, b).
+
+    GD uses all rows every iteration (a broadcast view, no draws).  SGD draws
+    min(batch_size, n) positions with replacement per iteration, in iteration
+    order.  One rng.integers call draws the same stream as one call per
+    iteration: the bit generator keeps its spare 32-bit half in its own state.
+    """
+    n = len(rows)
+    if cfg.mode == "gd" or n == 0:
+        return np.broadcast_to(rows, (cfg.iterations, n))
+    return rows[rng.integers(0, n, size=(cfg.iterations, min(cfg.batch_size, n)))]
+
+
+def train(theta0, theta_init, dataset, cfg: TrainConfig,
+          rng: np.random.Generator | None = None):
     """Gradient descent on the regularized square loss, anchored at theta0.
 
     theta0 is the original initialization (the regularization center, never
     updated); theta_init is the starting point (warm start in the bandit loop).
-    Full-batch mode is deterministic; SGD needs the rng for minibatch sampling.
+    There are two forms, and they differ in whether theta_init changes:
+
+    - One network, pairs: theta0 and theta_init are ParamVectors and dataset
+      is a list of (context, reward) pairs.  Returns a new trained
+      ParamVector; theta_init is left as it was.  Full-batch mode is
+      deterministic; SGD needs the rng for minibatch sampling.
+    - A stack: theta0 and theta_init are ParamStacks and dataset is a Batches
+      whose minibatches are already drawn (rng is unused).  MUTATES
+      theta_init: it is trained in place, so ParamStack.member views follow
+      it, and returned.
+
+    Both forms are one name so that every fit, one network or an ensemble,
+    is one call of policies.train, the function the benchmark's tracer times.
     """
     m = theta0.shape.width
     if cfg.step_size * m * cfg.reg >= 1.0:
@@ -232,32 +313,83 @@ def train(theta0: ParamVector, theta_init: ParamVector,
             f"step_size*m*reg = {cfg.step_size * m * cfg.reg:.4g} >= 1; "
             "the regularization contraction diverges"
         )
+    if isinstance(dataset, Batches):
+        _train_stack(theta0, theta_init, dataset, cfg)
+        return theta_init
     if not dataset:
         return theta_init.copy()
     if cfg.mode == "sgd" and rng is None:
         rng = np.random.default_rng(0)
-
-    X = np.asarray([x for x, _ in dataset], dtype=np.float64)
-    r = np.asarray([rw for _, rw in dataset], dtype=np.float64)
     n = len(dataset)
-    theta = theta_init.copy()
+    data = Batches(np.asarray([x for x, _ in dataset], dtype=np.float64),
+                   np.asarray([rw for _, rw in dataset], dtype=np.float64),
+                   [n], [draw_batches(np.arange(n), cfg, rng)])
+    theta = ParamStack.of([theta_init])
+    _train_stack(ParamStack.of([theta0]), theta, data, cfg)
+    return theta.member(0)
 
-    for _ in range(cfg.iterations):
+
+def _train_stack(theta0: ParamStack, theta: ParamStack, data: Batches,
+                 cfg: TrainConfig) -> None:
+    """cfg.iterations steps of every network with rows, in place.
+
+    Networks whose batches have the same length step together as one stack;
+    they are not padded to one length, which would change the order of the
+    BLAS sums.  Each network gets the bits of training it alone.
+    """
+    if cfg.iterations == 0:
+        return
+    m = theta.shape.width
+    lengths = [rows.shape[1] if n else 0
+               for n, rows in zip(data.n_rows, data.rows)]
+    for b in dict.fromkeys(lengths):
+        if b == 0:
+            continue
+        group = [j for j, length in enumerate(lengths) if length == b]
+        whole = len(group) == len(theta)
+        W = theta.layers if whole else [L[group] for L in theta.layers]
+        W0 = theta0.layers if whole else [L[group] for L in theta0.layers]
         if cfg.mode == "gd":
-            Xb, rb = X, r
+            rows = np.stack([data.rows[j][0] for j in group])
+            Xb, rb = data.X[rows], data.r[rows]
         else:
-            idx = rng.integers(0, n, size=min(cfg.batch_size, n))
-            Xb, rb = X[idx], r[idx]
-        out, pre = _forward_cached(theta, Xb)
-        resid = out - rb
-        if not np.all(np.isfinite(resid)):
-            raise TrainingDiverged(
-                "non-finite residuals during training; reduce the step size"
-            )
-        if cfg.mode == "sgd":
-            # rescale so the minibatch estimates the full-data loss gradient
-            resid = resid * (n / len(rb))
-        grads = _backward_weighted(theta, Xb, pre, resid)
-        for l, (W, W0, G) in enumerate(zip(theta.layers, theta0.layers, grads)):
-            theta.layers[l] = W - cfg.step_size * (G + m * cfg.reg * (W - W0))
-    return theta
+            rows = np.stack([data.rows[j] for j in group], axis=1)
+            # rescale so each minibatch estimates its full-data loss gradient
+            scale = np.array([data.n_rows[j] / b for j in group])[:, None]
+        for it in range(cfg.iterations):
+            if cfg.mode == "sgd":
+                Xb, rb = data.X[rows[it]], data.r[rows[it]]
+            out, acts, pre = _forward_cached(W, Xb, m)
+            resid = out - rb
+            finite = np.isfinite(resid)
+            if not finite.all():
+                bad = group[int(np.argmin(finite.all(axis=1)))]
+                raise TrainingDiverged(_diverged(cfg, m, bad, data.n_rows[bad], it))
+            if cfg.mode == "sgd":
+                resid *= scale
+            grads = _backward_weighted(W, acts, pre, resid, m)
+            # W <- W - step * (G + m*reg*(W - W0)), in place, in that order
+            for Wl, W0l, G in zip(W, W0, grads):
+                drift = Wl - W0l
+                drift *= m * cfg.reg
+                G += drift
+                G *= cfg.step_size
+                Wl -= G
+        if not whole:
+            for L, Wl in zip(theta.layers, W):
+                L[group] = Wl
+
+
+def _diverged(cfg: TrainConfig, m: int, net: int, n_rows: int, it: int) -> str:
+    if cfg.mode == "sgd":
+        mode, remedy = f"sgd, batch_size {cfg.batch_size}", "lower --lr"
+    else:
+        mode, remedy = "gd", "lower --lr or use --train-mode sgd"
+    return (
+        f"training diverged: network {net} gave non-finite outputs at "
+        f"iteration {it + 1} of {cfg.iterations} ({mode}) on {n_rows} "
+        f"history rows, with step_size="
+        f"{cfg.step_size:g}, width {m} and reg {cfg.reg:g}.  The data term of "
+        "the loss is a sum over the rows, so the effective step grows with "
+        f"the history; {remedy}"
+    )

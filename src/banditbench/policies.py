@@ -3,9 +3,12 @@
 Neural Thompson sampling and its deterministic UCB twin share the gradient
 feature posterior; the linear and kernelized baselines use their closed-form
 ridge posteriors; epsilon-greedy and the bootstrap ensemble explore without a
-posterior.  select never mutates policy state (beyond its own RNG stream) and
-observe never touches the selection RNG, so the decision sequence is fully
-determined by (seed, config, data order).
+posterior.  The four network policies keep one growing (context, reward)
+history and train their networks as one stack with one nn.train call per
+observe: one network, or the bootstrap ensemble's n_networks, each with the
+indices of the history rows it includes.  select never mutates policy state
+(beyond its own RNG stream) and observe never touches the selection RNG, so
+the decision sequence is fully determined by (seed, config, data order).
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import NetShape, TrainConfig, forward_batch, grad, grad_batch, init_params, train
+from .nn import (Batches, NetShape, ParamStack, TrainConfig, draw_batches,
+                 forward_batch, grad, grad_batch, init_params, train)
 from .posterior import DesignMatrix
 
 
@@ -72,22 +76,82 @@ def _argmax_lowest(scores: np.ndarray) -> int:
     return int(np.argmax(scores))
 
 
-class _NeuralNet:
-    """One trainable network with its own history and warm-started parameters."""
+class _Rows:
+    """An array grown one row at a time, in place, by capacity doubling."""
 
-    def __init__(self, shape: NetShape, seed, cfg: TrainConfig, warm_start: bool):
+    def __init__(self, row_shape: tuple = (), dtype=np.float64):
+        self._data = np.empty((0, *row_shape), dtype=dtype)
+        self._n = 0
+
+    def __len__(self) -> int:
+        return self._n
+
+    def append(self, row) -> int:
+        """Stores row and returns its index."""
+        if self._n == len(self._data):
+            grown = np.empty((max(16, 2 * self._n), *self._data.shape[1:]),
+                             dtype=self._data.dtype)
+            grown[:self._n] = self._data
+            self._data = grown
+        self._data[self._n] = row
+        self._n += 1
+        return self._n - 1
+
+    @property
+    def array(self) -> np.ndarray:
+        return self._data[:self._n]
+
+
+class _Net:
+    """One network of a stack: its weights as views into the stack, and the
+    indices of the history rows it trains on."""
+
+    def __init__(self, theta0, theta):
+        self.theta0 = theta0
+        self.theta = theta
+        self.history = _Rows(dtype=np.intp)
+
+
+class _Networks:
+    """N networks trained as one stack on one shared (context, reward)
+    history, with one train call per fit."""
+
+    def __init__(self, shape: NetShape, seeds, cfg: TrainConfig, warm_start: bool):
         self.cfg = cfg
         self.warm_start = warm_start
-        self.theta0 = init_params(shape, seed)
+        self.theta0 = ParamStack.of([init_params(shape, s) for s in seeds])
         self.theta = self.theta0.copy()
-        self.history: list[tuple[np.ndarray, float]] = []
+        self.nets = [_Net(self.theta0.member(j), self.theta.member(j))
+                     for j in range(len(seeds))]
+        self.contexts = _Rows((shape.input_dim,))
+        self.rewards = _Rows()
 
-    def add(self, x: np.ndarray, r: float) -> None:
-        self.history.append((np.asarray(x, dtype=np.float64), float(r)))
+    def observe(self, x: np.ndarray, r: float, rng: np.random.Generator,
+                fit: bool, include_prob: float | None = None) -> int:
+        """Appends (x, r) to the history and, if fit, trains every network.
 
-    def fit(self, rng: np.random.Generator) -> None:
-        start = self.theta if self.warm_start else self.theta0
-        self.theta = train(self.theta0, start, self.history, self.cfg, rng)
+        In network order, each network includes the row (with probability
+        include_prob, drawn from rng; always when it is None) and then draws
+        its minibatches: the order in which networks fitted one at a time
+        would draw.  Returns how many networks included the row.
+        """
+        self.contexts.append(x)
+        row = self.rewards.append(float(r))
+        batches, included = [], 0
+        for net in self.nets:
+            if include_prob is None or rng.random() < include_prob:
+                net.history.append(row)
+                included += 1
+            if fit:
+                batches.append(draw_batches(net.history.array, self.cfg, rng))
+        if fit:
+            if not self.warm_start:
+                for W, W0 in zip(self.theta.layers, self.theta0.layers):
+                    W[...] = W0
+            data = Batches(self.contexts.array, self.rewards.array,
+                           [len(net.history) for net in self.nets], batches)
+            train(self.theta0, self.theta, data, self.cfg)
+        return included
 
 
 class _NeuralBandit(Policy):
@@ -98,7 +162,8 @@ class _NeuralBandit(Policy):
         self.select_rng = np.random.default_rng(children[0])
         self.observe_rng = np.random.default_rng(children[1])
         self.cfg = cfg
-        self.net = _NeuralNet(shape, children[2], cfg.train, cfg.warm_start)
+        self.networks = _Networks(shape, [children[2]], cfg.train, cfg.warm_start)
+        self.net = self.networks.nets[0]
         self.design = DesignMatrix(shape.n_params, cfg.reg, shape.width,
                                    mode="full" if cfg.posterior == "full" else "diagonal")
         self.t = 0
@@ -118,9 +183,9 @@ class _NeuralBandit(Policy):
         if not np.isfinite(reward):
             raise ValueError("reward must be finite")
         self.t += 1
-        self.net.add(context, reward)
-        if self.cfg.stop_train is None or self.t <= self.cfg.stop_train:
-            self.net.fit(self.observe_rng)
+        self.networks.observe(context, reward, self.observe_rng,
+                              self.cfg.stop_train is None
+                              or self.t <= self.cfg.stop_train)
         self.design.update(grad(self.net.theta, context))
 
 
@@ -149,7 +214,8 @@ class EpsGreedyNN(Policy):
         self.select_rng = np.random.default_rng(children[0])
         self.observe_rng = np.random.default_rng(children[1])
         self.cfg = cfg
-        self.net = _NeuralNet(shape, children[2], cfg.train, cfg.warm_start)
+        self.networks = _Networks(shape, [children[2]], cfg.train, cfg.warm_start)
+        self.net = self.networks.nets[0]
         self.t = 0
 
     def select(self, contexts: np.ndarray) -> Decision:
@@ -162,9 +228,9 @@ class EpsGreedyNN(Policy):
 
     def observe(self, context: np.ndarray, reward: float) -> None:
         self.t += 1
-        self.net.add(context, reward)
-        if self.cfg.stop_train is None or self.t <= self.cfg.stop_train:
-            self.net.fit(self.observe_rng)
+        self.networks.observe(context, reward, self.observe_rng,
+                              self.cfg.stop_train is None
+                              or self.t <= self.cfg.stop_train)
 
 
 class BootstrapNN(Policy):
@@ -175,8 +241,8 @@ class BootstrapNN(Policy):
         self.select_rng = np.random.default_rng(children[0])
         self.observe_rng = np.random.default_rng(children[1])
         self.cfg = cfg
-        self.nets = [_NeuralNet(shape, s, cfg.train, cfg.warm_start)
-                     for s in children[2:]]
+        self.networks = _Networks(shape, children[2:], cfg.train, cfg.warm_start)
+        self.nets = self.networks.nets
         self.t = 0
         self.n_included = 0
         self.n_offered = 0
@@ -190,14 +256,11 @@ class BootstrapNN(Policy):
 
     def observe(self, context: np.ndarray, reward: float) -> None:
         self.t += 1
-        do_train = self.cfg.stop_train is None or self.t <= self.cfg.stop_train
-        for net in self.nets:
-            self.n_offered += 1
-            if self.observe_rng.random() < self.cfg.include_prob:
-                self.n_included += 1
-                net.add(context, reward)
-            if do_train:
-                net.fit(self.observe_rng)
+        self.n_offered += len(self.nets)
+        self.n_included += self.networks.observe(
+            context, reward, self.observe_rng,
+            self.cfg.stop_train is None or self.t <= self.cfg.stop_train,
+            self.cfg.include_prob)
 
 
 class LinearPolicy(Policy):

@@ -113,3 +113,21 @@ class TestConfigFile:
         cfg.write_text("just words\n")
         with pytest.raises(ValueError):
             read_config_file(str(cfg))
+
+
+class TestDefaultsTrainStably:
+    """The README's commands run with their defaults past the rounds where
+    the former defaults (GD x100 at lr 1e-3) raised TrainingDiverged."""
+
+    def test_defaults(self, tmp_path, capsys):
+        args = ["run", "--T", "150", "--repeats", "1", "--serial",
+                "--out", str(tmp_path / "out")]
+        assert main(args) == 0
+        assert "(T=150)" in capsys.readouterr().out
+
+    def test_readme_run_example(self, tmp_path, capsys):
+        args = ["run", "--dataset", "synthetic-nonlinear", "--algo", "neural-ts",
+                "--T", "450", "--repeats", "1", "--width", "32",
+                "--posterior", "diag", "--serial", "--out", str(tmp_path / "out")]
+        assert main(args) == 0
+        assert "(T=450)" in capsys.readouterr().out

@@ -281,3 +281,18 @@ class TestPool:
         serial = [t.total_regret for t in run_repeats(config, parallel=False)]
         parallel = [t.total_regret for t in run_repeats(config, parallel=True)]
         assert serial == parallel
+
+    def test_import_does_not_load_the_pool(self):
+        # the pool's modules cost every process about 1.2 MiB of RSS, and
+        # only parallel repeats need them
+        import subprocess
+        import sys
+
+        code = ("import sys, banditbench; "
+                "print('concurrent.futures.process' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
+
