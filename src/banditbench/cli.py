@@ -2,7 +2,8 @@
 
 Subcommands: `run` (one configuration), `grid` (hyperparameter sweep),
 `ntk` (kernel diagnostics report as JSON), `ingest` (dataset manifest).
-Defaults can come from a key=value config file; flags always win.
+Defaults can come from a `key = value` config file whose keys are the long
+flag names; flags always win.
 """
 
 from __future__ import annotations
@@ -10,14 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import envs, ntk
-from .data import ingest_csv, ingest_idx, parse_schema, write_manifest
+from .data import write_manifest
 from .harness import (ExperimentConfig, emit_outputs, run_grid, run_repeats,
                       summarize)
-from .nn import TrainConfig
+from .nn import TrainConfig, TrainingDiverged
 from .policies import ALGORITHMS, PolicyConfig
 
 # default sweeps for the grid subcommand, per algorithm family
@@ -43,28 +45,34 @@ def read_config_file(path: str) -> dict[str, str]:
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--dataset", help="synthetic-nonlinear, synthetic-linear, "
+    parser.add_argument("--config", help="key = value file of these flags' "
+                        "values; flags override it")
+    parser.add_argument("--dataset", default="synthetic-nonlinear",
+                        help="synthetic-nonlinear, synthetic-linear, "
                         "mushroom-like, csv:<path>, or idx:<images>,<labels>")
     parser.add_argument("--schema", help="schema file for csv datasets")
-    parser.add_argument("--algo", choices=ALGORITHMS)
-    parser.add_argument("--T", type=int, dest="horizon")
-    parser.add_argument("--repeats", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--delay", type=int)
-    parser.add_argument("--nu", type=float)
-    parser.add_argument("--lambda", type=float, dest="reg")
-    parser.add_argument("--eps", type=float)
-    parser.add_argument("--width", type=int)
-    parser.add_argument("--depth", type=int)
-    parser.add_argument("--iters", type=int)
-    parser.add_argument("--lr", type=float)
-    parser.add_argument("--train-mode", choices=("gd", "sgd"))
-    parser.add_argument("--batch-size", type=int)
-    parser.add_argument("--stop-train", type=int)
-    parser.add_argument("--posterior", choices=("diag", "full"))
-    parser.add_argument("--arms", type=int, help="synthetic streams only")
-    parser.add_argument("--raw-dim", type=int, help="synthetic streams only")
+    parser.add_argument("--algo", choices=ALGORITHMS, default="neural-ts")
+    parser.add_argument("--T", type=int, dest="horizon", default=2000)
+    parser.add_argument("--repeats", type=int, default=8)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--delay", type=int, default=0)
+    parser.add_argument("--nu", type=float, default=0.1)
+    parser.add_argument("--lambda", type=float, dest="reg", default=1.0)
+    parser.add_argument("--eps", type=float, default=0.05)
+    parser.add_argument("--width", type=int, default=100)
+    parser.add_argument("--depth", type=int, default=2)
+    # Training defaults are the acceptance config's SGD x10 at lr 1e-4: the
+    # data term of the loss is a sum over the history, so the effective step
+    # grows with the round, and GD x100 at lr 1e-3 diverged before round 110.
+    parser.add_argument("--iters", type=int, default=10)
+    parser.add_argument("--lr", type=float, default=1e-4)
+    parser.add_argument("--train-mode", choices=("gd", "sgd"), default="sgd")
+    parser.add_argument("--batch-size", type=int, default=64)
+    parser.add_argument("--stop-train", type=int, default=1000)
+    parser.add_argument("--posterior", choices=("diag", "full"), default="diag")
+    parser.add_argument("--arms", type=int, default=4, help="synthetic streams only")
+    parser.add_argument("--raw-dim", type=int, default=8,
+                        help="synthetic streams only")
     parser.add_argument("--no-duplicate", action="store_true",
                         help="skip the duplicated-half transform")
     parser.add_argument("--serial", action="store_true",
@@ -72,62 +80,43 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="out")
 
 
-# Training defaults are the acceptance config's SGD x10 at lr 1e-4: the data
-# term of the loss is a sum over the history, so the effective step grows with
-# the round, and GD x100 at lr 1e-3 diverged before round 110.
-_DEFAULTS = {
-    "dataset": "synthetic-nonlinear", "algo": "neural-ts", "horizon": 2000,
-    "repeats": 8, "seed": 0, "delay": 0, "nu": 0.1, "reg": 1.0, "eps": 0.05,
-    "width": 100, "depth": 2, "iters": 10, "lr": 1e-4, "train_mode": "sgd",
-    "batch_size": 64, "stop_train": 1000, "posterior": "diag", "arms": 4,
-    "raw_dim": 8,
-}
-
-_CONFIG_TYPES = {
-    "horizon": int, "repeats": int, "seed": int, "delay": int, "width": int,
-    "depth": int, "iters": int, "batch-size": int, "stop-train": int,
-    "arms": int, "raw-dim": int, "nu": float, "lambda": float, "eps": float,
-    "lr": float,
-}
-_CONFIG_KEYMAP = {"t": "horizon", "lambda": "reg"}
+def _config_argv(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """The flags that a config file's `key = value` lines name: --key=value,
+    or for a switch --key when the value is true and nothing when false."""
+    try:
+        values = read_config_file(path)
+    except (OSError, ValueError) as err:
+        parser.error(f"--config: {err}")
+    argv = []
+    for key, value in values.items():
+        action = parser._option_string_actions.get(f"--{key}")
+        if action is not None and action.nargs == 0 and value in ("true", "false"):
+            argv += [f"--{key}"] if value == "true" else []
+        else:
+            argv.append(f"--{key}={value}")  # argparse rejects what is wrong
+    return argv
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    values = dict(_DEFAULTS)
-    values.update({"schema": None, "no_duplicate": False})
-    if args.config:
-        for key, raw in read_config_file(args.config).items():
-            name = _CONFIG_KEYMAP.get(key, key.replace("-", "_"))
-            caster = _CONFIG_TYPES.get(key, str)
-            values[name] = caster(raw)
-    for name, value in vars(args).items():
-        if name in ("config", "out", "serial") or value is None or value is False:
-            continue
-        values[name] = value
-    return values
-
-
-def build_experiment(values: dict) -> ExperimentConfig:
-    train_cfg = TrainConfig(step_size=values["lr"], iterations=values["iters"],
-                            reg=values["reg"], mode=values["train_mode"],
-                            batch_size=values["batch_size"])
+def build_experiment(args: argparse.Namespace) -> ExperimentConfig:
+    train_cfg = TrainConfig(step_size=args.lr, iterations=args.iters,
+                            reg=args.reg, mode=args.train_mode,
+                            batch_size=args.batch_size)
     policy = PolicyConfig(
-        algorithm=values["algo"], nu=values["nu"], reg=values["reg"],
-        train=train_cfg, eps=values["eps"], width=values["width"],
-        depth=values["depth"], stop_train=values["stop_train"],
-        posterior="full" if values["posterior"] == "full" else "diagonal",
+        algorithm=args.algo, nu=args.nu, reg=args.reg, train=train_cfg,
+        eps=args.eps, width=args.width, depth=args.depth,
+        stop_train=args.stop_train,
+        posterior="full" if args.posterior == "full" else "diagonal",
     )
     return ExperimentConfig(
-        dataset=values["dataset"], policy=policy, horizon=values["horizon"],
-        repeats=values["repeats"], base_seed=values["seed"],
-        delay=values["delay"], duplicate=not values["no_duplicate"],
-        n_arms=values["arms"], raw_dim=values["raw_dim"],
-        schema=values["schema"],
+        dataset=args.dataset, policy=policy, horizon=args.horizon,
+        repeats=args.repeats, base_seed=args.seed, delay=args.delay,
+        duplicate=not args.no_duplicate, n_arms=args.arms,
+        raw_dim=args.raw_dim, schema=args.schema,
     )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = build_experiment(_resolve(args))
+    config = build_experiment(args)
     traces = run_repeats(config, parallel=not args.serial)
     stats = summarize(traces)
     emit_outputs(traces, stats, args.out)
@@ -138,18 +127,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    values = _resolve(args)
-    config = build_experiment(values)
+    config = build_experiment(args)
     algo = config.policy.algorithm
     if algo in ("neural-ts", "neural-ucb"):
-        config = ExperimentConfig(**{**vars_of(config),
-                                     "reg_grid": NEURAL_REG_GRID,
-                                     "nu_grid": NEURAL_NU_GRID})
+        config = replace(config, reg_grid=NEURAL_REG_GRID, nu_grid=NEURAL_NU_GRID)
     elif algo in ("lin-ts", "lin-ucb", "kernel-ts", "kernel-ucb"):
-        config = ExperimentConfig(**{**vars_of(config),
-                                     "nu_grid": LINEAR_KERNEL_NU_GRID})
+        config = replace(config, nu_grid=LINEAR_KERNEL_NU_GRID)
     elif algo == "eps-greedy":
-        config = ExperimentConfig(**{**vars_of(config), "eps_grid": EPS_GRID})
+        config = replace(config, eps_grid=EPS_GRID)
     table, best = run_grid(config, parallel=not args.serial)
     traces = []  # traces are per-cell; emit only the table and best line
     emit_outputs(traces, {"n_repeats": config.repeats, "mean": best["mean"],
@@ -164,17 +149,13 @@ def cmd_grid(args: argparse.Namespace) -> int:
     return 0
 
 
-def vars_of(config: ExperimentConfig) -> dict:
-    from dataclasses import fields
-    return {f.name: getattr(config, f.name) for f in fields(config)}
-
-
 def cmd_ntk(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     if args.dataset:
-        values = {**_DEFAULTS, "dataset": args.dataset, "schema": args.schema,
-                  "no_duplicate": False, "horizon": args.n}
-        config = build_experiment(values)
+        config = ExperimentConfig(dataset=args.dataset,
+                                  policy=PolicyConfig("neural-ts"),
+                                  horizon=args.n, raw_dim=args.raw_dim,
+                                  schema=args.schema)
         from .harness import build_rounds
         rounds = build_rounds(config, args.seed)
         contexts = np.stack([r.contexts[k] for r in rounds
@@ -229,23 +210,14 @@ def cmd_ntk(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    if args.dataset.startswith("csv:"):
-        if not args.schema:
-            print("csv datasets need --schema", file=sys.stderr)
-            return 2
-        types, label = parse_schema(args.schema)
-        dataset = ingest_csv(args.dataset[4:], label, types)
-        source = args.dataset[4:]
-    elif args.dataset.startswith("idx:"):
-        images, _, labels = args.dataset[4:].partition(",")
-        dataset = ingest_idx(images, labels)
-        source = images
-    elif args.dataset == "mushroom-like":
-        dataset = envs.mushroom_like()
-        source = None
-    else:
-        print(f"unknown dataset {args.dataset!r}", file=sys.stderr)
+    try:
+        dataset = envs.load_dataset(args.dataset, args.schema)
+    except ValueError as err:
+        print(err, file=sys.stderr)
         return 2
+    # file-backed datasets record their paths as provenance, the images first
+    source = (None if args.dataset == "mushroom-like"
+              else dataset.provenance.split(";")[0])
     manifest = write_manifest(dataset, args.out_file, source,
                               duplicate=not args.no_duplicate)
     print(json.dumps(manifest, indent=2))
@@ -257,11 +229,11 @@ def main(argv=None) -> int:
                                      description="contextual-bandit benchmark engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one configuration")
+    p_run = sub.add_parser("run", help="run one configuration", allow_abbrev=False)
     _add_run_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
-    p_grid = sub.add_parser("grid", help="hyperparameter sweep")
+    p_grid = sub.add_parser("grid", help="hyperparameter sweep", allow_abbrev=False)
     _add_run_flags(p_grid)
     p_grid.set_defaults(func=cmd_grid)
 
@@ -291,7 +263,17 @@ def main(argv=None) -> int:
     p_ing.set_defaults(func=cmd_ingest)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    if getattr(args, "config", None):
+        # the file's values become the defaults, so explicit flags still win
+        run_parser = p_run if args.command == "run" else p_grid
+        run_parser.set_defaults(**vars(run_parser.parse_args(
+            _config_argv(run_parser, args.config))))
+        args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (TrainingDiverged, np.linalg.LinAlgError) as err:
+        print(f"banditbench: error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .data import (BanditRound, LabeledDataset, classification_rounds,
-                   duplicate_half, normalize_unit, shuffle)
+                   duplicate_half, ingest_csv, ingest_idx, normalize_unit,
+                   parse_schema, shuffle)
 
 # fixed task directions so every repeat faces the same reward function
 _TASK_SEED = 0x5EED
@@ -86,6 +87,23 @@ def mushroom_like() -> LabeledDataset:
         blocks.append(onehot)
     return LabeledDataset(np.hstack(blocks), labels, n_classes=2,
                           provenance="synthetic mushroom-like")
+
+
+def load_dataset(spec: str, schema: str | None = None,
+                 label_column: str | None = None) -> LabeledDataset:
+    """The labeled dataset a spec names: mushroom-like, csv:<path> (with a
+    schema file; label_column overrides its label) or idx:<images>,<labels>."""
+    if spec == "mushroom-like":
+        return mushroom_like()
+    if spec.startswith("csv:"):
+        if schema is None:
+            raise ValueError("csv datasets need a schema file (--schema)")
+        types, label = parse_schema(schema)
+        return ingest_csv(spec[4:], label_column or label, types)
+    if spec.startswith("idx:"):
+        images, _, labels = spec[4:].partition(",")
+        return ingest_idx(images, labels)
+    raise ValueError(f"unknown dataset {spec!r}")
 
 
 def dataset_rounds(dataset: LabeledDataset, seed, horizon: int | None = None,

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import envs
-from .data import BanditRound, ingest_csv, ingest_idx, parse_schema
+from .data import BanditRound
+from .nn import TrainingDiverged
 from .policies import PolicyConfig, make_policy
 
 
@@ -78,18 +79,7 @@ def build_rounds(config: ExperimentConfig, seed) -> list[BanditRound]:
     if name == "synthetic-linear":
         return envs.synthetic_linear(config.n_arms, config.raw_dim,
                                      config.horizon, seed, config.noise_sd)
-    if name == "mushroom-like":
-        dataset = envs.mushroom_like()
-    elif name.startswith("csv:"):
-        if config.schema is None:
-            raise ValueError("csv datasets need a schema file")
-        types, label = parse_schema(config.schema)
-        dataset = ingest_csv(name[4:], config.label_column or label, types)
-    elif name.startswith("idx:"):
-        images, _, labels = name[4:].partition(",")
-        dataset = ingest_idx(images, labels)
-    else:
-        raise ValueError(f"unknown dataset {name!r}")
+    dataset = envs.load_dataset(name, config.schema, config.label_column)
     return envs.dataset_rounds(dataset, seed, config.horizon, config.duplicate)
 
 
@@ -105,25 +95,30 @@ def run_episode(config: ExperimentConfig, repeat_index: int) -> RegretTrace:
     cum = 0.0
     T = config.horizon
     batch = max(config.delay, 1)
-    for t, rnd in enumerate(rounds[:T], start=1):
-        t_start = time.perf_counter_ns()
-        decision = policy.select(rnd.contexts)
-        reward = float(rnd.rewards[decision.arm])
-        cum += float(np.max(rnd.expected_rewards) - rnd.expected_rewards[decision.arm])
-        buffer.append((rnd.contexts[decision.arm], reward))
-        if t % batch == 0 or t == T:
-            for ctx, r in buffer:
-                policy.observe(ctx, r)
-            buffer.clear()
-        trace.rounds.append({
-            "t": t,
-            "arm": decision.arm,
-            "reward": reward,
-            "regret": cum - (trace.rounds[-1]["cum_regret"] if trace.rounds else 0.0),
-            "cum_regret": cum,
-            "sigma": float(decision.sigmas[decision.arm]),
-            "wall_us": (time.perf_counter_ns() - t_start) // 1000,
-        })
+    try:
+        for t, rnd in enumerate(rounds[:T], start=1):
+            t_start = time.perf_counter_ns()
+            decision = policy.select(rnd.contexts)
+            reward = float(rnd.rewards[decision.arm])
+            cum += float(np.max(rnd.expected_rewards)
+                         - rnd.expected_rewards[decision.arm])
+            buffer.append((rnd.contexts[decision.arm], reward))
+            if t % batch == 0 or t == T:
+                for ctx, r in buffer:
+                    policy.observe(ctx, r)
+                buffer.clear()
+            trace.rounds.append({
+                "t": t,
+                "arm": decision.arm,
+                "reward": reward,
+                "regret": cum - (trace.rounds[-1]["cum_regret"] if trace.rounds else 0.0),
+                "cum_regret": cum,
+                "sigma": float(decision.sigmas[decision.arm]),
+                "wall_us": (time.perf_counter_ns() - t_start) // 1000,
+            })
+    except (TrainingDiverged, np.linalg.LinAlgError) as err:
+        raise type(err)(f"{config.policy.algorithm} on {config.dataset}, "
+                        f"round {t} of {T}, episode seed {seed}: {err}") from err
     return trace
 
 

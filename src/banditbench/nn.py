@@ -152,14 +152,18 @@ def _forward_cached(layers: list[np.ndarray], X: np.ndarray, m: int):
     return out, acts, pre
 
 
-def forward_batch(theta: ParamVector, X: np.ndarray) -> np.ndarray:
-    """Network outputs for a batch of inputs, shape (n,)."""
+def _inputs(theta: ParamVector, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != theta.shape.input_dim:
         raise ValueError(
             f"input dim {X.shape[1]} does not match network d={theta.shape.input_dim}"
         )
-    out, _, _ = _forward_cached(theta.layers, X, theta.shape.width)
+    return X
+
+
+def forward_batch(theta: ParamVector, X: np.ndarray) -> np.ndarray:
+    """Network outputs for a batch of inputs, shape (n,)."""
+    out, _, _ = _forward_cached(theta.layers, _inputs(theta, X), theta.shape.width)
     return out
 
 
@@ -168,25 +172,24 @@ def forward(theta: ParamVector, x: np.ndarray) -> float:
     return float(forward_batch(theta, np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
-def _backward_weighted(layers: list[np.ndarray], acts, pre, seed: np.ndarray,
-                       m: int) -> list[np.ndarray]:
-    """Summed gradient of sum_i seed_i * f(x_i) w.r.t. each layer, from the
-    activations and pre-activations of _forward_cached (per network for a
-    stack, with seed (N, n)).
+def _deltas(layers: list[np.ndarray], pre, seed: np.ndarray,
+            m: int) -> list[np.ndarray]:
+    """Sensitivity of sum_i seed_i * f(x_i) to each layer's outputs, per
+    sample: deltas[l] is (..., n, fan_out of layer l), from the
+    pre-activations of _forward_cached (per network for a stack, with seed
+    (N, n)).  Layer l's gradient for sample i is the outer product of
+    deltas[l][i] and the activations entering the layer.
 
     ReLU subgradient at exactly 0 is taken as 0.
     """
-    grads = [None] * len(layers)
-    # delta: (..., n, fan_out) sensitivity of the weighted output sum
-    delta = np.sqrt(m) * seed[..., None]
-    grads[-1] = delta.swapaxes(-1, -2) @ acts[-1]
-    back = delta @ layers[-1]
+    deltas = [None] * len(layers)
+    deltas[-1] = np.sqrt(m) * seed[..., None]
+    back = deltas[-1] @ layers[-1]
     for l in range(len(layers) - 2, -1, -1):
-        delta = back * (pre[l] > 0.0)
-        grads[l] = delta.swapaxes(-1, -2) @ acts[l]
+        deltas[l] = back * (pre[l] > 0.0)
         if l > 0:
-            back = delta @ layers[l]
-    return grads
+            back = deltas[l] @ layers[l]
+    return deltas
 
 
 def grad_batch(theta: ParamVector, X: np.ndarray) -> np.ndarray:
@@ -194,24 +197,12 @@ def grad_batch(theta: ParamVector, X: np.ndarray) -> np.ndarray:
 
     The 1/sqrt(m) posterior scale is NOT folded in here.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != theta.shape.input_dim:
-        raise ValueError(
-            f"input dim {X.shape[1]} does not match network d={theta.shape.input_dim}"
-        )
-    m = theta.shape.width
+    X = _inputs(theta, X)
     n = X.shape[0]
-    _, acts, pre = _forward_cached(theta.layers, X, m)
-    pieces = [None] * len(theta.layers)
-    delta = np.full((n, 1), np.sqrt(m))
-    pieces[-1] = np.einsum("ni,nj->nij", delta, acts[-1]).reshape(n, -1)
-    back = delta @ theta.layers[-1]
-    for l in range(len(theta.layers) - 2, -1, -1):
-        delta = back * (pre[l] > 0.0)
-        pieces[l] = np.einsum("ni,nj->nij", delta, acts[l]).reshape(n, -1)
-        if l > 0:
-            back = delta @ theta.layers[l]
-    return np.concatenate(pieces, axis=1)
+    _, acts, pre = _forward_cached(theta.layers, X, theta.shape.width)
+    deltas = _deltas(theta.layers, pre, np.ones(n), theta.shape.width)
+    return np.concatenate([np.einsum("ni,nj->nij", delta, act).reshape(n, -1)
+                           for delta, act in zip(deltas, acts)], axis=1)
 
 
 def grad(theta: ParamVector, x: np.ndarray) -> np.ndarray:
@@ -367,7 +358,8 @@ def _train_stack(theta0: ParamStack, theta: ParamStack, data: Batches,
                 raise TrainingDiverged(_diverged(cfg, m, bad, data.n_rows[bad], it))
             if cfg.mode == "sgd":
                 resid *= scale
-            grads = _backward_weighted(W, acts, pre, resid, m)
+            grads = [delta.swapaxes(-1, -2) @ act
+                     for delta, act in zip(_deltas(W, pre, resid, m), acts)]
             # W <- W - step * (G + m*reg*(W - W0)), in place, in that order
             for Wl, W0l, G in zip(W, W0, grads):
                 drift = Wl - W0l

@@ -53,6 +53,9 @@ class PolicyConfig:
     def __post_init__(self):
         if self.nu < 0:
             raise ValueError("nu must be nonnegative")
+        if self.posterior not in ("diagonal", "full"):
+            raise ValueError(f"unknown posterior {self.posterior!r}; "
+                             "choose from 'diagonal', 'full'")
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError("eps must be in [0, 1]")
         if not 0.0 <= self.include_prob <= 1.0:
@@ -71,9 +74,24 @@ class Policy:
         raise NotImplementedError
 
 
-def _argmax_lowest(scores: np.ndarray) -> int:
-    # np.argmax already breaks ties toward the lowest index
-    return int(np.argmax(scores))
+def score(means: np.ndarray, widths: np.ndarray, nu: float, thompson: bool,
+          rng: np.random.Generator) -> np.ndarray:
+    """Per-arm scores, whose argmax (ties to the lowest index) is the pick.
+
+    UCB adds nu * widths to the means.  Thompson sampling adds nu * widths
+    times one standard normal draw per arm from rng, and draws nothing when
+    nu is 0.
+    """
+    if not thompson:
+        return means + nu * widths
+    if nu == 0.0:
+        return means.copy()
+    return means + nu * widths * rng.standard_normal(len(means))
+
+
+def _check_reward(reward: float) -> None:
+    if not np.isfinite(reward):
+        raise ValueError("reward must be finite")
 
 
 class _Rows:
@@ -112,64 +130,75 @@ class _Net:
         self.history = _Rows(dtype=np.intp)
 
 
-class _Networks:
-    """N networks trained as one stack on one shared (context, reward)
-    history, with one train call per fit."""
+class _NetworkPolicy(Policy):
+    """Seeding, networks and stop-train gate of the network policies.
 
-    def __init__(self, shape: NetShape, seeds, cfg: TrainConfig, warm_start: bool):
+    SeedSequence(seed) spawns the selection stream, the observation stream
+    and one seed per network, in that order.
+    """
+
+    def __init__(self, shape: NetShape, cfg: PolicyConfig, seed,
+                 n_networks: int = 1):
+        children = np.random.SeedSequence(seed).spawn(2 + n_networks)
+        self.select_rng = np.random.default_rng(children[0])
+        self.observe_rng = np.random.default_rng(children[1])
         self.cfg = cfg
-        self.warm_start = warm_start
-        self.theta0 = ParamStack.of([init_params(shape, s) for s in seeds])
+        self.theta0 = ParamStack.of([init_params(shape, s) for s in children[2:]])
         self.theta = self.theta0.copy()
         self.nets = [_Net(self.theta0.member(j), self.theta.member(j))
-                     for j in range(len(seeds))]
+                     for j in range(n_networks)]
+        self.net = self.nets[0]
         self.contexts = _Rows((shape.input_dim,))
         self.rewards = _Rows()
+        self.t = 0
 
-    def observe(self, x: np.ndarray, r: float, rng: np.random.Generator,
-                fit: bool, include_prob: float | None = None) -> int:
-        """Appends (x, r) to the history and, if fit, trains every network.
+    def _fit(self, context: np.ndarray, reward: float,
+             include_prob: float | None = None) -> int:
+        """Appends (context, reward) to the history and, until the stop-train
+        round, trains every network.  Returns how many networks included the
+        row.
 
         In network order, each network includes the row (with probability
-        include_prob, drawn from rng; always when it is None) and then draws
-        its minibatches: the order in which networks fitted one at a time
-        would draw.  Returns how many networks included the row.
+        include_prob, drawn from the observation stream; always when it is
+        None) and then draws its minibatches: the order in which networks
+        fitted one at a time would draw.
         """
-        self.contexts.append(x)
-        row = self.rewards.append(float(r))
+        _check_reward(reward)
+        self.t += 1
+        fit = self.cfg.stop_train is None or self.t <= self.cfg.stop_train
+        self.contexts.append(context)
+        row = self.rewards.append(float(reward))
         batches, included = [], 0
         for net in self.nets:
-            if include_prob is None or rng.random() < include_prob:
+            if include_prob is None or self.observe_rng.random() < include_prob:
                 net.history.append(row)
                 included += 1
             if fit:
-                batches.append(draw_batches(net.history.array, self.cfg, rng))
+                batches.append(draw_batches(net.history.array, self.cfg.train,
+                                            self.observe_rng))
         if fit:
-            if not self.warm_start:
+            if not self.cfg.warm_start:
                 for W, W0 in zip(self.theta.layers, self.theta0.layers):
                     W[...] = W0
             data = Batches(self.contexts.array, self.rewards.array,
                            [len(net.history) for net in self.nets], batches)
-            train(self.theta0, self.theta, data, self.cfg)
+            train(self.theta0, self.theta, data, self.cfg.train)
         return included
 
+    def observe(self, context: np.ndarray, reward: float) -> None:
+        self._fit(context, reward)
 
-class _NeuralBandit(Policy):
+
+class _NeuralBandit(_NetworkPolicy):
     """Shared plumbing for NeuralTS / NeuralUCB: network + design matrix."""
 
     def __init__(self, shape: NetShape, cfg: PolicyConfig, seed):
-        children = np.random.SeedSequence(seed).spawn(3)
-        self.select_rng = np.random.default_rng(children[0])
-        self.observe_rng = np.random.default_rng(children[1])
-        self.cfg = cfg
-        self.networks = _Networks(shape, [children[2]], cfg.train, cfg.warm_start)
-        self.net = self.networks.nets[0]
+        super().__init__(shape, cfg, seed)
         self.design = DesignMatrix(shape.n_params, cfg.reg, shape.width,
-                                   mode="full" if cfg.posterior == "full" else "diagonal")
-        self.t = 0
+                                   mode=cfg.posterior)
 
     def _scores(self, means: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return score(means, sigmas, self.cfg.nu, self.thompson, self.select_rng)
 
     def select(self, contexts: np.ndarray) -> Decision:
         contexts = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
@@ -177,73 +206,42 @@ class _NeuralBandit(Policy):
         feats = grad_batch(self.net.theta, contexts)
         sigmas = np.array([self.design.sigma(g) for g in feats])
         scores = self._scores(means, sigmas)
-        return Decision(_argmax_lowest(scores), scores, means, sigmas)
+        return Decision(int(np.argmax(scores)), scores, means, sigmas)
 
     def observe(self, context: np.ndarray, reward: float) -> None:
-        if not np.isfinite(reward):
-            raise ValueError("reward must be finite")
-        self.t += 1
-        self.networks.observe(context, reward, self.observe_rng,
-                              self.cfg.stop_train is None
-                              or self.t <= self.cfg.stop_train)
+        super().observe(context, reward)
         self.design.update(grad(self.net.theta, context))
 
 
 class NeuralTS(_NeuralBandit):
     """Thompson sampling on the scalar reward posterior of the network."""
 
-    def _scores(self, means, sigmas):
-        if self.cfg.nu == 0.0:
-            return means.copy()
-        noise = self.select_rng.standard_normal(len(means))
-        return means + self.cfg.nu * sigmas * noise
+    thompson = True
 
 
 class NeuralUCB(_NeuralBandit):
     """Deterministic twin: score = mean + nu * sigma."""
 
-    def _scores(self, means, sigmas):
-        return means + self.cfg.nu * sigmas
+    thompson = False
 
 
-class EpsGreedyNN(Policy):
+class EpsGreedyNN(_NetworkPolicy):
     """Greedy on the network output, uniform with probability eps."""
-
-    def __init__(self, shape: NetShape, cfg: PolicyConfig, seed):
-        children = np.random.SeedSequence(seed).spawn(3)
-        self.select_rng = np.random.default_rng(children[0])
-        self.observe_rng = np.random.default_rng(children[1])
-        self.cfg = cfg
-        self.networks = _Networks(shape, [children[2]], cfg.train, cfg.warm_start)
-        self.net = self.networks.nets[0]
-        self.t = 0
 
     def select(self, contexts: np.ndarray) -> Decision:
         contexts = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
         means = forward_batch(self.net.theta, contexts)
-        arm = _argmax_lowest(means)
+        arm = int(np.argmax(means))
         if self.cfg.eps > 0.0 and self.select_rng.random() < self.cfg.eps:
             arm = int(self.select_rng.integers(len(means)))
         return Decision(arm, means.copy(), means, np.zeros_like(means))
 
-    def observe(self, context: np.ndarray, reward: float) -> None:
-        self.t += 1
-        self.networks.observe(context, reward, self.observe_rng,
-                              self.cfg.stop_train is None
-                              or self.t <= self.cfg.stop_train)
 
-
-class BootstrapNN(Policy):
+class BootstrapNN(_NetworkPolicy):
     """Ensemble of networks trained on independently subsampled histories."""
 
     def __init__(self, shape: NetShape, cfg: PolicyConfig, seed):
-        children = np.random.SeedSequence(seed).spawn(2 + cfg.n_networks)
-        self.select_rng = np.random.default_rng(children[0])
-        self.observe_rng = np.random.default_rng(children[1])
-        self.cfg = cfg
-        self.networks = _Networks(shape, children[2:], cfg.train, cfg.warm_start)
-        self.nets = self.networks.nets
-        self.t = 0
+        super().__init__(shape, cfg, seed, cfg.n_networks)
         self.n_included = 0
         self.n_offered = 0
 
@@ -251,16 +249,12 @@ class BootstrapNN(Policy):
         contexts = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
         pick = int(self.select_rng.integers(len(self.nets)))
         means = forward_batch(self.nets[pick].theta, contexts)
-        return Decision(_argmax_lowest(means), means.copy(), means,
+        return Decision(int(np.argmax(means)), means.copy(), means,
                         np.zeros_like(means))
 
     def observe(self, context: np.ndarray, reward: float) -> None:
-        self.t += 1
+        self.n_included += self._fit(context, reward, self.cfg.include_prob)
         self.n_offered += len(self.nets)
-        self.n_included += self.networks.observe(
-            context, reward, self.observe_rng,
-            self.cfg.stop_train is None or self.t <= self.cfg.stop_train,
-            self.cfg.include_prob)
 
 
 class LinearPolicy(Policy):
@@ -279,17 +273,11 @@ class LinearPolicy(Policy):
         mu = self.a_inv @ self.b
         means = X @ mu
         widths = np.sqrt(np.maximum(np.einsum("ki,ij,kj->k", X, self.a_inv, X), 0.0))
-        if self.thompson:
-            if self.cfg.nu == 0.0:
-                scores = means.copy()
-            else:
-                scores = means + self.cfg.nu * widths * \
-                    self.select_rng.standard_normal(len(means))
-        else:
-            scores = means + self.cfg.nu * widths
-        return Decision(_argmax_lowest(scores), scores, means, widths)
+        scores = score(means, widths, self.cfg.nu, self.thompson, self.select_rng)
+        return Decision(int(np.argmax(scores)), scores, means, widths)
 
     def observe(self, context: np.ndarray, reward: float) -> None:
+        _check_reward(reward)
         x = np.asarray(context, dtype=np.float64)
         u = self.a_inv @ x
         # a_inv stays exactly symmetric: u_i u_j == u_j u_i
@@ -332,17 +320,11 @@ class KernelPolicy(Policy):
                 kv = self._kvec(X[k])
                 means[k] = float(kv @ alpha)
                 widths[k] = np.sqrt(max(1.0 - float(kv @ self.k_inv @ kv), 0.0))
-        if self.thompson:
-            if self.cfg.nu == 0.0:
-                scores = means.copy()
-            else:
-                scores = means + self.cfg.nu * widths * \
-                    self.select_rng.standard_normal(K)
-        else:
-            scores = means + self.cfg.nu * widths
-        return Decision(_argmax_lowest(scores), scores, means, widths)
+        scores = score(means, widths, self.cfg.nu, self.thompson, self.select_rng)
+        return Decision(int(np.argmax(scores)), scores, means, widths)
 
     def observe(self, context: np.ndarray, reward: float) -> None:
+        _check_reward(reward)
         self.t += 1
         if self.cfg.stop_train is not None and self.t > self.cfg.stop_train:
             return

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from banditbench import cli
 from banditbench.cli import main, read_config_file
 
 
@@ -131,3 +132,63 @@ class TestDefaultsTrainStably:
                 "--posterior", "diag", "--serial", "--out", str(tmp_path / "out")]
         assert main(args) == 0
         assert "(T=450)" in capsys.readouterr().out
+
+
+class TestConfigKeysAreFlags:
+    """Config-file keys are the long flag names and go through the same
+    parser as the flags: a key takes effect or the run stops with exit 2."""
+
+    def write(self, tmp_path, *lines):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("algo = uniform\nrepeats = 1\n" + "\n".join(lines) + "\n")
+        return ["run", "--config", str(cfg), "--serial",
+                "--out", str(tmp_path / "out")]
+
+    def test_horizon_from_config_without_flag(self, tmp_path, capsys):
+        assert main(self.write(tmp_path, "T = 30")) == 0
+        assert "(T=30)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value,duplicate", [("true", False),
+                                                 ("false", True)])
+    def test_switch_values(self, tmp_path, monkeypatch, value, duplicate):
+        seen = []
+        real = cli.run_repeats
+
+        def spy(config, parallel=True):
+            seen.append(config)
+            return real(config, parallel=parallel)
+
+        monkeypatch.setattr(cli, "run_repeats", spy)
+        assert main(self.write(tmp_path, "T = 5",
+                               f"no-duplicate = {value}")) == 0
+        assert [config.duplicate for config in seen] == [duplicate]
+
+    @pytest.mark.parametrize("line,error", [
+        ("t = 30", "unrecognized arguments: --t=30"),
+        ("lamda = 5", "unrecognized arguments: --lamda=5"),
+        ("posterior = ful", "argument --posterior: invalid choice: 'ful'"),
+        ("horizon = 30", "unrecognized arguments: --horizon=30")])
+    def test_bad_key_or_value_exits_2(self, tmp_path, capsys, line, error):
+        with pytest.raises(SystemExit) as info:
+            main(self.write(tmp_path, "T = 5", line))
+        assert info.value.code == 2
+        assert error in capsys.readouterr().err.splitlines()[-1]
+
+
+class TestIngestErrors:
+    def test_csv_without_schema(self, tmp_path, capsys):
+        assert main(["ingest", "--dataset", "csv:x",
+                     "--out-file", str(tmp_path / "m.json")]) == 2
+        assert "schema" in capsys.readouterr().err
+
+
+class TestDivergenceMessage:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_exits_1_with_round_and_seed(self, tmp_path, capsys):
+        args = ["run", "--train-mode", "gd", "--lr", "1e-3", "--T", "300",
+                "--repeats", "1", "--serial", "--out", str(tmp_path / "out")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("banditbench: error: neural-ts on "
+                              "synthetic-nonlinear, round ")
+        assert "of 300, episode seed 0: training diverged" in err

@@ -360,3 +360,21 @@ class TestFactory:
             policy = make_policy(neural_cfg(algo), 4, seed=0)
             decision = policy.select(random_contexts(np.random.default_rng(0), 2, 4))
             assert 0 <= decision.arm < 2
+
+    def test_unknown_posterior_rejected(self):
+        with pytest.raises(ValueError, match="posterior"):
+            neural_cfg("neural-ts", posterior="Full")
+
+
+LEARNING = ["neural-ts", "neural-ucb", "lin-ts", "lin-ucb", "kernel-ts",
+            "kernel-ucb", "eps-greedy", "bootstrap-nn"]
+
+
+@pytest.mark.parametrize("algorithm", LEARNING)
+def test_nan_reward_rejected(algorithm):
+    policy = make_policy(neural_cfg(algorithm), 4, seed=24)
+    contexts = random_contexts(np.random.default_rng(24), 2, 4)
+    policy.observe(contexts[0], 0.5)
+    with pytest.raises(ValueError, match="reward must be finite"):
+        policy.observe(contexts[1], np.nan)
+    assert np.all(np.isfinite(policy.select(contexts).scores))
