@@ -40,7 +40,7 @@ def read_config_file(path: str) -> dict[str, str]:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"{path}: malformed line {raw.rstrip()!r}")
-            values[key.strip().replace("_", "-")] = value.strip()
+            values[key.strip()] = value.strip()
     return values
 
 
@@ -80,21 +80,33 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="out")
 
 
-def _config_argv(parser: argparse.ArgumentParser, path: str) -> list[str]:
-    """The flags that a config file's `key = value` lines name: --key=value,
-    or for a switch --key when the value is true and nothing when false."""
+def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
+    """The flag values a config file's `key = value` lines give: --key=value,
+    or for a switch --key when the value is true and nothing when false.
+    Each line is parsed alone, so that an error names the file and the key
+    as written."""
     try:
         values = read_config_file(path)
     except (OSError, ValueError) as err:
         parser.error(f"--config: {err}")
-    argv = []
+    namespace = argparse.Namespace()
+    parser.exit_on_error = False    # raise ArgumentError instead of exiting
     for key, value in values.items():
-        action = parser._option_string_actions.get(f"--{key}")
+        flag = "--" + key.replace("_", "-")
+        action = parser._option_string_actions.get(flag)
         if action is not None and action.nargs == 0 and value in ("true", "false"):
-            argv += [f"--{key}"] if value == "true" else []
+            argv = [flag] if value == "true" else []
         else:
-            argv.append(f"--{key}={value}")  # argparse rejects what is wrong
-    return argv
+            argv = [f"{flag}={value}"]  # argparse rejects what is wrong
+        try:
+            _, extra = parser.parse_known_args(argv, namespace)
+            if extra:
+                raise argparse.ArgumentError(
+                    None, f"unrecognized arguments: {' '.join(extra)}")
+        except argparse.ArgumentError as err:
+            parser.error(f"--config {path}: {key}: {err}")
+    parser.exit_on_error = True
+    return vars(namespace)
 
 
 def build_experiment(args: argparse.Namespace) -> ExperimentConfig:
@@ -215,10 +227,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     except ValueError as err:
         print(err, file=sys.stderr)
         return 2
-    # file-backed datasets record their paths as provenance, the images first
-    source = (None if args.dataset == "mushroom-like"
-              else dataset.provenance.split(";")[0])
-    manifest = write_manifest(dataset, args.out_file, source,
+    # file-backed datasets record their paths as provenance, ';'-separated
+    sources = ([] if args.dataset == "mushroom-like"
+               else dataset.provenance.split(";"))
+    manifest = write_manifest(dataset, args.out_file, sources,
                               duplicate=not args.no_duplicate)
     print(json.dumps(manifest, indent=2))
     return 0
@@ -266,8 +278,7 @@ def main(argv=None) -> int:
     if getattr(args, "config", None):
         # the file's values become the defaults, so explicit flags still win
         run_parser = p_run if args.command == "run" else p_grid
-        run_parser.set_defaults(**vars(run_parser.parse_args(
-            _config_argv(run_parser, args.config))))
+        run_parser.set_defaults(**_config_defaults(run_parser, args.config))
         args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -15,7 +15,7 @@ import hashlib
 import json
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class LabeledDataset:
     n_classes: int
     provenance: str = ""
     n_dropped: int = 0
-    n_zero_rows: int = 0
 
     def __post_init__(self):
         if self.features.shape[0] != self.labels.shape[0]:
@@ -47,6 +46,13 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    @property
+    def n_zero_rows(self) -> int:
+        """Rows of zero norm, which normalize_unit maps to the unit basis
+        vector (a row of tiny values counts: its squares underflow)."""
+        sq_norms = np.einsum("ij,ij->i", self.features, self.features)
+        return int(np.count_nonzero(sq_norms == 0.0))
 
 
 @dataclass
@@ -178,7 +184,7 @@ def ingest_idx(images_path: str, labels_path: str) -> LabeledDataset:
     if n != n_lab:
         raise ValueError(f"image count {n} != label count {n_lab}")
 
-    return LabeledDataset(images.astype(np.float64), labels,
+    return LabeledDataset(images, labels,
                           n_classes=int(labels.max()) + 1,
                           provenance=f"{images_path};{labels_path}")
 
@@ -215,23 +221,11 @@ def disjoint_encode(x: np.ndarray, n_arms: int) -> np.ndarray:
     return out
 
 
-def shuffle(dataset: LabeledDataset, seed: int) -> LabeledDataset:
-    """Seeded row permutation (new dataset, same multiset of rows)."""
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(dataset))
-    return LabeledDataset(dataset.features[order], dataset.labels[order],
-                          dataset.n_classes, dataset.provenance,
-                          dataset.n_dropped, dataset.n_zero_rows)
-
-
 def classification_rounds(dataset: LabeledDataset,
                           duplicate: bool = True) -> list[BanditRound]:
     """Transform every row into a bandit round with 0/1 indicator rewards."""
     rounds = []
-    n_zero = 0
     for x, label in zip(dataset.features, dataset.labels):
-        if np.linalg.norm(x) == 0.0:
-            n_zero += 1
         z = normalize_unit(x)
         if duplicate:
             z = duplicate_half(z)
@@ -239,15 +233,25 @@ def classification_rounds(dataset: LabeledDataset,
         rewards = np.zeros(dataset.n_classes)
         rewards[label] = 1.0
         rounds.append(BanditRound(contexts, rewards, rewards.copy()))
+    n_zero = dataset.n_zero_rows
     if n_zero:
         log.warning("%d zero-feature rows replaced by the unit basis vector", n_zero)
-        dataset.n_zero_rows = n_zero
     return rounds
 
 
-def write_manifest(dataset: LabeledDataset, path: str, source_path: str | None = None,
+def _sha256(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def write_manifest(dataset: LabeledDataset, path: str,
+                   sources: list[str] | None = None,
                    duplicate: bool = True) -> dict:
-    """Record dataset stats (and source checksum) as a JSON manifest."""
+    """Record dataset stats, and the checksum of each source file, as a JSON
+    manifest."""
     manifest = {
         "rows": len(dataset),
         "n_classes": dataset.n_classes,
@@ -257,12 +261,8 @@ def write_manifest(dataset: LabeledDataset, path: str, source_path: str | None =
         "provenance": dataset.provenance,
         "duplicate_half": duplicate,
     }
-    if source_path:
-        digest = hashlib.sha256()
-        with open(source_path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(chunk)
-        manifest["sha256"] = digest.hexdigest()
+    if sources:
+        manifest["sha256"] = {source: _sha256(source) for source in sources}
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2)
     return manifest

@@ -11,43 +11,31 @@ from __future__ import annotations
 import numpy as np
 
 from .data import (BanditRound, LabeledDataset, classification_rounds,
-                   duplicate_half, ingest_csv, ingest_idx, normalize_unit,
-                   parse_schema, shuffle)
+                   duplicate_half, ingest_csv, ingest_idx, parse_schema)
 
-# fixed task directions so every repeat faces the same reward function
+# Each synthetic stream: its task seed, which fixes the task direction so
+# every repeat faces the same reward function, and its expected reward of
+# unit contexts `raw` (K, raw_dim) along that direction.
 _TASK_SEED = 0x5EED
+SYNTHETIC = {
+    "synthetic-nonlinear": (_TASK_SEED, lambda raw, a: np.cos(3.0 * raw @ a)),
+    "synthetic-linear": (_TASK_SEED + 1, lambda raw, w: raw @ w),
+}
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
-
-
-def synthetic_nonlinear(n_arms: int, raw_dim: int, horizon: int, seed,
-                        noise_sd: float = 0.1) -> list[BanditRound]:
-    """Per-arm random unit contexts with reward cos(3 x.a) plus Gaussian noise."""
-    a = _unit(np.random.default_rng(_TASK_SEED).standard_normal(raw_dim))
-    rng = np.random.default_rng(seed)
-    rounds = []
-    for _ in range(horizon):
-        raw = rng.standard_normal((n_arms, raw_dim))
-        raw = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        expected = np.cos(3.0 * raw @ a)
-        rewards = expected + noise_sd * rng.standard_normal(n_arms)
-        contexts = np.stack([duplicate_half(x) for x in raw])
-        rounds.append(BanditRound(contexts, expected, rewards))
-    return rounds
-
-
-def synthetic_linear(n_arms: int, raw_dim: int, horizon: int, seed,
+def synthetic_rounds(name: str, n_arms: int, raw_dim: int, horizon: int, seed,
                      noise_sd: float = 0.1) -> list[BanditRound]:
-    """Per-arm random unit contexts with reward x.w plus Gaussian noise."""
-    w = _unit(np.random.default_rng(_TASK_SEED + 1).standard_normal(raw_dim))
+    """Per-arm random unit contexts with Gaussian noise on the stream's
+    reward: cos(3 x.a) for synthetic-nonlinear, x.w for synthetic-linear."""
+    task_seed, reward = SYNTHETIC[name]
+    direction = np.random.default_rng(task_seed).standard_normal(raw_dim)
+    direction /= np.linalg.norm(direction)
     rng = np.random.default_rng(seed)
     rounds = []
     for _ in range(horizon):
         raw = rng.standard_normal((n_arms, raw_dim))
         raw = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        expected = raw @ w
+        expected = reward(raw, direction)
         rewards = expected + noise_sd * rng.standard_normal(n_arms)
         contexts = np.stack([duplicate_half(x) for x in raw])
         rounds.append(BanditRound(contexts, expected, rewards))
@@ -106,14 +94,13 @@ def load_dataset(spec: str, schema: str | None = None,
     raise ValueError(f"unknown dataset {spec!r}")
 
 
-def dataset_rounds(dataset: LabeledDataset, seed, horizon: int | None = None,
+def dataset_rounds(dataset: LabeledDataset, seed, horizon: int,
                    duplicate: bool = True) -> list[BanditRound]:
-    """Shuffle a labeled dataset with the seed and emit its bandit rounds."""
-    rounds = classification_rounds(shuffle(dataset, seed), duplicate=duplicate)
-    if horizon is not None:
-        if horizon > len(rounds):
-            raise ValueError(
-                f"horizon {horizon} exceeds dataset size {len(rounds)}"
-            )
-        rounds = rounds[:horizon]
-    return rounds
+    """The bandit rounds of the first `horizon` rows in the seed's row order;
+    only those rows are built."""
+    if horizon > len(dataset):
+        raise ValueError(f"horizon {horizon} exceeds dataset size {len(dataset)}")
+    rows = np.random.default_rng(seed).permutation(len(dataset))[:horizon]
+    played = LabeledDataset(dataset.features[rows], dataset.labels[rows],
+                            dataset.n_classes)
+    return classification_rounds(played, duplicate=duplicate)

@@ -1,6 +1,6 @@
 """Experiment driver: seeded episodes, delayed-reward batching, grids, outputs.
 
-An episode replays one shuffled pass over a round stream: select, pay the
+An episode plays one seeded pass over a round stream: select, pay the
 realized reward, and buffer the observation; buffered observations reach the
 policy only at delay-batch boundaries (and at the final round).  Grid runs
 fan episodes out over a process pool capped by BANDITBENCH_THREADS.
@@ -71,13 +71,10 @@ class RegretTrace:
 
 
 def build_rounds(config: ExperimentConfig, seed) -> list[BanditRound]:
-    """Materialize the round stream for one episode seed."""
+    """The `horizon` rounds one episode seed plays, and no others."""
     name = config.dataset
-    if name == "synthetic-nonlinear":
-        return envs.synthetic_nonlinear(config.n_arms, config.raw_dim,
-                                        config.horizon, seed, config.noise_sd)
-    if name == "synthetic-linear":
-        return envs.synthetic_linear(config.n_arms, config.raw_dim,
+    if name in envs.SYNTHETIC:
+        return envs.synthetic_rounds(name, config.n_arms, config.raw_dim,
                                      config.horizon, seed, config.noise_sd)
     dataset = envs.load_dataset(name, config.schema, config.label_column)
     return envs.dataset_rounds(dataset, seed, config.horizon, config.duplicate)
@@ -96,7 +93,7 @@ def run_episode(config: ExperimentConfig, repeat_index: int) -> RegretTrace:
     T = config.horizon
     batch = max(config.delay, 1)
     try:
-        for t, rnd in enumerate(rounds[:T], start=1):
+        for t, rnd in enumerate(rounds, start=1):
             t_start = time.perf_counter_ns()
             decision = policy.select(rnd.contexts)
             reward = float(rnd.rewards[decision.arm])

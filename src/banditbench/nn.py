@@ -320,13 +320,15 @@ def train(theta0, theta_init, dataset, cfg: TrainConfig,
     return theta.member(0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _train_stack(theta0: ParamStack, theta: ParamStack, data: Batches,
                  cfg: TrainConfig) -> None:
     """cfg.iterations steps of every network with rows, in place.
 
     Networks whose batches have the same length step together as one stack;
     they are not padded to one length, which would change the order of the
-    BLAS sums.  Each network gets the bits of training it alone.
+    BLAS sums.  Each network gets the bits of training it alone.  A step
+    that overflows is reported by the TrainingDiverged that follows it.
     """
     if cfg.iterations == 0:
         return

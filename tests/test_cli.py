@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -98,6 +99,32 @@ class TestIngest:
         assert manifest["rows"] == 8124
         assert manifest["n_classes"] == 2
 
+    def test_zero_rows_counted(self, tmp_path):
+        csv = tmp_path / "toy.csv"
+        csv.write_text("a,b,kind\n1.0,2.0,x\n0,0,y\n0.5,0,x\n")
+        schema = tmp_path / "schema.txt"
+        schema.write_text("a: numeric\nb: numeric\nlabel: kind\n")
+        out = tmp_path / "manifest.json"
+        assert main(["ingest", "--dataset", f"csv:{csv}", "--schema",
+                     str(schema), "--out-file", str(out)]) == 0
+        assert json.loads(out.read_text())["zero_rows"] == 1
+
+    def test_idx_manifest_checksums_the_labels(self, tmp_path):
+        images = tmp_path / "images.idx"
+        images.write_bytes(struct.pack(">IIII", 0x803, 6, 2, 2) + bytes(range(24)))
+        labels = tmp_path / "labels.idx"
+        manifests = []
+        for label_bytes in (bytes([0, 1, 2, 0, 1, 2]), bytes([1, 2, 0, 1, 2, 0])):
+            labels.write_bytes(struct.pack(">II", 0x801, 6) + label_bytes)
+            out = tmp_path / "manifest.json"
+            assert main(["ingest", "--dataset", f"idx:{images},{labels}",
+                         "--out-file", str(out)]) == 0
+            manifests.append(json.loads(out.read_text()))
+        first, second = manifests
+        assert first != second
+        assert first["sha256"][str(images)] == second["sha256"][str(images)]
+        assert first["sha256"][str(labels)] != second["sha256"][str(labels)]
+
     def test_unknown_dataset(self, tmp_path):
         assert main(["ingest", "--dataset", "nope",
                      "--out-file", str(tmp_path / "m.json")]) == 2
@@ -166,13 +193,28 @@ class TestConfigKeysAreFlags:
     @pytest.mark.parametrize("line,error", [
         ("t = 30", "unrecognized arguments: --t=30"),
         ("lamda = 5", "unrecognized arguments: --lamda=5"),
+        ("stop_trian = 5", "unrecognized arguments: --stop-trian=5"),
         ("posterior = ful", "argument --posterior: invalid choice: 'ful'"),
         ("horizon = 30", "unrecognized arguments: --horizon=30")])
     def test_bad_key_or_value_exits_2(self, tmp_path, capsys, line, error):
         with pytest.raises(SystemExit) as info:
             main(self.write(tmp_path, "T = 5", line))
         assert info.value.code == 2
-        assert error in capsys.readouterr().err.splitlines()[-1]
+        # the error names the file and the key as the file writes it
+        key = line.partition("=")[0].strip()
+        assert (f"banditbench run: error: --config {tmp_path / 'exp.cfg'}: "
+                f"{key}: {error}") in capsys.readouterr().err.splitlines()[-1]
+
+    @pytest.mark.parametrize("flags,error", [
+        (["--lamda", "5"], "banditbench: error: unrecognized arguments: "
+                           "--lamda 5"),
+        (["--posterior", "ful"], "banditbench run: error: argument "
+                                 "--posterior: invalid choice: 'ful'")])
+    def test_command_line_errors_keep_their_text(self, capsys, flags, error):
+        with pytest.raises(SystemExit) as info:
+            main(["run", *flags])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(error)
 
 
 class TestIngestErrors:
@@ -183,7 +225,8 @@ class TestIngestErrors:
 
 
 class TestDivergenceMessage:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # the overflow is reported by the error alone, not by numpy warnings
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_run_exits_1_with_round_and_seed(self, tmp_path, capsys):
         args = ["run", "--train-mode", "gd", "--lr", "1e-3", "--T", "300",
                 "--repeats", "1", "--serial", "--out", str(tmp_path / "out")]

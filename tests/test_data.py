@@ -1,10 +1,12 @@
 import gzip
+import logging
 import struct
 
 import numpy as np
 import pytest
 
 from banditbench import data as bd
+from banditbench import envs
 from banditbench.nn import NetShape, forward, init_params
 
 
@@ -179,32 +181,46 @@ class TestTransforms:
         np.testing.assert_allclose(gram - np.diag(np.diag(gram)), 0.0)
 
 
-class TestShuffle:
+class TestRowOrder:
+    """envs.dataset_rounds plays the first T rows of the seed's row order."""
+
     def _dataset(self):
         rng = np.random.default_rng(3)
         return bd.LabeledDataset(rng.standard_normal((20, 3)),
                                  rng.integers(0, 2, size=20), 2)
 
+    def _played(self, seed, horizon=20):
+        """(unit row, label) of each round: arm 0's block is the row."""
+        rounds = envs.dataset_rounds(self._dataset(), seed, horizon,
+                                     duplicate=False)
+        return [(tuple(r.contexts[0, :3]), r.optimal_arm) for r in rounds]
+
     def test_seed_reproducible(self):
-        ds = self._dataset()
-        a = bd.shuffle(ds, 42)
-        b = bd.shuffle(ds, 42)
-        np.testing.assert_array_equal(a.features, b.features)
-        np.testing.assert_array_equal(a.labels, b.labels)
+        assert self._played(42) == self._played(42)
 
     def test_different_seeds_differ(self):
-        ds = self._dataset()
-        a = bd.shuffle(ds, 1)
-        b = bd.shuffle(ds, 2)
-        assert not np.array_equal(a.labels, b.labels) or \
-            not np.array_equal(a.features, b.features)
+        assert self._played(1) != self._played(2)
 
-    def test_multiset_preserved(self):
+    def test_rows_are_distinct_rows_of_the_table(self):
         ds = self._dataset()
-        out = bd.shuffle(ds, 7)
-        orig = sorted(map(tuple, np.column_stack([ds.features, ds.labels])))
-        got = sorted(map(tuple, np.column_stack([out.features, out.labels])))
-        assert orig == got
+        table = {(tuple(bd.normalize_unit(x)), int(y))
+                 for x, y in zip(ds.features, ds.labels)}
+        for horizon in (7, 20):
+            played = self._played(7, horizon)
+            assert len(set(played)) == horizon
+            assert set(played) <= table
+
+    def test_shorter_horizon_plays_a_prefix(self):
+        assert self._played(5, 7) == self._played(5, 20)[:7]
+
+    def test_zero_rows_warned_among_played_rows(self, caplog):
+        ds = self._dataset()
+        ds.features[:5] = 0.0
+        played = np.random.default_rng(9).permutation(20)[:8]
+        assert np.count_nonzero(played < 5) == 2
+        with caplog.at_level(logging.WARNING):
+            envs.dataset_rounds(ds, 9, 8)
+        assert "2 zero-feature rows replaced" in caplog.text
 
 
 class TestPipeline:

@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from banditbench import harness
+from banditbench import data, harness
+from banditbench.data import duplicate_half
 from banditbench.harness import (ExperimentConfig, RegretTrace, build_rounds,
                                  emit_outputs, read_traces, run_episode,
                                  run_grid, run_repeats, summarize)
@@ -59,6 +60,82 @@ class TestRounds:
         config = fast_config(dataset="mushroom-like", horizon=9000)
         with pytest.raises(ValueError):
             build_rounds(config, 0)
+
+    @pytest.mark.parametrize("dataset", ["mushroom-like", "csv"])
+    def test_builds_only_the_rounds_played(self, tmp_path, monkeypatch,
+                                           dataset):
+        if dataset == "csv":
+            rng = np.random.default_rng(1)
+            table = tmp_path / "t.csv"
+            table.write_text("a,b,kind\n" + "".join(
+                f"{a:.3f},{b:.3f},{'xy'[i % 2]}\n"
+                for i, (a, b) in enumerate(rng.standard_normal((60, 2)))))
+            schema = tmp_path / "schema.txt"
+            schema.write_text("a: numeric\nb: numeric\nlabel: kind\n")
+            config = fast_config(dataset=f"csv:{table}", schema=str(schema),
+                                 horizon=25)
+        else:
+            config = fast_config(dataset=dataset, horizon=50)
+        built = []
+
+        class CountedRound(data.BanditRound):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(data, "BanditRound", CountedRound)
+        rounds = build_rounds(config, 3)
+        assert len(built) == len(rounds) == config.horizon
+
+    @pytest.mark.parametrize("dataset", ["synthetic-nonlinear",
+                                         "synthetic-linear"])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_synthetic_streams_match_reference(self, dataset, seed):
+        config = fast_config(dataset=dataset, horizon=30, n_arms=4, raw_dim=5)
+        got = build_rounds(config, seed)
+        want = REFERENCE_SYNTHETIC[dataset](4, 5, 30, seed, config.noise_sd)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            for name in ("contexts", "expected_rewards", "rewards"):
+                assert getattr(g, name).tobytes() == getattr(w, name).tobytes()
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def reference_nonlinear(n_arms, raw_dim, horizon, seed, noise_sd):
+    a = _unit(np.random.default_rng(0x5EED).standard_normal(raw_dim))
+    rng = np.random.default_rng(seed)
+    rounds = []
+    for _ in range(horizon):
+        raw = rng.standard_normal((n_arms, raw_dim))
+        raw = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        expected = np.cos(3.0 * raw @ a)
+        rewards = expected + noise_sd * rng.standard_normal(n_arms)
+        contexts = np.stack([duplicate_half(x) for x in raw])
+        rounds.append(data.BanditRound(contexts, expected, rewards))
+    return rounds
+
+
+def reference_linear(n_arms, raw_dim, horizon, seed, noise_sd):
+    w = _unit(np.random.default_rng(0x5EED + 1).standard_normal(raw_dim))
+    rng = np.random.default_rng(seed)
+    rounds = []
+    for _ in range(horizon):
+        raw = rng.standard_normal((n_arms, raw_dim))
+        raw = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        expected = raw @ w
+        rewards = expected + noise_sd * rng.standard_normal(n_arms)
+        contexts = np.stack([duplicate_half(x) for x in raw])
+        rounds.append(data.BanditRound(contexts, expected, rewards))
+    return rounds
+
+
+# The synthetic streams as two separate generators: the reference that the
+# shared generator must match bit for bit.
+REFERENCE_SYNTHETIC = {"synthetic-nonlinear": reference_nonlinear,
+                       "synthetic-linear": reference_linear}
 
 
 class TestDelayProtocol:
