@@ -227,10 +227,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     except ValueError as err:
         print(err, file=sys.stderr)
         return 2
-    # file-backed datasets record their paths as provenance, ';'-separated
-    sources = ([] if args.dataset == "mushroom-like"
-               else dataset.provenance.split(";"))
-    manifest = write_manifest(dataset, args.out_file, sources,
+    manifest = write_manifest(dataset, args.out_file,
                               duplicate=not args.no_duplicate)
     print(json.dumps(manifest, indent=2))
     return 0

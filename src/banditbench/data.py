@@ -34,6 +34,7 @@ class LabeledDataset:
     n_classes: int
     provenance: str = ""
     n_dropped: int = 0
+    sources: tuple[str, ...] = ()  # the files it was read from
 
     def __post_init__(self):
         if self.features.shape[0] != self.labels.shape[0]:
@@ -156,6 +157,7 @@ def ingest_csv(path: str, label_column: str,
         n_classes=len(label_levels),
         provenance=path,
         n_dropped=dropped,
+        sources=(path,),
     )
 
 
@@ -186,7 +188,8 @@ def ingest_idx(images_path: str, labels_path: str) -> LabeledDataset:
 
     return LabeledDataset(images, labels,
                           n_classes=int(labels.max()) + 1,
-                          provenance=f"{images_path};{labels_path}")
+                          provenance=f"{images_path};{labels_path}",
+                          sources=(images_path, labels_path))
 
 
 def normalize_unit(x: np.ndarray) -> np.ndarray:
@@ -248,10 +251,9 @@ def _sha256(path: str) -> str:
 
 
 def write_manifest(dataset: LabeledDataset, path: str,
-                   sources: list[str] | None = None,
                    duplicate: bool = True) -> dict:
-    """Record dataset stats, and the checksum of each source file, as a JSON
-    manifest."""
+    """Record dataset stats, and the checksum of each of its source files, as
+    a JSON manifest."""
     manifest = {
         "rows": len(dataset),
         "n_classes": dataset.n_classes,
@@ -261,8 +263,8 @@ def write_manifest(dataset: LabeledDataset, path: str,
         "provenance": dataset.provenance,
         "duplicate_half": duplicate,
     }
-    if sources:
-        manifest["sha256"] = {source: _sha256(source) for source in sources}
+    if dataset.sources:
+        manifest["sha256"] = {source: _sha256(source) for source in dataset.sources}
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2)
     return manifest

@@ -19,7 +19,7 @@ import numpy as np
 
 from .nn import (Batches, NetShape, ParamStack, TrainConfig, draw_batches,
                  forward_batch, grad, grad_batch, init_params, train)
-from .posterior import DesignMatrix
+from .posterior import BorderedInverse, DesignMatrix, Rows
 
 
 @dataclass
@@ -94,32 +94,6 @@ def _check_reward(reward: float) -> None:
         raise ValueError("reward must be finite")
 
 
-class _Rows:
-    """An array grown one row at a time, in place, by capacity doubling."""
-
-    def __init__(self, row_shape: tuple = (), dtype=np.float64):
-        self._data = np.empty((0, *row_shape), dtype=dtype)
-        self._n = 0
-
-    def __len__(self) -> int:
-        return self._n
-
-    def append(self, row) -> int:
-        """Stores row and returns its index."""
-        if self._n == len(self._data):
-            grown = np.empty((max(16, 2 * self._n), *self._data.shape[1:]),
-                             dtype=self._data.dtype)
-            grown[:self._n] = self._data
-            self._data = grown
-        self._data[self._n] = row
-        self._n += 1
-        return self._n - 1
-
-    @property
-    def array(self) -> np.ndarray:
-        return self._data[:self._n]
-
-
 class _Net:
     """One network of a stack: its weights as views into the stack, and the
     indices of the history rows it trains on."""
@@ -127,7 +101,7 @@ class _Net:
     def __init__(self, theta0, theta):
         self.theta0 = theta0
         self.theta = theta
-        self.history = _Rows(dtype=np.intp)
+        self.history = Rows(dtype=np.intp)
 
 
 class _NetworkPolicy(Policy):
@@ -148,8 +122,8 @@ class _NetworkPolicy(Policy):
         self.nets = [_Net(self.theta0.member(j), self.theta.member(j))
                      for j in range(n_networks)]
         self.net = self.nets[0]
-        self.contexts = _Rows((shape.input_dim,))
-        self.rewards = _Rows()
+        self.contexts = Rows((shape.input_dim,))
+        self.rewards = Rows()
         self.t = 0
 
     def _fit(self, context: np.ndarray, reward: float,
@@ -204,7 +178,7 @@ class _NeuralBandit(_NetworkPolicy):
         contexts = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
         means = forward_batch(self.net.theta, contexts)
         feats = grad_batch(self.net.theta, contexts)
-        sigmas = np.array([self.design.sigma(g) for g in feats])
+        sigmas = self.design.sigma(feats)
         scores = self._scores(means, sigmas)
         return Decision(int(np.argmax(scores)), scores, means, sigmas)
 
@@ -297,13 +271,13 @@ class KernelPolicy(Policy):
         self.select_rng = np.random.default_rng(children[0])
         self.cfg = cfg
         self.thompson = thompson
-        self.X: np.ndarray | None = None
-        self.r = np.zeros(0)
-        self.k_inv = np.zeros((0, 0))
+        self.X: Rows | None = None
+        self.r = Rows()
+        self.k_inv = BorderedInverse()
         self.t = 0
 
     def _kvec(self, x: np.ndarray) -> np.ndarray:
-        diff = self.X - x[None, :]
+        diff = self.X.array - x[None, :]
         return np.exp(-self.cfg.bandwidth * np.sum(diff * diff, axis=1))
 
     def select(self, contexts: np.ndarray) -> Decision:
@@ -313,13 +287,14 @@ class KernelPolicy(Policy):
             means = np.zeros(K)
             widths = np.ones(K)
         else:
-            alpha = self.k_inv @ self.r
+            k_inv = self.k_inv.array
+            alpha = k_inv @ self.r.array
             means = np.empty(K)
             widths = np.empty(K)
             for k in range(K):
                 kv = self._kvec(X[k])
                 means[k] = float(kv @ alpha)
-                widths[k] = np.sqrt(max(1.0 - float(kv @ self.k_inv @ kv), 0.0))
+                widths[k] = np.sqrt(max(1.0 - float(kv @ k_inv @ kv), 0.0))
         scores = score(means, widths, self.cfg.nu, self.thompson, self.select_rng)
         return Decision(int(np.argmax(scores)), scores, means, widths)
 
@@ -330,23 +305,14 @@ class KernelPolicy(Policy):
             return
         x = np.asarray(context, dtype=np.float64)
         if self.X is None:
-            self.X = x[None, :]
-            self.r = np.array([float(reward)])
-            self.k_inv = np.array([[1.0 / (1.0 + self.cfg.reg)]])
-            return
-        kv = self._kvec(x)
-        c = 1.0 + self.cfg.reg
-        u = self.k_inv @ kv
-        s = c - float(kv @ u)
-        n = len(self.r)
-        new = np.empty((n + 1, n + 1))
-        new[:n, :n] = self.k_inv + np.outer(u, u) / s
-        new[:n, n] = -u / s
-        new[n, :n] = -u / s
-        new[n, n] = 1.0 / s
-        self.k_inv = new
-        self.X = np.vstack([self.X, x])
-        self.r = np.append(self.r, float(reward))
+            self.X = Rows(x.shape)
+        # k(x, x) = 1, so the new diagonal entry is 1 + reg
+        if self.k_inv.add(self._kvec(x), 1.0 + self.cfg.reg) <= 0.0:
+            raise np.linalg.LinAlgError(
+                f"kernel matrix is numerically singular after {len(self.r)} "
+                f"observations (reg={self.cfg.reg:g}); raise --lambda")
+        self.X.append(x)
+        self.r.append(float(reward))
 
 
 class UniformRandom(Policy):

@@ -1,14 +1,18 @@
 """Design matrix U = reg*I + sum g g^T / m and the posterior scale sigma.
 
-Full mode keeps the inverse of U up to date by rank-one Sherman-Morrison
-updates, applied in place one block of rows at a time, so that an update reads
-the inverse once and rewrites it once without a full-size temporary.  The
-update keeps the inverse exactly symmetric, since u_i u_j == u_j u_i in IEEE
-arithmetic.  U itself is only needed by `.matrix` and by the rebuild fallback
-(taken if the update denominator degenerates), so features are buffered and
-folded into U one block at a time, and whenever U is read.  Diagonal mode
-keeps only diag(U), matching the diagonal approximation used for wide
-networks.
+Full mode keeps the t gradient features G (one row per update) and starts in
+dual form: by Woodbury, U^-1 = (I - G^T A^-1 G) / reg with A = reg*m*I + G G^T,
+so it holds only the t x t inverse of A, which a BorderedInverse grows by one
+row and column per update.  A sigma is then one product with G and one with
+A^-1, and memory grows with t.  Once t is a large enough share of dim, the p x p
+inverse of U costs less per round; full mode then builds it once from the dual
+form and keeps it up to date by rank-one Sherman-Morrison updates, applied in
+place one block of rows at a time, so that an update reads the inverse once
+and rewrites it once without a full-size temporary.  Both inverses stay
+exactly symmetric, since u_i u_j == u_j u_i in IEEE arithmetic.  U itself is
+only formed, from G, by `.matrix` and by the rebuild fallback (taken if an
+update's denominator degenerates).  Diagonal mode keeps only diag(U),
+matching the diagonal approximation used for wide networks.
 """
 
 from __future__ import annotations
@@ -19,12 +23,96 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-# Rows of the inverse rewritten per pass of a full-mode update: a 32-row block
-# of the rank-one correction (435 KB at dim 1700) stays in cache between its
-# computation and its subtraction from the inverse.
+# Rows rewritten per pass of a rank-one update: a 32-row block of the
+# correction (435 KB at dim 1700) stays in cache between its computation and
+# its addition to the inverse.
 _ROW_BLOCK = 32
-# Features buffered before they are folded into U with one matrix product.
-_FOLD_BLOCK = 64
+# Full mode leaves the dual form once t reaches this fraction of dim.  A dual
+# round reads G (t x p) twice and rewrites A^-1 (t x t); a primal round reads
+# and rewrites the p x p inverse.  With K=4 arms and one BLAS thread on a
+# 2-vCPU host, a dual round cost 0.8-0.95 of a primal one at t = 0.6 dim and
+# 1.15-1.3 at t = 0.65 dim, both at dim 1700 and at dim 850.
+_DUAL_FRACTION = 0.6
+
+
+class Rows:
+    """An array grown one row at a time, in place, by capacity doubling."""
+
+    def __init__(self, row_shape: tuple = (), dtype=np.float64):
+        self._data = np.empty((0, *row_shape), dtype=dtype)
+        self._n = 0
+
+    def __len__(self) -> int:
+        return self._n
+
+    def append(self, row) -> int:
+        """Stores row and returns its index."""
+        if self._n == len(self._data):
+            grown = np.empty((max(16, 2 * self._n), *self._data.shape[1:]),
+                             dtype=self._data.dtype)
+            grown[:self._n] = self._data
+            self._data = grown
+        self._data[self._n] = row
+        self._n += 1
+        return self._n - 1
+
+    @property
+    def array(self) -> np.ndarray:
+        return self._data[:self._n]
+
+
+def _add_outer(M: np.ndarray, u: np.ndarray, scale: float,
+               scratch: np.ndarray) -> None:
+    """M += u u^T / scale in place, one block of rows at a time through
+    scratch, with the same operations as the one-shot expression."""
+    n = len(u)
+    for start in range(0, n, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, n)
+        block = scratch[:stop - start, :n]
+        np.multiply.outer(u[start:stop], u, out=block)
+        block /= scale
+        M[start:stop] += block
+
+
+class BorderedInverse:
+    """The inverse of a growing symmetric n x n matrix A, such as a Gram
+    matrix plus a ridge, bordered by one row and column per add.  It lives in
+    a buffer whose capacity doubles, so an add allocates no n x n array."""
+
+    def __init__(self):
+        self._data = np.empty((0, 0))
+        self._scratch = np.empty((_ROW_BLOCK, 0))
+        self.n = 0
+
+    @property
+    def array(self) -> np.ndarray:
+        """A^-1 (a view)."""
+        return self._data[:self.n, :self.n]
+
+    def add(self, k: np.ndarray, d: float) -> float:
+        """Borders A with the column k and the diagonal entry d, and returns
+        the Schur complement s = d - k^T A^-1 k.  If s <= 0 the bordered
+        matrix is not positive definite and A^-1 is left as it was."""
+        n = self.n
+        u = self.array @ k
+        s = d - float(k @ u)
+        if s <= 0.0:
+            return s
+        if n == len(self._data):
+            grown = np.empty((max(16, 2 * n),) * 2)
+            grown[:n, :n] = self.array
+            self._data = grown
+            self._scratch = np.empty((_ROW_BLOCK, len(grown)))
+        _add_outer(self._data[:n, :n], u, s, self._scratch)
+        self._data[:n, n] = -u / s
+        self._data[n, :n] = -u / s
+        self._data[n, n] = 1.0 / s
+        self.n = n + 1
+        return s
+
+    def quad(self, K: np.ndarray) -> np.ndarray:
+        """k^T A^-1 k for each row k of the (rows, n) stack K."""
+        return np.einsum("kt,kt->k", K @ self.array, K)
 
 
 class DesignMatrix:
@@ -45,30 +133,35 @@ class DesignMatrix:
         self.n_rebuilds = 0
         self.n_updates = 0
         if mode == "full":
-            self._U = reg * np.eye(dim)
-            self._inv = np.eye(dim) / reg
-            self._scratch = np.empty((_ROW_BLOCK, dim))
-            self._pending = np.empty((_FOLD_BLOCK, dim))
-            self._n_pending = 0
+            self._G = Rows((dim,))
+            self._dual: BorderedInverse | None = BorderedInverse()
+            self._inv: np.ndarray | None = None
         else:
             self._diag = np.full(dim, reg)
 
-    def _check(self, g: np.ndarray) -> np.ndarray:
+    def _check(self, g, stack: bool = False) -> np.ndarray:
         g = np.asarray(g, dtype=np.float64)
-        if g.shape != (self.dim,):
+        if g.shape[-1:] != (self.dim,) or g.ndim > (2 if stack else 1):
             raise ValueError(f"feature length {g.shape} does not match dim {self.dim}")
         if not np.all(np.isfinite(g)):
             raise ValueError("non-finite entries in gradient feature")
         return g
 
-    def sigma(self, g: np.ndarray) -> float:
-        """Posterior scale sqrt(reg * g^T U^{-1} g / m)."""
-        g = self._check(g)
-        if self.mode == "full":
-            quad = float(g @ self._inv @ g)
+    def sigma(self, g):
+        """Posterior scale sqrt(reg * g^T U^{-1} g / m): a float for one
+        feature, an array for a (K, dim) stack of them."""
+        g = self._check(g, stack=True)
+        F = np.atleast_2d(g)
+        if self.mode == "diagonal":
+            scaled = self.reg * np.sum(F * F / self._diag, axis=1)
+        elif self._inv is not None:
+            scaled = self.reg * np.einsum("kp,kp->k", F @ self._inv, F)
         else:
-            quad = float(np.sum(g * g / self._diag))
-        return float(np.sqrt(max(self.reg * quad / self.width, 0.0)))
+            # reg * g^T U^-1 g = g^T g - k^T A^-1 k with k = G g
+            K = F @ self._G.array.T
+            scaled = np.einsum("kp,kp->k", F, F) - self._dual.quad(K)
+        sigmas = np.sqrt(np.maximum(scaled / self.width, 0.0))
+        return float(sigmas[0]) if g.ndim == 1 else sigmas
 
     def update(self, g: np.ndarray) -> None:
         """Rank-one update U += g g^T / m."""
@@ -79,10 +172,22 @@ class DesignMatrix:
             self._diag += g * g / m
             self.logdet = float(np.sum(np.log(self._diag)))
             return
-        self._pending[self._n_pending] = g
-        self._n_pending += 1
-        if self._n_pending == _FOLD_BLOCK:
-            self._fold()
+        if self._inv is None:
+            # A gains the row G g and the diagonal entry reg*m + g^T g, and
+            # det U grows by the factor s / (reg*m)
+            k = self._G.array @ g
+            s = self._dual.add(k, self.reg * m + float(g @ g))
+            self._G.append(g)
+            if s <= 0.0:
+                log.warning("bordered-inverse Schur complement %.3g <= 0; "
+                            "rebuilding inverse", s)
+                self._rebuild()
+                return
+            self.logdet += float(np.log(s / (self.reg * m)))
+            if len(self._G) >= _DUAL_FRACTION * self.dim:
+                self._set_inverse(self._primal_inverse())
+            return
+        self._G.append(g)
         u = self._inv @ g
         denom = 1.0 + float(g @ u) / m
         if denom <= 0.0:
@@ -90,51 +195,56 @@ class DesignMatrix:
                         denom)
             self._rebuild()
             return
-        # inv -= u u^T / (m * denom), with the same operations as the one-shot
-        # expression, in row blocks through a preallocated scratch
-        scale = m * denom
-        for start in range(0, self.dim, _ROW_BLOCK):
-            stop = min(start + _ROW_BLOCK, self.dim)
-            block = self._scratch[:stop - start]
-            np.multiply.outer(u[start:stop], u, out=block)
-            block /= scale
-            self._inv[start:stop] -= block
+        # inv -= u u^T / (m * denom)
+        _add_outer(self._inv, u, -(m * denom), self._scratch)
         self.logdet += float(np.log(denom))
 
-    def _fold(self) -> None:
-        """Adds the buffered features to U: U += P^T P / m."""
-        if self._n_pending:
-            pending = self._pending[:self._n_pending]
-            outer = pending.T @ pending
-            outer /= self.width
-            self._U += outer
-            self._n_pending = 0
+    def _primal_inverse(self) -> np.ndarray:
+        """U^-1 = (I - G^T A^-1 G) / reg from the dual form, made exactly
+        symmetric."""
+        G = self._G.array
+        inv = G.T @ (self._dual.array @ G)
+        inv += inv.T
+        inv *= -0.5 / self.reg
+        inv.flat[::self.dim + 1] += 1.0 / self.reg
+        return inv
+
+    def _set_inverse(self, inv: np.ndarray) -> None:
+        """Continues in primal form from the p x p inverse inv."""
+        self._inv = inv
+        self._dual = None
+        self._scratch = np.empty((_ROW_BLOCK, self.dim))
 
     def _rebuild(self) -> None:
         self.n_rebuilds += 1
-        self._fold()
+        U = self.matrix
         # slogdet and inv both factorise U by LU with partial pivoting, so a
         # sign > 0 rules out the zero pivot on which inv would raise
-        sign, logdet = np.linalg.slogdet(self._U)
+        sign, logdet = np.linalg.slogdet(U)
         if sign <= 0:
             raise np.linalg.LinAlgError(
                 f"design matrix lost positive definiteness after {self.n_updates} "
                 f"updates (dim={self.dim}, reg={self.reg:g}, width={self.width}); "
                 "raise --lambda or use --posterior diag")
-        self._inv = np.linalg.inv(self._U)
-        self._inv = (self._inv + self._inv.T) / 2.0
+        inv = np.linalg.inv(U)
+        self._set_inverse((inv + inv.T) / 2.0)
         self.logdet = logdet
 
     @property
     def matrix(self) -> np.ndarray:
-        """The accumulated U (materialized in diagonal mode)."""
+        """The accumulated U (materialized in both modes)."""
         if self.mode == "full":
-            self._fold()
-            return self._U.copy()
+            G = self._G.array
+            U = G.T @ G
+            U /= self.width
+            U.flat[::self.dim + 1] += self.reg
+            return U
         return np.diag(self._diag)
 
     @property
     def inverse(self) -> np.ndarray:
         if self.mode == "full":
+            if self._inv is None:
+                return self._primal_inverse()
             return self._inv.copy()
         return np.diag(1.0 / self._diag)

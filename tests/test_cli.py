@@ -91,6 +91,16 @@ class TestIngest:
         assert manifest["rows"] == 2
         assert "sha256" in manifest
 
+    def test_csv_path_with_semicolon(self, tmp_path):
+        csv = tmp_path / "a;b.csv"
+        csv.write_text("size,kind\n1.0,a\n2.0,b\n")
+        schema = tmp_path / "schema.txt"
+        schema.write_text("size: numeric\nlabel: kind\n")
+        out = tmp_path / "manifest.json"
+        assert main(["ingest", "--dataset", f"csv:{csv}", "--schema",
+                     str(schema), "--out-file", str(out)]) == 0
+        assert list(json.loads(out.read_text())["sha256"]) == [str(csv)]
+
     def test_mushroom_like_manifest(self, tmp_path):
         out = tmp_path / "manifest.json"
         args = ["ingest", "--dataset", "mushroom-like", "--out-file", str(out)]

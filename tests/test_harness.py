@@ -329,23 +329,54 @@ class TestOutputs:
         assert strip(tmp_path / "a" / name) == strip(tmp_path / "b" / name)
 
     def test_full_posterior_traces_match_seed_algorithm(self, monkeypatch):
+        # p = 72 and 60 rounds: the design matrix leaves the dual form at
+        # round 44
         from banditbench import policies
         from test_posterior import SeedDesignMatrix
 
         config = fast_config(horizon=60, repeats=1)
         config = replace(config, policy=replace(config.policy, posterior="full",
                                                 width=8))
-
-        def rows():
-            return [{k: v for k, v in r.items() if k != "wall_us"}
-                    for r in run_episode(config, 0).rounds]
-
-        real = rows()
+        real = run_episode(config, 0).rounds
         monkeypatch.setattr(policies, "DesignMatrix", SeedDesignMatrix)
         assert isinstance(policies.make_policy(config.policy, 8, 0).design,
                           SeedDesignMatrix)
-        assert rows() == real
+        seed = run_episode(config, 0).rounds
+        for key in ("arm", "reward", "regret", "cum_regret"):
+            assert [r[key] for r in real] == [r[key] for r in seed]
+        np.testing.assert_allclose([r["sigma"] for r in real],
+                                   [r["sigma"] for r in seed], rtol=1e-9)
         assert any(r["sigma"] > 0 for r in real)
+
+    def test_full_posterior_regret_matches_seed_algorithm(self, monkeypatch):
+        # 16 fixed episode seeds of a small full-posterior NeuralTS, once
+        # with the dual-then-primal design matrix and once with the seed
+        # algorithm's: mean terminal regret within one pooled stderr
+        from banditbench import policies
+        from test_posterior import SeedDesignMatrix
+
+        config = fast_config(horizon=60, repeats=1)
+        config = replace(config, policy=replace(config.policy, posterior="full",
+                                                width=8))
+        seeds = range(16)
+
+        def episodes():
+            return [run_episode(replace(config, base_seed=s), 0) for s in seeds]
+
+        real = episodes()
+        monkeypatch.setattr(policies, "DesignMatrix", SeedDesignMatrix)
+        seed = episodes()
+        a = np.array([t.total_regret for t in real])
+        b = np.array([t.total_regret for t in seed])
+        pooled = np.sqrt((a.var(ddof=1) + b.var(ddof=1)) / len(a))
+        assert abs(a.mean() - b.mean()) <= pooled
+        for x, y in zip(real, seed):
+            n = next((i for i, (r, q) in enumerate(zip(x.rounds, y.rounds))
+                      if r["arm"] != q["arm"]), len(x.rounds))
+            # sigma agrees for as long as the two runs chose the same arms
+            np.testing.assert_allclose([r["sigma"] for r in x.rounds[:n]],
+                                       [r["sigma"] for r in y.rounds[:n]],
+                                       rtol=1e-9)
 
 
 class TestPool:

@@ -6,7 +6,7 @@ from banditbench.nn import NetShape, TrainConfig, forward_batch
 from banditbench.policies import (BootstrapNN, Decision, EpsGreedyNN,
                                   KernelPolicy, LinearPolicy, NeuralTS,
                                   NeuralUCB, PolicyConfig, UniformRandom,
-                                  make_policy)
+                                  make_policy, score)
 
 FAST_TRAIN = TrainConfig(step_size=0.001, iterations=5)
 
@@ -241,8 +241,9 @@ class TestKernel:
         gamma, reg = 1.0, 1.0
         cfg = neural_cfg("kernel-ucb", bandwidth=gamma, reg=reg, nu=0.0)
         policy = KernelPolicy(cfg, 0, thompson=False)
-        X = rng.standard_normal((3, 2))
-        r = rng.uniform(size=3)
+        n = 45  # crosses the 16 -> 32 -> 64 capacity doublings
+        X = rng.standard_normal((n, 2))
+        r = rng.uniform(size=n)
         for x, ri in zip(X, r):
             policy.observe(x, float(ri))
 
@@ -252,8 +253,8 @@ class TestKernel:
         K = np.array([[kfun(a, b) for b in X] for a in X])
         query = rng.standard_normal(2)
         kv = np.array([kfun(query, b) for b in X])
-        mean = kv @ np.linalg.solve(K + reg * np.eye(3), r)
-        var = kfun(query, query) - kv @ np.linalg.solve(K + reg * np.eye(3), kv)
+        mean = kv @ np.linalg.solve(K + reg * np.eye(n), r)
+        var = kfun(query, query) - kv @ np.linalg.solve(K + reg * np.eye(n), kv)
         decision = policy.select(query[None, :])
         assert decision.means[0] == pytest.approx(mean, abs=1e-10)
         assert decision.sigmas[0] ** 2 == pytest.approx(var, abs=1e-10)
@@ -265,6 +266,96 @@ class TestKernel:
         for _ in range(5):
             policy.observe(rng.standard_normal(3), float(rng.uniform()))
         assert len(policy.r) == 2
+
+    @pytest.mark.parametrize("algorithm,stop_train", [("kernel-ts", None),
+                                                      ("kernel-ucb", 37)])
+    def test_decisions_match_reallocating_inverse(self, algorithm, stop_train):
+        # 50 observations cross the 16 -> 32 -> 64 capacity doublings
+        cfg = neural_cfg(algorithm, bandwidth=0.7, reg=0.4, nu=0.3,
+                         stop_train=stop_train)
+        policy = KernelPolicy(cfg, 21, thompson=algorithm == "kernel-ts")
+        ref = ReallocatingKernelPolicy(cfg, 21,
+                                       thompson=algorithm == "kernel-ts")
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            contexts = rng.standard_normal((4, 5))
+            got, want = policy.select(contexts), ref.select(contexts)
+            assert got.arm == want.arm
+            for name in ("scores", "means", "sigmas"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            reward = float(rng.uniform())
+            policy.observe(contexts[got.arm], reward)
+            ref.observe(contexts[got.arm], reward)
+        assert len(policy.r) == len(ref.r) == (stop_train or 50)
+
+    def test_singular_kernel_matrix_raises(self):
+        cfg = neural_cfg("kernel-ucb", reg=0.0)
+        policy = KernelPolicy(cfg, 0, thompson=False)
+        x = np.array([0.3, -0.2])
+        policy.observe(x, 0.5)
+        with pytest.raises(np.linalg.LinAlgError, match="raise --lambda"):
+            policy.observe(x, 0.5)
+        assert len(policy.r) == 1
+
+
+class ReallocatingKernelPolicy:
+    """The kernel baseline as it was before its inverse grew in place: a new
+    (n+1) x (n+1) inverse, and stacked X and r, every observation."""
+
+    def __init__(self, cfg, seed, thompson):
+        children = np.random.SeedSequence(seed).spawn(2)
+        self.select_rng = np.random.default_rng(children[0])
+        self.cfg = cfg
+        self.thompson = thompson
+        self.X = None
+        self.r = np.zeros(0)
+        self.k_inv = np.zeros((0, 0))
+        self.t = 0
+
+    def _kvec(self, x):
+        diff = self.X - x[None, :]
+        return np.exp(-self.cfg.bandwidth * np.sum(diff * diff, axis=1))
+
+    def select(self, contexts):
+        X = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
+        K = X.shape[0]
+        if self.X is None:
+            means = np.zeros(K)
+            widths = np.ones(K)
+        else:
+            alpha = self.k_inv @ self.r
+            means = np.empty(K)
+            widths = np.empty(K)
+            for k in range(K):
+                kv = self._kvec(X[k])
+                means[k] = float(kv @ alpha)
+                widths[k] = np.sqrt(max(1.0 - float(kv @ self.k_inv @ kv), 0.0))
+        scores = score(means, widths, self.cfg.nu, self.thompson, self.select_rng)
+        return Decision(int(np.argmax(scores)), scores, means, widths)
+
+    def observe(self, context, reward):
+        self.t += 1
+        if self.cfg.stop_train is not None and self.t > self.cfg.stop_train:
+            return
+        x = np.asarray(context, dtype=np.float64)
+        if self.X is None:
+            self.X = x[None, :]
+            self.r = np.array([float(reward)])
+            self.k_inv = np.array([[1.0 / (1.0 + self.cfg.reg)]])
+            return
+        kv = self._kvec(x)
+        c = 1.0 + self.cfg.reg
+        u = self.k_inv @ kv
+        s = c - float(kv @ u)
+        n = len(self.r)
+        new = np.empty((n + 1, n + 1))
+        new[:n, :n] = self.k_inv + np.outer(u, u) / s
+        new[:n, n] = -u / s
+        new[n, :n] = -u / s
+        new[n, n] = 1.0 / s
+        self.k_inv = new
+        self.X = np.vstack([self.X, x])
+        self.r = np.append(self.r, float(reward))
 
 
 class TestEpsGreedy:

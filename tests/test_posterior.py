@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from banditbench.posterior import DesignMatrix
+from banditbench.posterior import _DUAL_FRACTION, BorderedInverse, DesignMatrix
 
 
 class TestSigma:
@@ -144,6 +144,8 @@ class SeedDesignMatrix:
         self._inv = np.eye(dim) / reg
 
     def sigma(self, g):
+        if np.ndim(g) == 2:
+            return np.array([self.sigma(x) for x in g])
         quad = float(g @ self._inv @ g)
         return float(np.sqrt(max(self.reg * quad / self.width, 0.0)))
 
@@ -167,20 +169,24 @@ def _features(n, p, seed=9):
 
 
 class TestInPlaceUpdate:
-    # p is not a multiple of the 32-row block, N not a multiple of the
-    # 64-feature fold block, and p=5 is smaller than one row block
+    # p is not a multiple of the 32-row block, and p=5 is smaller than one
+    # row block; both runs cross from the dual to the primal form
 
     @pytest.mark.parametrize("p,n", [(5, 70), (77, 150)])
-    def test_bit_identical_to_seed_algorithm(self, p, n):
+    def test_matches_seed_algorithm(self, p, n):
         design = DesignMatrix(p, reg=0.6, width=3, mode="full")
         ref = SeedDesignMatrix(p, reg=0.6, width=3)
         for g in _features(n, p):
             design.update(g)
             ref.update(g)
-        assert np.array_equal(design.inverse, ref.inverse)
-        assert design.logdet == ref.logdet
-        probe = _features(1, p, seed=10)[0]
-        assert design.sigma(probe) == ref.sigma(probe)
+        assert design._inv is not None
+        np.testing.assert_allclose(design.inverse, ref.inverse, rtol=1e-9)
+        assert design.logdet == pytest.approx(ref.logdet, rel=1e-9)
+        probes = _features(3, p, seed=10)
+        assert design.sigma(probes[0]) == pytest.approx(ref.sigma(probes[0]),
+                                                        rel=1e-9)
+        np.testing.assert_allclose(design.sigma(probes), ref.sigma(probes),
+                                   rtol=1e-9)
 
     def test_matrix_includes_pending_features(self):
         p, m, reg = 77, 3, 0.6
@@ -229,3 +235,111 @@ class TestInPlaceUpdate:
         for part in ("after 1 updates", "dim=3", "reg=1e-20", "width=1",
                      "--lambda", "--posterior diag"):
             assert part in message
+
+
+def _switch_round(p):
+    """The update after which full mode holds the primal inverse."""
+    return int(np.ceil(_DUAL_FRACTION * p))
+
+
+class TestDualForm:
+    @pytest.mark.parametrize("p", [37, 45])
+    def test_matches_dense_solve_across_switch(self, p):
+        m, reg = 3, 0.6
+        switch = _switch_round(p)
+        design = DesignMatrix(p, reg=reg, width=m, mode="full")
+        G = _features(switch + 12, p, seed=11)
+        probes = _features(4, p, seed=12)
+        checked = set()
+        for t, g in enumerate(G, start=1):
+            design.update(g)
+            assert (design._inv is None) == (t < switch)
+            if t not in (1, switch - 1, switch, switch + 1, len(G)):
+                continue
+            checked.add(design._inv is None)
+            U = reg * np.eye(p) + G[:t].T @ G[:t] / m
+            want = np.sqrt(reg * np.einsum(
+                "kp,pk->k", probes, np.linalg.solve(U, probes.T)) / m)
+            np.testing.assert_allclose(design.sigma(probes), want, rtol=1e-9)
+            assert design.sigma(probes[0]) == pytest.approx(want[0], rel=1e-9)
+            assert design.logdet == pytest.approx(np.linalg.slogdet(U)[1],
+                                                  rel=1e-9)
+            np.testing.assert_allclose(design.matrix, U, rtol=1e-12, atol=1e-12)
+            inv = design.inverse
+            np.testing.assert_array_equal(inv, inv.T)
+            np.testing.assert_allclose(inv, np.linalg.inv(U), rtol=1e-9,
+                                       atol=1e-12)
+        assert checked == {True, False}
+
+    def test_logdet_grows_by_schur_ratio(self):
+        p, m, reg = 40, 2, 0.5
+        design = DesignMatrix(p, reg=reg, width=m, mode="full")
+        G = _features(10, p, seed=13)
+        for t, g in enumerate(G):
+            before = design.logdet
+            U = reg * np.eye(p) + G[:t].T @ G[:t] / m
+            ratio = 1.0 + g @ np.linalg.solve(U, g) / m
+            design.update(g)
+            assert design.logdet - before == pytest.approx(np.log(ratio),
+                                                           rel=1e-10)
+
+    @pytest.mark.parametrize("n", [5, 50])
+    def test_stack_sigma_matches_per_feature(self, n):
+        p = 40  # n=5 stays in dual form, n=50 crosses to the primal form
+        rng = np.random.default_rng(14)
+        probes = rng.standard_normal((4, p))
+        for mode in ("full", "diagonal"):
+            design = DesignMatrix(p, reg=0.8, width=5, mode=mode)
+            for g in rng.standard_normal((n, p)):
+                design.update(g)
+            stack = design.sigma(probes)
+            single = np.array([design.sigma(g) for g in probes])
+            assert isinstance(design.sigma(probes[0]), float)
+            if mode == "diagonal":
+                assert np.array_equal(stack, single)
+            else:
+                np.testing.assert_allclose(stack, single, rtol=1e-12)
+
+    def test_full_mode_allocates_less_than_one_matrix(self):
+        # the dual form holds G (t x p) and a t x t inverse: no p x p array
+        # until t reaches the switch, where the parent allocated two at once
+        p = 4000
+        G = _features(5, p)
+        tracemalloc.start()
+        try:
+            design = DesignMatrix(p, reg=1.0, width=2, mode="full")
+            for g in G:
+                design.update(g)
+            design.sigma(G[:4])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < p * p * 8
+        assert design._inv is None
+
+
+class TestBorderedInverse:
+    def test_growth_matches_dense_inverse(self):
+        # 40 adds cross the 16 -> 32 -> 64 capacity doublings
+        rng = np.random.default_rng(15)
+        X = rng.standard_normal((40, 6))
+        A = X @ X.T + 0.3 * np.eye(40)
+        bordered = BorderedInverse()
+        for n in range(40):
+            s = bordered.add(A[:n, n], A[n, n])
+            assert s > 0.0
+            np.testing.assert_allclose(bordered.array,
+                                       np.linalg.inv(A[:n + 1, :n + 1]),
+                                       rtol=1e-9, atol=1e-12)
+            np.testing.assert_array_equal(bordered.array, bordered.array.T)
+        K = rng.standard_normal((3, 40))
+        np.testing.assert_allclose(bordered.quad(K), np.einsum(
+            "kt,kt->k", K, np.linalg.solve(A, K.T).T), rtol=1e-9)
+
+    def test_nonpositive_schur_complement_leaves_inverse(self):
+        bordered = BorderedInverse()
+        bordered.add(np.zeros(0), 2.0)
+        before = bordered.array.copy()
+        assert bordered.add(np.array([2.0]), 1.0) <= 0.0
+        assert bordered.n == 1
+        np.testing.assert_array_equal(bordered.array, before)
