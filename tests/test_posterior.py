@@ -214,7 +214,7 @@ class TestInPlaceUpdate:
         p = 400
         design = DesignMatrix(p, reg=1.0, width=2, mode="full")
         G = _features(3, p)
-        design.update(G[0])  # the buffer holds one feature; no fold follows
+        design.update(G[0])  # sizes G and the dual inverse for 16 rows
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
