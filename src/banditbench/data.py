@@ -32,7 +32,7 @@ class LabeledDataset:
     features: np.ndarray
     labels: np.ndarray
     n_classes: int
-    provenance: str = ""
+    provenance: str = ""  # where data not read from files came from
     n_dropped: int = 0
     sources: tuple[str, ...] = ()  # the files it was read from
 
@@ -155,7 +155,6 @@ def ingest_csv(path: str, label_column: str,
         features=np.hstack(blocks),
         labels=np.asarray(labels, dtype=np.int64),
         n_classes=len(label_levels),
-        provenance=path,
         n_dropped=dropped,
         sources=(path,),
     )
@@ -188,7 +187,6 @@ def ingest_idx(images_path: str, labels_path: str) -> LabeledDataset:
 
     return LabeledDataset(images, labels,
                           n_classes=int(labels.max()) + 1,
-                          provenance=f"{images_path};{labels_path}",
                           sources=(images_path, labels_path))
 
 
@@ -260,7 +258,7 @@ def write_manifest(dataset: LabeledDataset, path: str,
         "raw_dim": int(dataset.features.shape[1]),
         "dropped_rows": dataset.n_dropped,
         "zero_rows": dataset.n_zero_rows,
-        "provenance": dataset.provenance,
+        "provenance": ";".join(dataset.sources) or dataset.provenance,
         "duplicate_half": duplicate,
     }
     if dataset.sources:

@@ -1,6 +1,6 @@
 """Design matrix U = reg*I + sum g g^T / m and the posterior scale sigma.
 
-Full mode keeps the t gradient features G (one row per update) and starts in
+Full mode keeps the gradient features G (one row per update) and starts in
 dual form: by Woodbury, U^-1 = (I - G^T A^-1 G) / reg with A = reg*m*I + G G^T,
 so it holds only the t x t inverse of A, which a BorderedInverse grows by one
 row and column per update.  A sigma is then one product with G and one with
@@ -9,10 +9,12 @@ inverse of U costs less per round; full mode then builds it once from the dual
 form and keeps it up to date by rank-one Sherman-Morrison updates, applied in
 place one block of rows at a time, so that an update reads the inverse once
 and rewrites it once without a full-size temporary.  Both inverses stay
-exactly symmetric, since u_i u_j == u_j u_i in IEEE arithmetic.  U itself is
-only formed, from G, by `.matrix` and by the rebuild fallback (taken if an
-update's denominator degenerates).  Diagonal mode keeps only diag(U),
-matching the diagonal approximation used for wide networks.
+exactly symmetric, since u_i u_j == u_j u_i in IEEE arithmetic.  In primal
+form U itself is kept too, for `.matrix` and the rebuild fallback (taken if
+an update's denominator degenerates): G then holds only the features not yet
+added to U, and every _ROW_BLOCK of them are added in place and dropped, so
+memory stays at two p x p arrays however long the run.  Diagonal mode keeps
+only diag(U), matching the diagonal approximation used for wide networks.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ log = logging.getLogger(__name__)
 
 # Rows rewritten per pass of a rank-one update: a 32-row block of the
 # correction (435 KB at dim 1700) stays in cache between its computation and
-# its addition to the inverse.
+# its addition to the inverse.  Also the number of features primal form
+# gathers before it adds them to U.
 _ROW_BLOCK = 32
 # Full mode leaves the dual form once t reaches this fraction of dim.  A dual
 # round reads G (t x p) twice and rewrites A^-1 (t x t); a primal round reads
@@ -55,6 +58,10 @@ class Rows:
         self._data[self._n] = row
         self._n += 1
         return self._n - 1
+
+    def clear(self) -> None:
+        """Drops every row and keeps the buffer."""
+        self._n = 0
 
     @property
     def array(self) -> np.ndarray:
@@ -136,6 +143,7 @@ class DesignMatrix:
             self._G = Rows((dim,))
             self._dual: BorderedInverse | None = BorderedInverse()
             self._inv: np.ndarray | None = None
+            self._U: np.ndarray | None = None
         else:
             self._diag = np.full(dim, reg)
 
@@ -185,9 +193,11 @@ class DesignMatrix:
                 return
             self.logdet += float(np.log(s / (self.reg * m)))
             if len(self._G) >= _DUAL_FRACTION * self.dim:
-                self._set_inverse(self._primal_inverse())
+                self._set_inverse(self._primal_inverse(), self.matrix)
             return
         self._G.append(g)
+        if len(self._G) == _ROW_BLOCK:
+            self._fold()
         u = self._inv @ g
         denom = 1.0 + float(g @ u) / m
         if denom <= 0.0:
@@ -209,11 +219,25 @@ class DesignMatrix:
         inv.flat[::self.dim + 1] += 1.0 / self.reg
         return inv
 
-    def _set_inverse(self, inv: np.ndarray) -> None:
-        """Continues in primal form from the p x p inverse inv."""
+    def _set_inverse(self, inv: np.ndarray, U: np.ndarray) -> None:
+        """Continues in primal form from U and its inverse inv."""
         self._inv = inv
+        self._U = U
+        self._G = Rows((self.dim,))
         self._dual = None
         self._scratch = np.empty((_ROW_BLOCK, self.dim))
+
+    def _fold(self) -> None:
+        """U += G^T G / m in place, one block of rows at a time through the
+        scratch, and empties G."""
+        G = self._G.array
+        for start in range(0, self.dim, _ROW_BLOCK):
+            stop = min(start + _ROW_BLOCK, self.dim)
+            block = self._scratch[:stop - start]
+            np.matmul(G[:, start:stop].T, G, out=block)
+            block /= self.width
+            self._U[start:stop] += block
+        self._G.clear()
 
     def _rebuild(self) -> None:
         self.n_rebuilds += 1
@@ -227,7 +251,7 @@ class DesignMatrix:
                 f"updates (dim={self.dim}, reg={self.reg:g}, width={self.width}); "
                 "raise --lambda or use --posterior diag")
         inv = np.linalg.inv(U)
-        self._set_inverse((inv + inv.T) / 2.0)
+        self._set_inverse((inv + inv.T) / 2.0, U)
         self.logdet = logdet
 
     @property
@@ -237,7 +261,10 @@ class DesignMatrix:
             G = self._G.array
             U = G.T @ G
             U /= self.width
-            U.flat[::self.dim + 1] += self.reg
+            if self._U is None:
+                U.flat[::self.dim + 1] += self.reg
+            else:
+                U += self._U
             return U
         return np.diag(self._diag)
 

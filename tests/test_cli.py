@@ -99,7 +99,9 @@ class TestIngest:
         out = tmp_path / "manifest.json"
         assert main(["ingest", "--dataset", f"csv:{csv}", "--schema",
                      str(schema), "--out-file", str(out)]) == 0
-        assert list(json.loads(out.read_text())["sha256"]) == [str(csv)]
+        manifest = json.loads(out.read_text())
+        assert list(manifest["sha256"]) == [str(csv)]
+        assert manifest["provenance"] == str(csv)
 
     def test_mushroom_like_manifest(self, tmp_path):
         out = tmp_path / "manifest.json"
@@ -134,6 +136,7 @@ class TestIngest:
         assert first != second
         assert first["sha256"][str(images)] == second["sha256"][str(images)]
         assert first["sha256"][str(labels)] != second["sha256"][str(labels)]
+        assert first["provenance"] == f"{images};{labels}"
 
     def test_unknown_dataset(self, tmp_path):
         assert main(["ingest", "--dataset", "nope",

@@ -253,4 +253,5 @@ class TestPipeline:
         manifest = bd.write_manifest(ds, str(out))
         assert manifest["rows"] == 2
         assert manifest["n_classes"] == 2
+        assert manifest["provenance"] == "toy"
         assert out.exists()

@@ -3,7 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from banditbench.posterior import _DUAL_FRACTION, BorderedInverse, DesignMatrix
+from banditbench.posterior import (_DUAL_FRACTION, _ROW_BLOCK, BorderedInverse,
+                                  DesignMatrix)
+
+
+def _switch_round(p):
+    """The update after which full mode holds the primal inverse."""
+    return int(np.ceil(_DUAL_FRACTION * p))
 
 
 class TestSigma:
@@ -200,9 +206,10 @@ class TestInPlaceUpdate:
     def test_rebuild_includes_pending_features(self):
         p, m, reg = 77, 3, 0.6
         design = DesignMatrix(p, reg=reg, width=m, mode="full")
-        G = _features(70, p)
+        G = _features(100, p)  # 53 primal updates: one block added to U, 21 not
         for g in G:
             design.update(g)
+        assert len(design._G) == 100 - _switch_round(p) - _ROW_BLOCK
         design._rebuild()
         want = np.linalg.inv(reg * np.eye(p) + G.T @ G / m)
         assert np.max(np.abs(design.inverse - want)) < 1e-10
@@ -213,15 +220,33 @@ class TestInPlaceUpdate:
     def test_update_allocates_less_than_one_matrix(self):
         p = 400
         design = DesignMatrix(p, reg=1.0, width=2, mode="full")
-        G = _features(3, p)
-        design.update(G[0])  # sizes G and the dual inverse for 16 rows
+        G = _features(_switch_round(p) + 2, p)
+        for g in G[:-1]:
+            design.update(g)
+        assert design._inv is not None  # a primal Sherman-Morrison update
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            design.update(G[1])
+            design.update(G[-1])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak < p * p * 8
+
+    def test_adding_features_to_U_allocates_less_than_one_matrix(self):
+        p = 400
+        design = DesignMatrix(p, reg=1.0, width=2, mode="full")
+        G = _features(_switch_round(p) + _ROW_BLOCK, p)
+        for g in G[:-1]:
+            design.update(g)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            design.update(G[-1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(design._G) == 0
         assert peak < p * p * 8
 
     def test_rebuild_failure_names_config_and_remedy(self):
@@ -237,24 +262,20 @@ class TestInPlaceUpdate:
             assert part in message
 
 
-def _switch_round(p):
-    """The update after which full mode holds the primal inverse."""
-    return int(np.ceil(_DUAL_FRACTION * p))
-
-
 class TestDualForm:
     @pytest.mark.parametrize("p", [37, 45])
     def test_matches_dense_solve_across_switch(self, p):
         m, reg = 3, 0.6
         switch = _switch_round(p)
         design = DesignMatrix(p, reg=reg, width=m, mode="full")
-        G = _features(switch + 12, p, seed=11)
+        G = _features(switch + _ROW_BLOCK + 5, p, seed=11)
         probes = _features(4, p, seed=12)
         checked = set()
         for t, g in enumerate(G, start=1):
             design.update(g)
             assert (design._inv is None) == (t < switch)
-            if t not in (1, switch - 1, switch, switch + 1, len(G)):
+            if t not in (1, switch - 1, switch, switch + 1,
+                         switch + _ROW_BLOCK, len(G)):
                 continue
             checked.add(design._inv is None)
             U = reg * np.eye(p) + G[:t].T @ G[:t] / m
