@@ -17,8 +17,8 @@ import numpy as np
 
 from . import envs, ntk
 from .data import write_manifest
-from .harness import (ExperimentConfig, emit_outputs, run_grid, run_repeats,
-                      summarize)
+from .harness import (ExperimentConfig, emit_grid_summary, emit_outputs,
+                      run_grid, run_repeats, summarize)
 from .nn import TrainConfig, TrainingDiverged
 from .policies import ALGORITHMS, PolicyConfig
 
@@ -128,7 +128,7 @@ def build_experiment(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = build_experiment(args)
+    config = args.experiment
     traces = run_repeats(config, parallel=not args.serial)
     stats = summarize(traces)
     emit_outputs(traces, stats, args.out)
@@ -139,7 +139,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    config = build_experiment(args)
+    config = args.experiment
     algo = config.policy.algorithm
     if algo in ("neural-ts", "neural-ucb"):
         config = replace(config, reg_grid=NEURAL_REG_GRID, nu_grid=NEURAL_NU_GRID)
@@ -148,11 +148,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     elif algo == "eps-greedy":
         config = replace(config, eps_grid=EPS_GRID)
     table, best = run_grid(config, parallel=not args.serial)
-    traces = []  # traces are per-cell; emit only the table and best line
-    emit_outputs(traces, {"n_repeats": config.repeats, "mean": best["mean"],
-                          "std": best["std"], "stderr": best["stderr"],
-                          "curve_mean": np.zeros(0), "curve_stderr": np.zeros(0)},
-                 args.out, grid_table=table)
+    emit_grid_summary(table, args.out)
     for row in table:
         print(f"lambda={row['reg']:<8g} nu={row['nu']:<8g} eps={row['eps']:<6g} "
               f"regret {row['mean']:.1f} +/- {row['stderr']:.1f}")
@@ -272,11 +268,16 @@ def main(argv=None) -> int:
     p_ing.set_defaults(func=cmd_ingest)
 
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        # the file's values become the defaults, so explicit flags still win
-        run_parser = p_run if args.command == "run" else p_grid
-        run_parser.set_defaults(**_config_defaults(run_parser, args.config))
-        args = parser.parse_args(argv)
+    run_parser = {"run": p_run, "grid": p_grid}.get(args.command)
+    if run_parser is not None:
+        if args.config:
+            # the file's values become the defaults, so explicit flags win
+            run_parser.set_defaults(**_config_defaults(run_parser, args.config))
+            args = parser.parse_args(argv)
+        try:
+            args.experiment = build_experiment(args)
+        except ValueError as err:   # a value the configs reject
+            run_parser.error(str(err))
     try:
         return args.func(args)
     except (TrainingDiverged, np.linalg.LinAlgError) as err:

@@ -64,10 +64,6 @@ class BanditRound:
     expected_rewards: np.ndarray  # (K,)
     rewards: np.ndarray         # (K,) realized payoff if the arm were pulled
 
-    @property
-    def optimal_arm(self) -> int:
-        return int(np.argmax(self.expected_rewards))
-
 
 def parse_schema(path: str) -> tuple[dict[str, str], str]:
     """Read a key-value schema file: `column: numeric|categorical`, `label: col`."""

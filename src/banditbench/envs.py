@@ -77,17 +77,17 @@ def mushroom_like() -> LabeledDataset:
                           provenance="synthetic mushroom-like")
 
 
-def load_dataset(spec: str, schema: str | None = None,
-                 label_column: str | None = None) -> LabeledDataset:
+def load_dataset(spec: str, schema: str | None = None) -> LabeledDataset:
     """The labeled dataset a spec names: mushroom-like, csv:<path> (with a
-    schema file; label_column overrides its label) or idx:<images>,<labels>."""
+    schema file, whose label line names the label column) or
+    idx:<images>,<labels>."""
     if spec == "mushroom-like":
         return mushroom_like()
     if spec.startswith("csv:"):
         if schema is None:
             raise ValueError("csv datasets need a schema file (--schema)")
         types, label = parse_schema(schema)
-        return ingest_csv(spec[4:], label_column or label, types)
+        return ingest_csv(spec[4:], label, types)
     if spec.startswith("idx:"):
         images, _, labels = spec[4:].partition(",")
         return ingest_idx(images, labels)

@@ -39,7 +39,6 @@ class ExperimentConfig:
     raw_dim: int = 8                # synthetic streams only
     noise_sd: float = 0.1
     schema: str | None = None       # csv datasets
-    label_column: str | None = None
     reg_grid: tuple = ()
     nu_grid: tuple = ()
     eps_grid: tuple = ()
@@ -76,7 +75,7 @@ def build_rounds(config: ExperimentConfig, seed) -> list[BanditRound]:
     if name in envs.SYNTHETIC:
         return envs.synthetic_rounds(name, config.n_arms, config.raw_dim,
                                      config.horizon, seed, config.noise_sd)
-    dataset = envs.load_dataset(name, config.schema, config.label_column)
+    dataset = envs.load_dataset(name, config.schema)
     return envs.dataset_rounds(dataset, seed, config.horizon, config.duplicate)
 
 
@@ -164,8 +163,10 @@ def summarize(traces: list[RegretTrace]) -> dict:
 def run_grid(config: ExperimentConfig, parallel: bool = True):
     """Cartesian sweep over the reg/nu/eps grids; returns (table, best_row).
 
-    Every cell is reported; the best cell has the smallest mean terminal
-    regret, ties broken toward smaller nu, then smaller reg, then smaller eps.
+    A cell's reg is the posterior's and the training loss's, as --lambda sets
+    both.  Every cell is reported; the best cell has the smallest mean
+    terminal regret, ties broken toward smaller nu, then smaller reg, then
+    smaller eps.
     """
     regs = config.reg_grid or (config.policy.reg,)
     nus = config.nu_grid or (config.policy.nu,)
@@ -176,8 +177,9 @@ def run_grid(config: ExperimentConfig, parallel: bool = True):
 
     table = []
     for reg, nu, eps in cells:
-        cell_cfg = replace(config, policy=replace(config.policy, reg=reg, nu=nu,
-                                                  eps=eps))
+        policy = replace(config.policy, reg=reg, nu=nu, eps=eps,
+                         train=replace(config.policy.train, reg=reg))
+        cell_cfg = replace(config, policy=policy)
         stats = summarize(run_repeats(cell_cfg, parallel=parallel))
         table.append({"reg": reg, "nu": nu, "eps": eps,
                       "mean": stats["mean"], "stderr": stats["stderr"],
@@ -186,11 +188,10 @@ def run_grid(config: ExperimentConfig, parallel: bool = True):
     return table, best
 
 
-def emit_outputs(traces: list[RegretTrace], stats: dict, out_dir: str,
-                 grid_table: list[dict] | None = None) -> None:
+def emit_outputs(traces: list[RegretTrace], stats: dict, out_dir: str) -> None:
     """Write JSONL episode traces, a CSV summary, and plot-ready curve data."""
     os.makedirs(out_dir, exist_ok=True)
-    algo = traces[0].algorithm if traces else "none"
+    algo = traces[0].algorithm
     for i, tr in enumerate(traces):
         path = os.path.join(out_dir, f"trace_{tr.algorithm}_{i}.jsonl")
         with open(path, "w") as fh:
@@ -199,15 +200,9 @@ def emit_outputs(traces: list[RegretTrace], stats: dict, out_dir: str,
 
     with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        if grid_table:
-            writer.writerow(["reg", "nu", "eps", "mean", "std", "stderr"])
-            for row in grid_table:
-                writer.writerow([row["reg"], row["nu"], row["eps"],
-                                 row["mean"], row["std"], row["stderr"]])
-        else:
-            writer.writerow(["algorithm", "n_repeats", "mean", "std", "stderr"])
-            writer.writerow([algo, stats["n_repeats"], stats["mean"],
-                             stats["std"], stats["stderr"]])
+        writer.writerow(["algorithm", "n_repeats", "mean", "std", "stderr"])
+        writer.writerow([algo, stats["n_repeats"], stats["mean"],
+                         stats["std"], stats["stderr"]])
 
     with open(os.path.join(out_dir, f"plot_{algo}.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -215,6 +210,17 @@ def emit_outputs(traces: list[RegretTrace], stats: dict, out_dir: str,
         for t, (mu, se) in enumerate(zip(stats["curve_mean"],
                                          stats["curve_stderr"]), start=1):
             writer.writerow([t, mu, se])
+
+
+def emit_grid_summary(table: list[dict], out_dir: str) -> None:
+    """Write the grid's CSV summary, one row per cell."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["reg", "nu", "eps", "mean", "std", "stderr"])
+        for row in table:
+            writer.writerow([row["reg"], row["nu"], row["eps"],
+                             row["mean"], row["std"], row["stderr"]])
 
 
 def read_traces(out_dir: str, algorithm: str) -> list[RegretTrace]:

@@ -210,15 +210,6 @@ def grad(theta: ParamVector, x: np.ndarray) -> np.ndarray:
     return grad_batch(theta, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
-def loss(theta: ParamVector, theta0: ParamVector, X: np.ndarray, r: np.ndarray,
-         reg: float) -> float:
-    """Regularized square loss: sum (f - r)^2 / 2 + m*reg*||theta - theta0||^2 / 2."""
-    m = theta.shape.width
-    resid = forward_batch(theta, X) - r if len(r) else np.zeros(0)
-    drift = theta.flat - theta0.flat
-    return float(0.5 * np.sum(resid ** 2) + 0.5 * m * reg * np.dot(drift, drift))
-
-
 @dataclass
 class ParamStack:
     """The weights of N networks of one shape, layer l held as one
@@ -278,61 +269,32 @@ def draw_batches(rows: np.ndarray, cfg: TrainConfig,
     return rows[rng.integers(0, n, size=(cfg.iterations, min(cfg.batch_size, n)))]
 
 
-def train(theta0, theta_init, dataset, cfg: TrainConfig,
-          rng: np.random.Generator | None = None):
-    """Gradient descent on the regularized square loss, anchored at theta0.
-
-    theta0 is the original initialization (the regularization center, never
-    updated); theta_init is the starting point (warm start in the bandit loop).
-    There are two forms, and they differ in whether theta_init changes:
-
-    - One network, pairs: theta0 and theta_init are ParamVectors and dataset
-      is a list of (context, reward) pairs.  Returns a new trained
-      ParamVector; theta_init is left as it was.  Full-batch mode is
-      deterministic; SGD needs the rng for minibatch sampling.
-    - A stack: theta0 and theta_init are ParamStacks and dataset is a Batches
-      whose minibatches are already drawn (rng is unused).  MUTATES
-      theta_init: it is trained in place, so ParamStack.member views follow
-      it, and returned.
-
-    Both forms are one name so that every fit, one network or an ensemble,
-    is one call of policies.train, the function the benchmark's tracer times.
-    """
-    m = theta0.shape.width
-    if cfg.step_size * m * cfg.reg >= 1.0:
-        raise ValueError(
-            f"step_size*m*reg = {cfg.step_size * m * cfg.reg:.4g} >= 1; "
-            "the regularization contraction diverges"
-        )
-    if isinstance(dataset, Batches):
-        _train_stack(theta0, theta_init, dataset, cfg)
-        return theta_init
-    if not dataset:
-        return theta_init.copy()
-    if cfg.mode == "sgd" and rng is None:
-        rng = np.random.default_rng(0)
-    n = len(dataset)
-    data = Batches(np.asarray([x for x, _ in dataset], dtype=np.float64),
-                   np.asarray([rw for _, rw in dataset], dtype=np.float64),
-                   [n], [draw_batches(np.arange(n), cfg, rng)])
-    theta = ParamStack.of([theta_init])
-    _train_stack(ParamStack.of([theta0]), theta, data, cfg)
-    return theta.member(0)
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def _train_stack(theta0: ParamStack, theta: ParamStack, data: Batches,
-                 cfg: TrainConfig) -> None:
-    """cfg.iterations steps of every network with rows, in place.
+def train(theta0: ParamStack, theta: ParamStack, data: Batches,
+          cfg: TrainConfig) -> None:
+    """cfg.iterations steps of gradient descent on the regularized square
+    loss for every network with rows, anchored at theta0.
+
+    theta0 holds the original initializations (the regularization centers,
+    never updated); theta is the starting point (a warm start in the bandit
+    loop) and is trained in place, so ParamStack.member views follow it.
+    data's minibatches are already drawn.  Every fit, one network or an
+    ensemble, is one call of policies.train, the function the benchmark's
+    tracer times.
 
     Networks whose batches have the same length step together as one stack;
     they are not padded to one length, which would change the order of the
     BLAS sums.  Each network gets the bits of training it alone.  A step
     that overflows is reported by the TrainingDiverged that follows it.
     """
+    m = theta.shape.width
+    if cfg.step_size * m * cfg.reg >= 1.0:
+        raise ValueError(
+            f"step_size*m*reg = {cfg.step_size * m * cfg.reg:.4g} >= 1; "
+            "the regularization contraction diverges"
+        )
     if cfg.iterations == 0:
         return
-    m = theta.shape.width
     lengths = [rows.shape[1] if n else 0
                for n, rows in zip(data.n_rows, data.rows)]
     for b in dict.fromkeys(lengths):

@@ -19,7 +19,8 @@ import numpy as np
 
 from .nn import (Batches, NetShape, ParamStack, TrainConfig, draw_batches,
                  forward_batch, grad, grad_batch, init_params, train)
-from .posterior import BorderedInverse, DesignMatrix, Rows
+from .posterior import (_ROW_BLOCK, BorderedInverse, DesignMatrix, Rows,
+                        _add_outer)
 
 
 @dataclass
@@ -48,7 +49,6 @@ class PolicyConfig:
     bandwidth: float = 1.0
     width: int = 100
     depth: int = 2
-    warm_start: bool = True
 
     def __post_init__(self):
         if self.nu < 0:
@@ -108,11 +108,12 @@ class _NetworkPolicy(Policy):
     """Seeding, networks and stop-train gate of the network policies.
 
     SeedSequence(seed) spawns the selection stream, the observation stream
-    and one seed per network, in that order.
+    and one seed per network, in that order.  Each network includes each
+    observed row with probability include_prob (always when it is None).
     """
 
     def __init__(self, shape: NetShape, cfg: PolicyConfig, seed,
-                 n_networks: int = 1):
+                 n_networks: int = 1, include_prob: float | None = None):
         children = np.random.SeedSequence(seed).spawn(2 + n_networks)
         self.select_rng = np.random.default_rng(children[0])
         self.observe_rng = np.random.default_rng(children[1])
@@ -124,43 +125,34 @@ class _NetworkPolicy(Policy):
         self.net = self.nets[0]
         self.contexts = Rows((shape.input_dim,))
         self.rewards = Rows()
+        self.include_prob = include_prob
         self.t = 0
 
-    def _fit(self, context: np.ndarray, reward: float,
-             include_prob: float | None = None) -> int:
+    def observe(self, context: np.ndarray, reward: float) -> None:
         """Appends (context, reward) to the history and, until the stop-train
-        round, trains every network.  Returns how many networks included the
-        row.
+        round, trains every network from where it stands (a warm start).
 
-        In network order, each network includes the row (with probability
-        include_prob, drawn from the observation stream; always when it is
-        None) and then draws its minibatches: the order in which networks
-        fitted one at a time would draw.
+        In network order, each network includes the row (the draw comes from
+        the observation stream) and then draws its minibatches: the order in
+        which networks fitted one at a time would draw.
         """
         _check_reward(reward)
         self.t += 1
         fit = self.cfg.stop_train is None or self.t <= self.cfg.stop_train
         self.contexts.append(context)
         row = self.rewards.append(float(reward))
-        batches, included = [], 0
+        batches = []
         for net in self.nets:
-            if include_prob is None or self.observe_rng.random() < include_prob:
+            if (self.include_prob is None
+                    or self.observe_rng.random() < self.include_prob):
                 net.history.append(row)
-                included += 1
             if fit:
                 batches.append(draw_batches(net.history.array, self.cfg.train,
                                             self.observe_rng))
         if fit:
-            if not self.cfg.warm_start:
-                for W, W0 in zip(self.theta.layers, self.theta0.layers):
-                    W[...] = W0
             data = Batches(self.contexts.array, self.rewards.array,
                            [len(net.history) for net in self.nets], batches)
             train(self.theta0, self.theta, data, self.cfg.train)
-        return included
-
-    def observe(self, context: np.ndarray, reward: float) -> None:
-        self._fit(context, reward)
 
 
 class _NeuralBandit(_NetworkPolicy):
@@ -171,15 +163,12 @@ class _NeuralBandit(_NetworkPolicy):
         self.design = DesignMatrix(shape.n_params, cfg.reg, shape.width,
                                    mode=cfg.posterior)
 
-    def _scores(self, means: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-        return score(means, sigmas, self.cfg.nu, self.thompson, self.select_rng)
-
     def select(self, contexts: np.ndarray) -> Decision:
         contexts = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
         means = forward_batch(self.net.theta, contexts)
         feats = grad_batch(self.net.theta, contexts)
         sigmas = self.design.sigma(feats)
-        scores = self._scores(means, sigmas)
+        scores = score(means, sigmas, self.cfg.nu, self.thompson, self.select_rng)
         return Decision(int(np.argmax(scores)), scores, means, sigmas)
 
     def observe(self, context: np.ndarray, reward: float) -> None:
@@ -215,9 +204,7 @@ class BootstrapNN(_NetworkPolicy):
     """Ensemble of networks trained on independently subsampled histories."""
 
     def __init__(self, shape: NetShape, cfg: PolicyConfig, seed):
-        super().__init__(shape, cfg, seed, cfg.n_networks)
-        self.n_included = 0
-        self.n_offered = 0
+        super().__init__(shape, cfg, seed, cfg.n_networks, cfg.include_prob)
 
     def select(self, contexts: np.ndarray) -> Decision:
         contexts = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
@@ -225,10 +212,6 @@ class BootstrapNN(_NetworkPolicy):
         means = forward_batch(self.nets[pick].theta, contexts)
         return Decision(int(np.argmax(means)), means.copy(), means,
                         np.zeros_like(means))
-
-    def observe(self, context: np.ndarray, reward: float) -> None:
-        self.n_included += self._fit(context, reward, self.cfg.include_prob)
-        self.n_offered += len(self.nets)
 
 
 class LinearPolicy(Policy):
@@ -241,6 +224,7 @@ class LinearPolicy(Policy):
         self.thompson = thompson
         self.a_inv = np.eye(dim) / cfg.reg
         self.b = np.zeros(dim)
+        self._scratch = np.empty((_ROW_BLOCK, dim))
 
     def select(self, contexts: np.ndarray) -> Decision:
         X = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
@@ -254,8 +238,8 @@ class LinearPolicy(Policy):
         _check_reward(reward)
         x = np.asarray(context, dtype=np.float64)
         u = self.a_inv @ x
-        # a_inv stays exactly symmetric: u_i u_j == u_j u_i
-        self.a_inv -= np.outer(u, u) / (1.0 + float(x @ u))
+        # a_inv -= u u^T / (1 + x^T u), in place; it stays exactly symmetric
+        _add_outer(self.a_inv, u, -(1.0 + float(x @ u)), self._scratch)
         self.b += reward * x
 
 
@@ -266,12 +250,12 @@ class KernelPolicy(Policy):
     once the stop-training round passes (the history stops growing).
     """
 
-    def __init__(self, cfg: PolicyConfig, seed, thompson: bool):
+    def __init__(self, dim: int, cfg: PolicyConfig, seed, thompson: bool):
         children = np.random.SeedSequence(seed).spawn(2)
         self.select_rng = np.random.default_rng(children[0])
         self.cfg = cfg
         self.thompson = thompson
-        self.X: Rows | None = None
+        self.X = Rows((dim,))
         self.r = Rows()
         self.k_inv = BorderedInverse()
         self.t = 0
@@ -283,18 +267,15 @@ class KernelPolicy(Policy):
     def select(self, contexts: np.ndarray) -> Decision:
         X = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
         K = X.shape[0]
-        if self.X is None:
-            means = np.zeros(K)
-            widths = np.ones(K)
-        else:
-            k_inv = self.k_inv.array
-            alpha = k_inv @ self.r.array
-            means = np.empty(K)
-            widths = np.empty(K)
-            for k in range(K):
-                kv = self._kvec(X[k])
-                means[k] = float(kv @ alpha)
-                widths[k] = np.sqrt(max(1.0 - float(kv @ k_inv @ kv), 0.0))
+        # with no history the products are empty: means 0.0, widths 1.0
+        k_inv = self.k_inv.array
+        alpha = k_inv @ self.r.array
+        means = np.empty(K)
+        widths = np.empty(K)
+        for k in range(K):
+            kv = self._kvec(X[k])
+            means[k] = float(kv @ alpha)
+            widths[k] = np.sqrt(max(1.0 - float(kv @ k_inv @ kv), 0.0))
         scores = score(means, widths, self.cfg.nu, self.thompson, self.select_rng)
         return Decision(int(np.argmax(scores)), scores, means, widths)
 
@@ -304,8 +285,6 @@ class KernelPolicy(Policy):
         if self.cfg.stop_train is not None and self.t > self.cfg.stop_train:
             return
         x = np.asarray(context, dtype=np.float64)
-        if self.X is None:
-            self.X = Rows(x.shape)
         # k(x, x) = 1, so the new diagonal entry is 1 + reg
         if self.k_inv.add(self._kvec(x), 1.0 + self.cfg.reg) <= 0.0:
             raise np.linalg.LinAlgError(
@@ -351,9 +330,9 @@ def make_policy(cfg: PolicyConfig, input_dim: int, seed) -> Policy:
     if algo == "lin-ucb":
         return LinearPolicy(input_dim, cfg, seed, thompson=False)
     if algo == "kernel-ts":
-        return KernelPolicy(cfg, seed, thompson=True)
+        return KernelPolicy(input_dim, cfg, seed, thompson=True)
     if algo == "kernel-ucb":
-        return KernelPolicy(cfg, seed, thompson=False)
+        return KernelPolicy(input_dim, cfg, seed, thompson=False)
     if algo == "uniform":
         return UniformRandom(seed)
     raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")

@@ -1,3 +1,4 @@
+import csv
 import json
 import struct
 
@@ -45,6 +46,27 @@ class TestRun:
         assert main(args) == 0
 
 
+class TestRejectedValues:
+    """A value that a config dataclass rejects ends the command like an
+    argparse error: exit 2 and the check's message, no traceback."""
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--lambda", "0", "reg must be positive"),
+        ("--T", "0", "horizon must be >= 1"),
+        ("--nu", "-1", "nu must be nonnegative"),
+        ("--repeats", "0", "repeats must be >= 1"),
+    ])
+    def test_exits_2_with_the_message(self, tmp_path, capsys, flag, value,
+                                      message):
+        with pytest.raises(SystemExit) as info:
+            main(run_args(tmp_path, flag, value))
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"banditbench run: error: {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestGrid:
     def test_grid_table_printed(self, tmp_path, capsys):
         args = ["grid", "--dataset", "synthetic-nonlinear", "--algo", "lin-ts",
@@ -54,6 +76,33 @@ class TestGrid:
         out = capsys.readouterr().out
         assert out.count("regret") >= 4  # 3 nu cells + best line
         assert (tmp_path / "out" / "summary.csv").exists()
+
+    def test_writes_the_cell_summary_only(self, tmp_path):
+        args = ["grid", "--dataset", "synthetic-nonlinear", "--algo", "lin-ts",
+                "--T", "15", "--repeats", "1", "--serial",
+                "--out", str(tmp_path / "out")]
+        assert main(args) == 0
+        assert not (tmp_path / "out" / "plot_none.csv").exists()
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "summary.csv"]
+
+    def test_cell_equals_run_with_its_lambda_and_nu(self, tmp_path):
+        # a cell's lambda reaches the training loss as well as the posterior
+        common = ["--dataset", "synthetic-nonlinear", "--algo", "neural-ts",
+                  "--T", "40", "--repeats", "2", "--width", "8",
+                  "--train-mode", "gd", "--iters", "20", "--lr", "0.01",
+                  "--serial"]
+        assert main(["grid", *common, "--out", str(tmp_path / "grid")]) == 0
+        with open(tmp_path / "grid" / "summary.csv") as fh:
+            cells = {(float(row["reg"]), float(row["nu"])): float(row["mean"])
+                     for row in csv.DictReader(fh)}
+        for reg, nu in [(0.01, 0.1), (0.1, 0.001)]:
+            out = tmp_path / f"run_{reg}_{nu}"
+            assert main(["run", *common, "--lambda", str(reg), "--nu", str(nu),
+                         "--out", str(out)]) == 0
+            with open(out / "summary.csv") as fh:
+                mean = float(next(csv.DictReader(fh))["mean"])
+            assert cells[reg, nu] == mean
 
 
 class TestNtk:

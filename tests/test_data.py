@@ -193,7 +193,8 @@ class TestRowOrder:
         """(unit row, label) of each round: arm 0's block is the row."""
         rounds = envs.dataset_rounds(self._dataset(), seed, horizon,
                                      duplicate=False)
-        return [(tuple(r.contexts[0, :3]), r.optimal_arm) for r in rounds]
+        return [(tuple(r.contexts[0, :3]), int(np.argmax(r.expected_rewards)))
+                for r in rounds]
 
     def test_seed_reproducible(self):
         assert self._played(42) == self._played(42)

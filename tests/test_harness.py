@@ -8,8 +8,8 @@ import pytest
 from banditbench import data, harness
 from banditbench.data import duplicate_half
 from banditbench.harness import (ExperimentConfig, RegretTrace, build_rounds,
-                                 emit_outputs, read_traces, run_episode,
-                                 run_grid, run_repeats, summarize)
+                                 emit_grid_summary, emit_outputs, read_traces,
+                                 run_episode, run_grid, run_repeats, summarize)
 from banditbench.nn import TrainConfig
 from banditbench.policies import Policy, Decision, PolicyConfig
 
@@ -201,7 +201,7 @@ class TestEpisode:
                 self.t = 0
 
             def select(self, contexts):
-                arm = rounds[self.t].optimal_arm
+                arm = int(np.argmax(rounds[self.t].expected_rewards))
                 self.t += 1
                 K = len(contexts)
                 return Decision(arm, np.zeros(K), np.zeros(K), np.zeros(K))
@@ -303,12 +303,11 @@ class TestOutputs:
     def test_summary_rows_match_grid_cells(self, tmp_path):
         config = fast_config(algorithm="uniform", repeats=1,
                              reg_grid=(1.0, 0.1), nu_grid=(0.1,))
-        table, best = run_grid(config, parallel=False)
-        stats = {"n_repeats": 1, "mean": best["mean"], "std": 0.0, "stderr": 0.0,
-                 "curve_mean": np.zeros(0), "curve_stderr": np.zeros(0)}
-        emit_outputs([], stats, str(tmp_path), grid_table=table)
+        table, _ = run_grid(config, parallel=False)
+        emit_grid_summary(table, str(tmp_path))
         lines = (tmp_path / "summary.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 cells
+        assert os.listdir(tmp_path) == ["summary.csv"]
 
     def test_byte_identical_traces_modulo_wallclock(self, tmp_path):
         config = fast_config(horizon=12, repeats=1)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from banditbench.nn import (NetShape, ParamVector, TrainConfig, forward,
-                            forward_batch, grad, grad_batch, init_params,
-                            loss, train)
+from banditbench.nn import (Batches, NetShape, ParamStack, ParamVector,
+                            TrainConfig, draw_batches, forward, forward_batch,
+                            grad, grad_batch, init_params, train)
 from banditbench.data import duplicate_half, normalize_unit
 
 
@@ -11,6 +11,28 @@ def small_hand_net():
     # d=2, m=2, L=2 with identity first layer and all-ones output layer
     shape = NetShape(2, 2, 2)
     return shape, ParamVector(shape, [np.eye(2), np.array([[1.0, 1.0]])])
+
+
+def fit(theta0, theta, data, cfg, rng=None):
+    """theta trained on (context, reward) pairs as a stack of one network,
+    as a new ParamVector; theta is left as it was."""
+    n = len(data)
+    X = np.array([x for x, _ in data], dtype=np.float64).reshape(
+        n, theta0.shape.input_dim)
+    r = np.array([v for _, v in data], dtype=np.float64)
+    stack = ParamStack.of([theta])
+    batches = Batches(X, r, [n], [draw_batches(np.arange(n), cfg, rng)])
+    train(ParamStack.of([theta0]), stack, batches, cfg)
+    return stack.member(0)
+
+
+def loss(theta, theta0, X, r, reg):
+    """The regularized square loss that training descends:
+    sum (f - r)^2 / 2 + m*reg*||theta - theta0||^2 / 2."""
+    resid = forward_batch(theta, X) - r
+    drift = theta.flat - theta0.flat
+    return float(0.5 * np.sum(resid ** 2)
+                 + 0.5 * theta.shape.width * reg * np.dot(drift, drift))
 
 
 def random_param_vector(rng, shape):
@@ -149,7 +171,7 @@ class TestTrain:
     def test_empty_dataset_fixed_point(self):
         shape = NetShape(4, 4, 2)
         theta0 = init_params(shape, 0)
-        out = train(theta0, theta0, [], TrainConfig(step_size=0.01, iterations=50))
+        out = fit(theta0, theta0, [], TrainConfig(step_size=0.01, iterations=50))
         np.testing.assert_array_equal(out.flat, theta0.flat)
 
     def test_scalar_ridge_closed_form(self):
@@ -171,8 +193,8 @@ class TestTrain:
         data = [(rng.standard_normal(4), float(rng.standard_normal()))
                 for _ in range(5)]
         cfg = TrainConfig(step_size=0.01, iterations=30)
-        a = train(theta0, theta0, data, cfg)
-        b = train(theta0, theta0, data, cfg)
+        a = fit(theta0, theta0, data, cfg)
+        b = fit(theta0, theta0, data, cfg)
         np.testing.assert_array_equal(a.flat, b.flat)
 
     def test_network_fits_toward_targets(self):
@@ -182,7 +204,7 @@ class TestTrain:
         data = [(rng.standard_normal(4), float(rng.uniform(-1, 1)))
                 for _ in range(8)]
         cfg = TrainConfig(step_size=0.005, iterations=400, reg=0.01)
-        theta = train(theta0, theta0, data, cfg)
+        theta = fit(theta0, theta0, data, cfg)
         X = np.asarray([x for x, _ in data])
         r = np.asarray([v for _, v in data])
         assert loss(theta, theta0, X, r, cfg.reg) < loss(theta0, theta0, X, r, cfg.reg)
@@ -200,7 +222,7 @@ class TestTrain:
             theta = theta0
             prev = loss(theta, theta0, X, r, cfg.reg)
             for _ in range(60):
-                theta = train(theta0, theta, data, cfg)
+                theta = fit(theta0, theta, data, cfg)
                 cur = loss(theta, theta0, X, r, cfg.reg)
                 assert cur <= prev + 1e-9
                 prev = cur
@@ -210,7 +232,7 @@ class TestTrain:
         theta0 = init_params(shape, 0)
         cfg = TrainConfig(step_size=0.5, iterations=5, reg=1.0)  # eta*m*reg = 2
         with pytest.raises(ValueError):
-            train(theta0, theta0, [(np.ones(4), 1.0)], cfg)
+            fit(theta0, theta0, [(np.ones(4), 1.0)], cfg)
 
     def test_sgd_mode_runs_and_is_seeded(self):
         shape = NetShape(4, 8, 2)
@@ -219,6 +241,6 @@ class TestTrain:
         data = [(rng.standard_normal(4), float(rng.uniform(-1, 1)))
                 for _ in range(10)]
         cfg = TrainConfig(step_size=0.002, iterations=50, mode="sgd", batch_size=4)
-        a = train(theta0, theta0, data, cfg, np.random.default_rng(42))
-        b = train(theta0, theta0, data, cfg, np.random.default_rng(42))
+        a = fit(theta0, theta0, data, cfg, np.random.default_rng(42))
+        b = fit(theta0, theta0, data, cfg, np.random.default_rng(42))
         np.testing.assert_array_equal(a.flat, b.flat)

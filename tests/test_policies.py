@@ -146,12 +146,14 @@ class TestNeuralUCB:
     def test_equal_sigma_greedy(self):
         policy = make_policy(neural_cfg("neural-ucb", nu=0.5), 4, seed=13)
         means = np.array([0.3, -0.1, 0.7])
-        scores = policy._scores(means, np.ones(3))
+        scores = score(means, np.ones(3), policy.cfg.nu, policy.thompson,
+                       policy.select_rng)
         assert int(np.argmax(scores)) == int(np.argmax(means))
 
     def test_larger_bonus_wins(self):
         policy = make_policy(neural_cfg("neural-ucb", nu=0.1), 4, seed=14)
-        scores = policy._scores(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
+        scores = score(np.array([0.0, 0.0]), np.array([1.0, 2.0]),
+                       policy.cfg.nu, policy.thompson, policy.select_rng)
         assert int(np.argmax(scores)) == 1
 
     def test_deterministic_given_state(self):
@@ -218,10 +220,56 @@ class TestLinear:
         np.testing.assert_array_equal(policy.a_inv, policy.a_inv.T)
         np.testing.assert_array_equal(policy.a_inv, ref)
 
+    @pytest.mark.parametrize("algorithm,dim", [("lin-ts", 37), ("lin-ucb", 70)])
+    def test_matches_outer_product_update(self, algorithm, dim):
+        # dims that are not multiples of the 32-row blocks of the update
+        cfg = neural_cfg(algorithm, reg=0.4, nu=0.3)
+        thompson = algorithm == "lin-ts"
+        policy = LinearPolicy(dim, cfg, 31, thompson)
+        ref = OuterProductLinearPolicy(dim, cfg, 31, thompson)
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            contexts = rng.standard_normal((4, dim))
+            got, want = policy.select(contexts), ref.select(contexts)
+            assert got.arm == want.arm
+            for name in ("scores", "means", "sigmas"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            reward = float(rng.uniform())
+            policy.observe(contexts[got.arm], reward)
+            ref.observe(contexts[got.arm], reward)
+            assert np.array_equal(policy.a_inv, ref.a_inv)
+
+
+class OuterProductLinearPolicy:
+    """The linear baseline as it was before it shared the posterior's blocked
+    in-place update: one np.outer temporary per observation."""
+
+    def __init__(self, dim, cfg, seed, thompson):
+        children = np.random.SeedSequence(seed).spawn(2)
+        self.select_rng = np.random.default_rng(children[0])
+        self.cfg = cfg
+        self.thompson = thompson
+        self.a_inv = np.eye(dim) / cfg.reg
+        self.b = np.zeros(dim)
+
+    def select(self, contexts):
+        X = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
+        mu = self.a_inv @ self.b
+        means = X @ mu
+        widths = np.sqrt(np.maximum(np.einsum("ki,ij,kj->k", X, self.a_inv, X), 0.0))
+        scores = score(means, widths, self.cfg.nu, self.thompson, self.select_rng)
+        return Decision(int(np.argmax(scores)), scores, means, widths)
+
+    def observe(self, context, reward):
+        x = np.asarray(context, dtype=np.float64)
+        u = self.a_inv @ x
+        self.a_inv -= np.outer(u, u) / (1.0 + float(x @ u))
+        self.b += reward * x
+
 
 class TestKernel:
     def test_fresh_variance_one(self):
-        policy = KernelPolicy(neural_cfg("kernel-ts", bandwidth=1.0), 0,
+        policy = KernelPolicy(3, neural_cfg("kernel-ts", bandwidth=1.0), 0,
                               thompson=True)
         decision = policy.select(np.ones((2, 3)))
         np.testing.assert_allclose(decision.sigmas, 1.0)
@@ -229,7 +277,7 @@ class TestKernel:
 
     def test_interpolation_limit(self):
         cfg = neural_cfg("kernel-ucb", bandwidth=1.0, reg=1e-10, nu=0.0)
-        policy = KernelPolicy(cfg, 0, thompson=False)
+        policy = KernelPolicy(2, cfg, 0, thompson=False)
         x = np.array([0.3, -0.2])
         policy.observe(x, 0.7)
         decision = policy.select(x[None, :])
@@ -240,7 +288,7 @@ class TestKernel:
         rng = np.random.default_rng(14)
         gamma, reg = 1.0, 1.0
         cfg = neural_cfg("kernel-ucb", bandwidth=gamma, reg=reg, nu=0.0)
-        policy = KernelPolicy(cfg, 0, thompson=False)
+        policy = KernelPolicy(2, cfg, 0, thompson=False)
         n = 45  # crosses the 16 -> 32 -> 64 capacity doublings
         X = rng.standard_normal((n, 2))
         r = rng.uniform(size=n)
@@ -261,7 +309,7 @@ class TestKernel:
 
     def test_frozen_after_stop_round(self):
         cfg = neural_cfg("kernel-ts", stop_train=2)
-        policy = KernelPolicy(cfg, 0, thompson=True)
+        policy = KernelPolicy(3, cfg, 0, thompson=True)
         rng = np.random.default_rng(15)
         for _ in range(5):
             policy.observe(rng.standard_normal(3), float(rng.uniform()))
@@ -273,7 +321,7 @@ class TestKernel:
         # 50 observations cross the 16 -> 32 -> 64 capacity doublings
         cfg = neural_cfg(algorithm, bandwidth=0.7, reg=0.4, nu=0.3,
                          stop_train=stop_train)
-        policy = KernelPolicy(cfg, 21, thompson=algorithm == "kernel-ts")
+        policy = KernelPolicy(5, cfg, 21, thompson=algorithm == "kernel-ts")
         ref = ReallocatingKernelPolicy(cfg, 21,
                                        thompson=algorithm == "kernel-ts")
         rng = np.random.default_rng(21)
@@ -290,7 +338,7 @@ class TestKernel:
 
     def test_singular_kernel_matrix_raises(self):
         cfg = neural_cfg("kernel-ucb", reg=0.0)
-        policy = KernelPolicy(cfg, 0, thompson=False)
+        policy = KernelPolicy(2, cfg, 0, thompson=False)
         x = np.array([0.3, -0.2])
         policy.observe(x, 0.5)
         with pytest.raises(np.linalg.LinAlgError, match="raise --lambda"):
@@ -425,8 +473,9 @@ class TestBootstrap:
         rng = np.random.default_rng(21)
         for _ in range(500):
             boot.observe(random_contexts(rng, 1, 4)[0], 1.0)
-        frac = boot.n_included / boot.n_offered
-        se = np.sqrt(0.8 * 0.2 / boot.n_offered)
+        offered = 500 * len(boot.nets)
+        frac = sum(len(net.history) for net in boot.nets) / offered
+        se = np.sqrt(0.8 * 0.2 / offered)
         assert frac == pytest.approx(0.8, abs=3 * se)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from banditbench import harness, policies
 from banditbench.harness import ExperimentConfig, run_episode
-from banditbench.nn import (NetShape, ParamVector, TrainConfig,
+from banditbench.nn import (Batches, NetShape, ParamStack, TrainConfig,
                             TrainingDiverged, draw_batches, init_params, train)
 from banditbench.policies import BootstrapNN, PolicyConfig, make_policy
 
@@ -74,9 +74,8 @@ def seed_train(theta0, theta_init, dataset, cfg, rng=None):
 
 
 class SeedNeuralNet:
-    def __init__(self, shape, seed, cfg, warm_start):
+    def __init__(self, shape, seed, cfg):
         self.cfg = cfg
-        self.warm_start = warm_start
         self.theta0 = init_params(shape, seed)
         self.theta = self.theta0.copy()
         self.history = []
@@ -85,8 +84,8 @@ class SeedNeuralNet:
         self.history.append((np.asarray(x, dtype=np.float64), float(r)))
 
     def fit(self, rng):
-        start = self.theta if self.warm_start else self.theta0
-        self.theta = seed_train(self.theta0, start, self.history, self.cfg, rng)
+        self.theta = seed_train(self.theta0, self.theta, self.history,
+                                self.cfg, rng)
 
 
 class SeedBootstrapNN(BootstrapNN):
@@ -97,19 +96,14 @@ class SeedBootstrapNN(BootstrapNN):
         self.select_rng = np.random.default_rng(children[0])
         self.observe_rng = np.random.default_rng(children[1])
         self.cfg = cfg
-        self.nets = [SeedNeuralNet(shape, s, cfg.train, cfg.warm_start)
-                     for s in children[2:]]
+        self.nets = [SeedNeuralNet(shape, s, cfg.train) for s in children[2:]]
         self.t = 0
-        self.n_included = 0
-        self.n_offered = 0
 
     def observe(self, context, reward):
         self.t += 1
         do_train = self.cfg.stop_train is None or self.t <= self.cfg.stop_train
         for net in self.nets:
-            self.n_offered += 1
             if self.observe_rng.random() < self.cfg.include_prob:
-                self.n_included += 1
                 net.add(context, reward)
             if do_train:
                 net.fit(self.observe_rng)
@@ -148,7 +142,6 @@ def assert_same_ensembles(cfg, rounds=24, dim=6, seed=5):
             assert len(a.history) == len(b.history)
             assert a.theta.flat.tobytes() == b.theta.flat.tobytes()
         assert new.observe_rng.random() == old.observe_rng.random()
-    assert (new.n_included, new.n_offered) == (old.n_included, old.n_offered)
     return lengths
 
 
@@ -161,10 +154,6 @@ class TestBootstrapMatchesSeparateFits:
 
     def test_gd_mode(self):
         assert_same_ensembles(boot_cfg(train=GD))
-
-    def test_cold_start(self):
-        assert_same_ensembles(boot_cfg(warm_start=False))
-        assert_same_ensembles(boot_cfg(train=GD, warm_start=False))
 
     def test_stop_train(self):
         assert_same_ensembles(boot_cfg(stop_train=7))
@@ -194,16 +183,19 @@ class TestSingleNetworkMatchesSeed:
     @pytest.mark.parametrize("cfg", [SGD8, GD, TrainConfig(step_size=0.002,
                                                            iterations=0)])
     def test_train_on_pairs(self, cfg):
+        # one network trained on (context, reward) pairs as a stack of one
         shape = NetShape(6, 8, 3)
         theta0 = init_params(shape, 3)
         X, r = contexts_stream(20, 6, seed=2)
         data = list(zip(X, r))
         start = seed_train(theta0, theta0, data[:5], cfg, np.random.default_rng(1))
         before = start.flat.tobytes()
-        new = train(theta0, start, data, cfg, np.random.default_rng(7))
+        new = ParamStack.of([start])
+        batches = Batches(X, r, [len(X)], [draw_batches(
+            np.arange(len(X)), cfg, np.random.default_rng(7))])
+        train(ParamStack.of([theta0]), new, batches, cfg)
         old = seed_train(theta0, start, data, cfg, np.random.default_rng(7))
-        assert isinstance(new, ParamVector)
-        assert new.flat.tobytes() == old.flat.tobytes()
+        assert new.member(0).flat.tobytes() == old.flat.tobytes()
         assert start.flat.tobytes() == before
 
     @pytest.mark.parametrize("algorithm", ["neural-ts", "eps-greedy"])
@@ -212,7 +204,7 @@ class TestSingleNetworkMatchesSeed:
                            stop_train=15)
         policy = make_policy(cfg, 6, 9)
         ref = SeedNeuralNet(NetShape(6, 8, 2),
-                            np.random.SeedSequence(9).spawn(3)[2], SGD8, True)
+                            np.random.SeedSequence(9).spawn(3)[2], SGD8)
         rng = np.random.default_rng(np.random.SeedSequence(9).spawn(3)[1])
         X, r = contexts_stream(20, 6, seed=3)
         for t, (x, reward) in enumerate(zip(X, r), start=1):
@@ -251,9 +243,12 @@ class TestDivergence:
 
     def test_message_names_the_run_and_a_remedy(self):
         cfg, data = self.diverging()
+        theta0 = ParamStack.of([init_params(NetShape(4, 4, 2), 0)])
+        batches = Batches(np.array([x for x, _ in data]),
+                          np.array([v for _, v in data]), [len(data)],
+                          [draw_batches(np.arange(len(data)), cfg, None)])
         with pytest.raises(TrainingDiverged) as info:
-            train(init_params(NetShape(4, 4, 2), 0),
-                  init_params(NetShape(4, 4, 2), 0), data, cfg)
+            train(theta0, theta0.copy(), batches, cfg)
         msg = str(info.value)
         for part in ("network 0", "of 200 (gd)", "on 12 history rows",
                      "step_size=0.2", "width 4", "reg 1",
