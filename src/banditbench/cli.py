@@ -11,14 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import envs, ntk
 from .data import write_manifest
-from .harness import (ExperimentConfig, emit_grid_summary, emit_outputs,
-                      run_grid, run_repeats, summarize)
+from .harness import (ExperimentConfig, check_start, emit_grid_summary,
+                      emit_outputs, grid_cells, run_grid, run_repeats,
+                      summarize)
 from .nn import TrainConfig, TrainingDiverged
 from .policies import ALGORITHMS, PolicyConfig
 
@@ -81,15 +81,15 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
-    """The flag values a config file's `key = value` lines give: --key=value,
-    or for a switch --key when the value is true and nothing when false.
-    Each line is parsed alone, so that an error names the file and the key
-    as written."""
+    """The (dest, value) that each of a config file's `key = value` lines
+    gives, by key: --key=value, or for a switch --key when the value is true
+    and nothing when false.  Each line is parsed alone, so that an error
+    names the file and the key as written."""
     try:
         values = read_config_file(path)
     except (OSError, ValueError) as err:
         parser.error(f"--config: {err}")
-    namespace = argparse.Namespace()
+    namespace, by_key = argparse.Namespace(), {}
     parser.exit_on_error = False    # raise ArgumentError instead of exiting
     for key, value in values.items():
         flag = "--" + key.replace("_", "-")
@@ -105,8 +105,10 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
                     None, f"unrecognized arguments: {' '.join(extra)}")
         except argparse.ArgumentError as err:
             parser.error(f"--config {path}: {key}: {err}")
+        if argv:
+            by_key[key] = (action.dest, getattr(namespace, action.dest))
     parser.exit_on_error = True
-    return vars(namespace)
+    return by_key
 
 
 def build_experiment(args: argparse.Namespace) -> ExperimentConfig:
@@ -127,6 +129,33 @@ def build_experiment(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
+def _sweeps(algo: str) -> dict:
+    """grid's reg/nu/eps sweeps (run_grid's arguments) for an algorithm."""
+    if algo in ("neural-ts", "neural-ucb"):
+        return {"regs": NEURAL_REG_GRID, "nus": NEURAL_NU_GRID}
+    if algo in ("lin-ts", "lin-ucb", "kernel-ts", "kernel-ucb"):
+        return {"nus": LINEAR_KERNEL_NU_GRID}
+    if algo == "eps-greedy":
+        return {"epss": EPS_GRID}
+    return {}
+
+
+def _rejection(args: argparse.Namespace) -> str | None:
+    """Why run or grid cannot start with these values, or None.  Besides
+    the config dataclasses' checks, the first episode's rounds and policy
+    are built, for run's config or every grid cell, so that what only they
+    check is reported before any episode runs."""
+    try:
+        experiment = build_experiment(args)
+        cells = [experiment]
+        if args.command == "grid":
+            cells = grid_cells(experiment, **_sweeps(experiment.policy.algorithm))
+        check_start(cells)
+    except (ValueError, OSError) as err:
+        return str(err)
+    return None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = args.experiment
     traces = run_repeats(config, parallel=not args.serial)
@@ -140,14 +169,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_grid(args: argparse.Namespace) -> int:
     config = args.experiment
-    algo = config.policy.algorithm
-    if algo in ("neural-ts", "neural-ucb"):
-        config = replace(config, reg_grid=NEURAL_REG_GRID, nu_grid=NEURAL_NU_GRID)
-    elif algo in ("lin-ts", "lin-ucb", "kernel-ts", "kernel-ucb"):
-        config = replace(config, nu_grid=LINEAR_KERNEL_NU_GRID)
-    elif algo == "eps-greedy":
-        config = replace(config, eps_grid=EPS_GRID)
-    table, best = run_grid(config, parallel=not args.serial)
+    table, best = run_grid(config, **_sweeps(config.policy.algorithm),
+                           parallel=not args.serial)
     emit_grid_summary(table, args.out)
     for row in table:
         print(f"lambda={row['reg']:<8g} nu={row['nu']:<8g} eps={row['eps']:<6g} "
@@ -270,14 +293,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     run_parser = {"run": p_run, "grid": p_grid}.get(args.command)
     if run_parser is not None:
+        flags, lines = args, {}
         if args.config:
             # the file's values become the defaults, so explicit flags win
-            run_parser.set_defaults(**_config_defaults(run_parser, args.config))
+            lines = _config_defaults(run_parser, args.config)
+            run_parser.set_defaults(**dict(lines.values()))
             args = parser.parse_args(argv)
-        try:
-            args.experiment = build_experiment(args)
-        except ValueError as err:   # a value the configs reject
-            run_parser.error(str(err))
+        message = _rejection(args)
+        if message is not None:
+            # name the file's line without which this rejection goes away
+            for key, (dest, _) in lines.items():
+                without = argparse.Namespace(**vars(args))
+                setattr(without, dest, getattr(flags, dest))
+                if _rejection(without) != message:
+                    message = f"--config {args.config}: {key}: {message}"
+                    break
+            run_parser.error(message)
+        args.experiment = build_experiment(args)
     try:
         return args.func(args)
     except (TrainingDiverged, np.linalg.LinAlgError) as err:

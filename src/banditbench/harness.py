@@ -39,9 +39,6 @@ class ExperimentConfig:
     raw_dim: int = 8                # synthetic streams only
     noise_sd: float = 0.1
     schema: str | None = None       # csv datasets
-    reg_grid: tuple = ()
-    nu_grid: tuple = ()
-    eps_grid: tuple = ()
 
     def __post_init__(self):
         if self.repeats < 1:
@@ -77,6 +74,17 @@ def build_rounds(config: ExperimentConfig, seed) -> list[BanditRound]:
                                      config.horizon, seed, config.noise_sd)
     dataset = envs.load_dataset(name, config.schema)
     return envs.dataset_rounds(dataset, seed, config.horizon, config.duplicate)
+
+
+def check_start(configs: list[ExperimentConfig]) -> None:
+    """Raises the ValueError that the first episode of any of configs would
+    raise before its first round: an unknown dataset, a horizon past its
+    end, a network shape or a step size.  The configs differ in their policy
+    only, so the first episode's rounds are built once, and each policy."""
+    config = configs[0]
+    rounds = build_rounds(config, config.base_seed)
+    for config in configs:
+        make_policy(config.policy, rounds[0].contexts.shape[1], config.base_seed)
 
 
 def run_episode(config: ExperimentConfig, repeat_index: int) -> RegretTrace:
@@ -160,28 +168,35 @@ def summarize(traces: list[RegretTrace]) -> dict:
     }
 
 
-def run_grid(config: ExperimentConfig, parallel: bool = True):
-    """Cartesian sweep over the reg/nu/eps grids; returns (table, best_row).
-
-    A cell's reg is the posterior's and the training loss's, as --lambda sets
-    both.  Every cell is reported; the best cell has the smallest mean
-    terminal regret, ties broken toward smaller nu, then smaller reg, then
-    smaller eps.
-    """
-    regs = config.reg_grid or (config.policy.reg,)
-    nus = config.nu_grid or (config.policy.nu,)
-    epss = config.eps_grid or (config.policy.eps,)
-    cells = list(itertools.product(regs, nus, epss))
-    if not cells:
-        raise ValueError("empty grid")
-
-    table = []
-    for reg, nu, eps in cells:
+def grid_cells(config: ExperimentConfig, regs=(), nus=(),
+               epss=()) -> list[ExperimentConfig]:
+    """config at each cell of the cartesian sweep over regs, nus and epss;
+    an empty sweep keeps config's value.  A cell's reg is the posterior's
+    and the training loss's, as --lambda sets both."""
+    cells = []
+    for reg, nu, eps in itertools.product(regs or (config.policy.reg,),
+                                          nus or (config.policy.nu,),
+                                          epss or (config.policy.eps,)):
         policy = replace(config.policy, reg=reg, nu=nu, eps=eps,
                          train=replace(config.policy.train, reg=reg))
-        cell_cfg = replace(config, policy=policy)
-        stats = summarize(run_repeats(cell_cfg, parallel=parallel))
-        table.append({"reg": reg, "nu": nu, "eps": eps,
+        cells.append(replace(config, policy=policy))
+    return cells
+
+
+def run_grid(config: ExperimentConfig, regs=(), nus=(), epss=(),
+             parallel: bool = True):
+    """Runs every cell of grid_cells(config, regs, nus, epss); returns
+    (table, best_row).
+
+    Every cell is reported; the best cell has the smallest mean terminal
+    regret, ties broken toward smaller nu, then smaller reg, then smaller
+    eps.
+    """
+    table = []
+    for cell in grid_cells(config, regs, nus, epss):
+        stats = summarize(run_repeats(cell, parallel=parallel))
+        table.append({"reg": cell.policy.reg, "nu": cell.policy.nu,
+                      "eps": cell.policy.eps,
                       "mean": stats["mean"], "stderr": stats["stderr"],
                       "std": stats["std"]})
     best = min(table, key=lambda row: (row["mean"], row["nu"], row["reg"], row["eps"]))

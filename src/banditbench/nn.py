@@ -112,6 +112,15 @@ class TrainConfig:
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
 
+    def check_step(self, width: int) -> None:
+        """Raises ValueError unless step_size * width * reg < 1, without
+        which the regularization contraction diverges."""
+        if self.step_size * width * self.reg >= 1.0:
+            raise ValueError(
+                f"step_size*m*reg = {self.step_size * width * self.reg:.4g} >= 1; "
+                "the regularization contraction diverges"
+            )
+
 
 def init_params(shape: NetShape, rng_seed: int) -> ParamVector:
     """Block-structured random initialization.
@@ -288,11 +297,7 @@ def train(theta0: ParamStack, theta: ParamStack, data: Batches,
     that overflows is reported by the TrainingDiverged that follows it.
     """
     m = theta.shape.width
-    if cfg.step_size * m * cfg.reg >= 1.0:
-        raise ValueError(
-            f"step_size*m*reg = {cfg.step_size * m * cfg.reg:.4g} >= 1; "
-            "the regularization contraction diverges"
-        )
+    cfg.check_step(m)
     if cfg.iterations == 0:
         return
     lengths = [rows.shape[1] if n else 0

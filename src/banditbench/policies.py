@@ -1,8 +1,9 @@
 """Bandit policies behind a single select/observe interface.
 
-Neural Thompson sampling and its deterministic UCB twin share the gradient
-feature posterior; the linear and kernelized baselines use their closed-form
-ridge posteriors; epsilon-greedy and the bootstrap ensemble explore without a
+Neural Thompson sampling and its deterministic UCB twin keep the ridge
+posterior over gradient features, the linear baselines the same posterior over
+the contexts themselves, and the kernelized baselines its dual form over an
+RBF Gram matrix; epsilon-greedy and the bootstrap ensemble explore without a
 posterior.  The four network policies keep one growing (context, reward)
 history and train their networks as one stack with one nn.train call per
 observe: one network, or the bootstrap ensemble's n_networks, each with the
@@ -19,8 +20,7 @@ import numpy as np
 
 from .nn import (Batches, NetShape, ParamStack, TrainConfig, draw_batches,
                  forward_batch, grad, grad_batch, init_params, train)
-from .posterior import (_ROW_BLOCK, BorderedInverse, DesignMatrix, Rows,
-                        _add_outer)
+from .posterior import BorderedInverse, DesignMatrix, Rows
 
 
 @dataclass
@@ -110,10 +110,13 @@ class _NetworkPolicy(Policy):
     SeedSequence(seed) spawns the selection stream, the observation stream
     and one seed per network, in that order.  Each network includes each
     observed row with probability include_prob (always when it is None).
+    A step size that training would reject is rejected here, before round 1.
     """
 
     def __init__(self, shape: NetShape, cfg: PolicyConfig, seed,
                  n_networks: int = 1, include_prob: float | None = None):
+        if cfg.stop_train != 0:
+            cfg.train.check_step(shape.width)
         children = np.random.SeedSequence(seed).spawn(2 + n_networks)
         self.select_rng = np.random.default_rng(children[0])
         self.observe_rng = np.random.default_rng(children[1])
@@ -215,31 +218,29 @@ class BootstrapNN(_NetworkPolicy):
 
 
 class LinearPolicy(Policy):
-    """Shared-ridge linear baseline; Thompson sampling or UCB scoring."""
+    """Shared-ridge linear baseline; Thompson sampling or UCB scoring.  Its
+    posterior is the design matrix U over the contexts themselves (width 1):
+    mean x^T U^-1 b, width sqrt(x^T U^-1 x), the design's sigma / sqrt(reg)."""
 
     def __init__(self, dim: int, cfg: PolicyConfig, seed, thompson: bool):
         children = np.random.SeedSequence(seed).spawn(2)
         self.select_rng = np.random.default_rng(children[0])
         self.cfg = cfg
         self.thompson = thompson
-        self.a_inv = np.eye(dim) / cfg.reg
+        self.design = DesignMatrix(dim, cfg.reg, 1, "full")
         self.b = np.zeros(dim)
-        self._scratch = np.empty((_ROW_BLOCK, dim))
 
     def select(self, contexts: np.ndarray) -> Decision:
         X = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
-        mu = self.a_inv @ self.b
-        means = X @ mu
-        widths = np.sqrt(np.maximum(np.einsum("ki,ij,kj->k", X, self.a_inv, X), 0.0))
+        means = X @ self.design.solve(self.b)
+        widths = self.design.sigma(X) / np.sqrt(self.cfg.reg)
         scores = score(means, widths, self.cfg.nu, self.thompson, self.select_rng)
         return Decision(int(np.argmax(scores)), scores, means, widths)
 
     def observe(self, context: np.ndarray, reward: float) -> None:
         _check_reward(reward)
         x = np.asarray(context, dtype=np.float64)
-        u = self.a_inv @ x
-        # a_inv -= u u^T / (1 + x^T u), in place; it stays exactly symmetric
-        _add_outer(self.a_inv, u, -(1.0 + float(x @ u)), self._scratch)
+        self.design.update(x)
         self.b += reward * x
 
 
@@ -260,22 +261,18 @@ class KernelPolicy(Policy):
         self.k_inv = BorderedInverse()
         self.t = 0
 
-    def _kvec(self, x: np.ndarray) -> np.ndarray:
-        diff = self.X.array - x[None, :]
-        return np.exp(-self.cfg.bandwidth * np.sum(diff * diff, axis=1))
+    def _kernel(self, X: np.ndarray) -> np.ndarray:
+        """k(x, h) for each row x of X and each history row h: (rows, t)."""
+        diff = X[:, None, :] - self.X.array[None, :, :]
+        np.square(diff, out=diff)
+        return np.exp(-self.cfg.bandwidth * diff.sum(axis=2))
 
     def select(self, contexts: np.ndarray) -> Decision:
         X = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
-        K = X.shape[0]
         # with no history the products are empty: means 0.0, widths 1.0
-        k_inv = self.k_inv.array
-        alpha = k_inv @ self.r.array
-        means = np.empty(K)
-        widths = np.empty(K)
-        for k in range(K):
-            kv = self._kvec(X[k])
-            means[k] = float(kv @ alpha)
-            widths[k] = np.sqrt(max(1.0 - float(kv @ k_inv @ kv), 0.0))
+        k = self._kernel(X)
+        means = k @ (self.k_inv.array @ self.r.array)
+        widths = np.sqrt(np.maximum(1.0 - self.k_inv.quad(k), 0.0))
         scores = score(means, widths, self.cfg.nu, self.thompson, self.select_rng)
         return Decision(int(np.argmax(scores)), scores, means, widths)
 
@@ -286,7 +283,7 @@ class KernelPolicy(Policy):
             return
         x = np.asarray(context, dtype=np.float64)
         # k(x, x) = 1, so the new diagonal entry is 1 + reg
-        if self.k_inv.add(self._kvec(x), 1.0 + self.cfg.reg) <= 0.0:
+        if self.k_inv.add(self._kernel(x[None])[0], 1.0 + self.cfg.reg) <= 0.0:
             raise np.linalg.LinAlgError(
                 f"kernel matrix is numerically singular after {len(self.r)} "
                 f"observations (reg={self.cfg.reg:g}); raise --lambda")

@@ -171,6 +171,13 @@ class DesignMatrix:
         sigmas = np.sqrt(np.maximum(scaled / self.width, 0.0))
         return float(sigmas[0]) if g.ndim == 1 else sigmas
 
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        """U^{-1} v (full mode)."""
+        if self._inv is not None:
+            return self._inv @ v
+        G = self._G.array
+        return (v - G.T @ (self._dual.array @ (G @ v))) / self.reg
+
     def update(self, g: np.ndarray) -> None:
         """Rank-one update U += g g^T / m."""
         g = self._check(g)

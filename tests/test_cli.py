@@ -47,19 +47,25 @@ class TestRun:
 
 
 class TestRejectedValues:
-    """A value that a config dataclass rejects ends the command like an
-    argparse error: exit 2 and the check's message, no traceback."""
+    """A value that a config dataclass, the round stream or the policy
+    rejects ends the command before round 1 like an argparse error: exit 2
+    and the check's message, no traceback."""
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--lambda", "0", "reg must be positive"),
         ("--T", "0", "horizon must be >= 1"),
         ("--nu", "-1", "nu must be nonnegative"),
         ("--repeats", "0", "repeats must be >= 1"),
+        ("--dataset", "nope", "unknown dataset 'nope'"),
+        ("--T", "9000", "horizon 9000 exceeds dataset size 8124"),
+        ("--width", "3", "width must be a positive even integer, got 3"),
+        ("--lr", "0.5", "step_size*m*reg = 50 >= 1"),
     ])
     def test_exits_2_with_the_message(self, tmp_path, capsys, flag, value,
                                       message):
         with pytest.raises(SystemExit) as info:
-            main(run_args(tmp_path, flag, value))
+            main(run_args(tmp_path, "--algo", "neural-ts", "--dataset",
+                          "mushroom-like", flag, value))
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert f"banditbench run: error: {message}" in err
@@ -85,6 +91,23 @@ class TestGrid:
         assert not (tmp_path / "out" / "plot_none.csv").exists()
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
             "summary.csv"]
+
+    def test_rejects_a_cell_before_any_runs(self, tmp_path, capsys):
+        # step*m*lambda is 0.005 at --lambda 0.001 but 5 in the lambda=1 cell
+        args = ["grid", "--algo", "neural-ts", "--lambda", "0.001", "--lr",
+                "0.05", "--T", "5", "--repeats", "1", "--serial",
+                "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as info:
+            main(args)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "banditbench grid: error: step_size*m*reg = 5 >= 1" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_network_width_is_not_checked_for_lin_ts(self, tmp_path):
+        assert main(["grid", "--algo", "lin-ts", "--width", "3", "--T", "5",
+                     "--repeats", "1", "--serial",
+                     "--out", str(tmp_path / "out")]) == 0
 
     def test_cell_equals_run_with_its_lambda_and_nu(self, tmp_path):
         # a cell's lambda reaches the training loss as well as the posterior
@@ -257,7 +280,9 @@ class TestConfigKeysAreFlags:
         ("lamda = 5", "unrecognized arguments: --lamda=5"),
         ("stop_trian = 5", "unrecognized arguments: --stop-trian=5"),
         ("posterior = ful", "argument --posterior: invalid choice: 'ful'"),
-        ("horizon = 30", "unrecognized arguments: --horizon=30")])
+        ("horizon = 30", "unrecognized arguments: --horizon=30"),
+        ("lambda = 0", "reg must be positive"),
+        ("dataset = nope", "unknown dataset 'nope'")])
     def test_bad_key_or_value_exits_2(self, tmp_path, capsys, line, error):
         with pytest.raises(SystemExit) as info:
             main(self.write(tmp_path, "T = 5", line))
@@ -266,6 +291,13 @@ class TestConfigKeysAreFlags:
         key = line.partition("=")[0].strip()
         assert (f"banditbench run: error: --config {tmp_path / 'exp.cfg'}: "
                 f"{key}: {error}") in capsys.readouterr().err.splitlines()[-1]
+
+    def test_a_rejected_flag_does_not_name_the_file(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([*self.write(tmp_path, "T = 5", "lambda = 2"), "--lambda", "0"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "banditbench run: error: reg must be positive")
 
     @pytest.mark.parametrize("flags,error", [
         (["--lamda", "5"], "banditbench: error: unrecognized arguments: "

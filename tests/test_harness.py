@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from regret_equivalence import assert_regret_equivalent
 
 from banditbench import data, harness
 from banditbench.data import duplicate_half
@@ -268,17 +269,17 @@ class TestGrid:
         assert best["mean"] == pytest.approx(direct["mean"])
 
     def test_grid_counting(self):
-        config = fast_config(algorithm="uniform", repeats=2,
-                             reg_grid=(1.0, 0.1), nu_grid=(0.1, 0.01))
-        table, _ = run_grid(config, parallel=False)
+        config = fast_config(algorithm="uniform", repeats=2)
+        table, _ = run_grid(config, regs=(1.0, 0.1), nus=(0.1, 0.01),
+                            parallel=False)
         assert len(table) == 4
 
     def test_tie_break_smaller_nu_then_reg(self):
         # uniform ignores nu/reg so every cell ties; the winner must be the
         # smallest nu, then the smallest reg
-        config = fast_config(algorithm="uniform", repeats=1,
-                             reg_grid=(1.0, 0.1), nu_grid=(0.1, 0.01))
-        _, best = run_grid(config, parallel=False)
+        config = fast_config(algorithm="uniform", repeats=1)
+        _, best = run_grid(config, regs=(1.0, 0.1), nus=(0.1, 0.01),
+                           parallel=False)
         assert best["nu"] == 0.01
         assert best["reg"] == 0.1
 
@@ -301,9 +302,8 @@ class TestOutputs:
         assert len(lines) == 16  # header + T rows
 
     def test_summary_rows_match_grid_cells(self, tmp_path):
-        config = fast_config(algorithm="uniform", repeats=1,
-                             reg_grid=(1.0, 0.1), nu_grid=(0.1,))
-        table, _ = run_grid(config, parallel=False)
+        config = fast_config(algorithm="uniform", repeats=1)
+        table, _ = run_grid(config, regs=(1.0, 0.1), nus=(0.1,), parallel=False)
         emit_grid_summary(table, str(tmp_path))
         lines = (tmp_path / "summary.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 cells
@@ -364,18 +364,7 @@ class TestOutputs:
 
         real = episodes()
         monkeypatch.setattr(policies, "DesignMatrix", SeedDesignMatrix)
-        seed = episodes()
-        a = np.array([t.total_regret for t in real])
-        b = np.array([t.total_regret for t in seed])
-        pooled = np.sqrt((a.var(ddof=1) + b.var(ddof=1)) / len(a))
-        assert abs(a.mean() - b.mean()) <= pooled
-        for x, y in zip(real, seed):
-            n = next((i for i, (r, q) in enumerate(zip(x.rounds, y.rounds))
-                      if r["arm"] != q["arm"]), len(x.rounds))
-            # sigma agrees for as long as the two runs chose the same arms
-            np.testing.assert_allclose([r["sigma"] for r in x.rounds[:n]],
-                                       [r["sigma"] for r in y.rounds[:n]],
-                                       rtol=1e-9)
+        assert_regret_equivalent(real, episodes())
 
 
 class TestPool:

@@ -1,7 +1,12 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from regret_equivalence import assert_regret_equivalent
 
 from banditbench.data import duplicate_half, normalize_unit
+from banditbench.harness import ExperimentConfig, run_episode
 from banditbench.nn import NetShape, TrainConfig, forward_batch
 from banditbench.policies import (BootstrapNN, Decision, EpsGreedyNN,
                                   KernelPolicy, LinearPolicy, NeuralTS,
@@ -204,7 +209,8 @@ class TestLinear:
             policy.observe(x, r)
             A += np.outer(x, x)
             b += r * x
-        np.testing.assert_allclose(policy.a_inv, np.linalg.inv(A), atol=1e-8)
+        np.testing.assert_allclose(policy.design.inverse, np.linalg.inv(A),
+                                   atol=1e-8)
         np.testing.assert_allclose(policy.b, b, atol=1e-12)
 
     def test_inverse_exactly_symmetric_without_resymmetrising(self):
@@ -217,12 +223,14 @@ class TestLinear:
             u = ref @ x
             ref -= np.outer(u, u) / (1.0 + float(x @ u))
             ref = (ref + ref.T) / 2.0
-        np.testing.assert_array_equal(policy.a_inv, policy.a_inv.T)
-        np.testing.assert_array_equal(policy.a_inv, ref)
+        inv = policy.design.inverse
+        np.testing.assert_array_equal(inv, inv.T)
+        np.testing.assert_allclose(inv, ref, rtol=1e-9)
 
     @pytest.mark.parametrize("algorithm,dim", [("lin-ts", 37), ("lin-ucb", 70)])
     def test_matches_outer_product_update(self, algorithm, dim):
-        # dims that are not multiples of the 32-row blocks of the update
+        # 300 observations cross from the dual to the primal form (at 23 and
+        # 42), at dims that are not multiples of the 32-row update blocks
         cfg = neural_cfg(algorithm, reg=0.4, nu=0.3)
         thompson = algorithm == "lin-ts"
         policy = LinearPolicy(dim, cfg, 31, thompson)
@@ -233,16 +241,58 @@ class TestLinear:
             got, want = policy.select(contexts), ref.select(contexts)
             assert got.arm == want.arm
             for name in ("scores", "means", "sigmas"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
+                np.testing.assert_allclose(getattr(got, name),
+                                           getattr(want, name), rtol=1e-9)
             reward = float(rng.uniform())
             policy.observe(contexts[got.arm], reward)
             ref.observe(contexts[got.arm], reward)
-            assert np.array_equal(policy.a_inv, ref.a_inv)
+            inv = policy.design.inverse
+            np.testing.assert_array_equal(inv, inv.T)
+            np.testing.assert_allclose(inv, ref.a_inv, rtol=1e-9, atol=1e-15)
+        assert policy.design._inv is not None
+
+    def test_holds_less_than_one_dim_by_dim_array(self):
+        # fewer than 0.6 * dim observations keep the posterior in dual form:
+        # t x dim features and a t x t inverse, not a dim x dim inverse
+        dim = 2000
+        rng = np.random.default_rng(32)
+        tracemalloc.start()
+        try:
+            policy = LinearPolicy(dim, neural_cfg("lin-ts"), 32, thompson=True)
+            for _ in range(50):
+                contexts = rng.standard_normal((4, dim))
+                decision = policy.select(contexts)
+                policy.observe(contexts[decision.arm], float(rng.uniform()))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dim * dim * 8
+
+    def test_regret_matches_outer_product_policy(self, monkeypatch):
+        # 16 fixed episode seeds on synthetic-linear (dim 16, so the posterior
+        # leaves the dual form at round 10), once with the shared posterior
+        # and once with the dense inverse of the reference policy
+        from banditbench import policies
+        config = episode_config("lin-ts", "synthetic-linear")
+        real = episodes(config)
+        monkeypatch.setattr(policies, "LinearPolicy", OuterProductLinearPolicy)
+        assert_regret_equivalent(real, episodes(config))
+
+
+def episode_config(algorithm, dataset):
+    return ExperimentConfig(dataset=dataset, horizon=60, repeats=1, n_arms=4,
+                            raw_dim=8, policy=neural_cfg(algorithm, nu=0.3,
+                                                         reg=0.5))
+
+
+def episodes(config):
+    return [run_episode(replace(config, base_seed=s), 0) for s in range(16)]
 
 
 class OuterProductLinearPolicy:
-    """The linear baseline as it was before it shared the posterior's blocked
-    in-place update: one np.outer temporary per observation."""
+    """The linear baseline as it was before it shared the posterior: a dense
+    inverse of A = reg*I + sum x x^T, with one np.outer temporary per
+    observation."""
 
     def __init__(self, dim, cfg, seed, thompson):
         children = np.random.SeedSequence(seed).spawn(2)
@@ -330,11 +380,27 @@ class TestKernel:
             got, want = policy.select(contexts), ref.select(contexts)
             assert got.arm == want.arm
             for name in ("scores", "means", "sigmas"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
+                np.testing.assert_allclose(getattr(got, name),
+                                           getattr(want, name), rtol=1e-9)
             reward = float(rng.uniform())
             policy.observe(contexts[got.arm], reward)
             ref.observe(contexts[got.arm], reward)
+            inv = policy.k_inv.array
+            np.testing.assert_array_equal(inv, inv.T)
+            np.testing.assert_allclose(inv, ref.k_inv, rtol=1e-9)
         assert len(policy.r) == len(ref.r) == (stop_train or 50)
+
+    def test_regret_matches_reallocating_policy(self, monkeypatch):
+        # 16 fixed episode seeds, once scoring the arms through one
+        # BorderedInverse.quad and once arm by arm on a reallocated inverse
+        from banditbench import policies
+        config = episode_config("kernel-ts", "synthetic-nonlinear")
+        real = episodes(config)
+        monkeypatch.setattr(
+            policies, "KernelPolicy",
+            lambda dim, cfg, seed, thompson: ReallocatingKernelPolicy(
+                cfg, seed, thompson))
+        assert_regret_equivalent(real, episodes(config))
 
     def test_singular_kernel_matrix_raises(self):
         cfg = neural_cfg("kernel-ucb", reg=0.0)

@@ -286,6 +286,9 @@ class TestDualForm:
             assert design.logdet == pytest.approx(np.linalg.slogdet(U)[1],
                                                   rel=1e-9)
             np.testing.assert_allclose(design.matrix, U, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(design.solve(probes[0]),
+                                       np.linalg.solve(U, probes[0]),
+                                       rtol=1e-9, atol=1e-12)
             inv = design.inverse
             np.testing.assert_array_equal(inv, inv.T)
             np.testing.assert_allclose(inv, np.linalg.inv(U), rtol=1e-9,
