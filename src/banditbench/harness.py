@@ -81,8 +81,7 @@ def check_start(configs: list[ExperimentConfig]) -> None:
     raise before its first round: an unknown dataset, a horizon past its
     end, a network shape or a step size.  The configs differ in their policy
     only, so the first episode's rounds are built once, and each policy."""
-    config = configs[0]
-    rounds = build_rounds(config, config.base_seed)
+    rounds = build_rounds(configs[0], configs[0].base_seed)
     for config in configs:
         make_policy(config.policy, rounds[0].contexts.shape[1], config.base_seed)
 
