@@ -62,6 +62,8 @@ class PolicyConfig:
             raise ValueError("include_prob must be in [0, 1]")
         if self.n_networks < 1:
             raise ValueError("n_networks must be >= 1")
+        if not self.bandwidth > 0.0:
+            raise ValueError("bandwidth must be positive")
 
 
 class Policy:
@@ -247,8 +249,11 @@ class LinearPolicy(Policy):
 class KernelPolicy(Policy):
     """RBF-kernel ridge baseline; Thompson sampling or UCB scoring.
 
-    The kernel matrix inverse grows by bordered rank-one updates and is frozen
-    once the stop-training round passes (the history stops growing).
+    The kernel matrix A = Gram + reg*I is held as the factor R of its inverse
+    (A^-1 = R^T R), which grows by one row per observation, and w = R r by one
+    entry.  With V the arms' (K, t) kernel block times R^T, the means are V w
+    and the variances 1 - |v|^2.  Both are frozen once the stop-training round
+    passes (the history stops growing).
     """
 
     def __init__(self, dim: int, cfg: PolicyConfig, seed, thompson: bool):
@@ -257,22 +262,30 @@ class KernelPolicy(Policy):
         self.cfg = cfg
         self.thompson = thompson
         self.X = Rows((dim,))
+        self.sq_norms = Rows()
         self.r = Rows()
+        self.w = Rows()
         self.k_inv = BorderedInverse()
         self.t = 0
 
     def _kernel(self, X: np.ndarray) -> np.ndarray:
-        """k(x, h) for each row x of X and each history row h: (rows, t)."""
-        diff = X[:, None, :] - self.X.array[None, :, :]
-        np.square(diff, out=diff)
-        return np.exp(-self.cfg.bandwidth * diff.sum(axis=2))
+        """k(x, h) for each row x of X and each history row h: (rows, t).
+        The squared distances are expanded as |x|^2 - 2 x.h + |h|^2 and
+        clamped at 0, which rounding can cross for a repeated row."""
+        D = X @ self.X.array.T
+        D *= -2.0
+        D += np.einsum("kd,kd->k", X, X)[:, None]
+        D += self.sq_norms.array
+        np.maximum(D, 0.0, out=D)
+        D *= -self.cfg.bandwidth
+        return np.exp(D, out=D)
 
     def select(self, contexts: np.ndarray) -> Decision:
         X = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
         # with no history the products are empty: means 0.0, widths 1.0
-        k = self._kernel(X)
-        means = k @ (self.k_inv.array @ self.r.array)
-        widths = np.sqrt(np.maximum(1.0 - self.k_inv.quad(k), 0.0))
+        V = self.k_inv.whiten(self._kernel(X))
+        means = V @ self.w.array
+        widths = np.sqrt(np.maximum(1.0 - np.einsum("kt,kt->k", V, V), 0.0))
         scores = score(means, widths, self.cfg.nu, self.thompson, self.select_rng)
         return Decision(int(np.argmax(scores)), scores, means, widths)
 
@@ -288,7 +301,9 @@ class KernelPolicy(Policy):
                 f"kernel matrix is numerically singular after {len(self.r)} "
                 f"observations (reg={self.cfg.reg:g}); raise --lambda")
         self.X.append(x)
+        self.sq_norms.append(float(x @ x))
         self.r.append(float(reward))
+        self.w.append(float(self.k_inv.factor[-1] @ self.r.array))
 
 
 class UniformRandom(Policy):

@@ -2,19 +2,20 @@
 
 Full mode keeps the gradient features G (one row per update) and starts in
 dual form: by Woodbury, U^-1 = (I - G^T A^-1 G) / reg with A = reg*m*I + G G^T,
-so it holds only the t x t inverse of A, which a BorderedInverse grows by one
-row and column per update.  A sigma is then one product with G and one with
-A^-1, and memory grows with t.  Once t is a large enough share of dim, the p x p
-inverse of U costs less per round; full mode then builds it once from the dual
-form and keeps it up to date by rank-one Sherman-Morrison updates, applied in
-place one block of rows at a time, so that an update reads the inverse once
-and rewrites it once without a full-size temporary.  Both inverses stay
-exactly symmetric, since u_i u_j == u_j u_i in IEEE arithmetic.  In primal
-form U itself is kept too, for `.matrix` and the rebuild fallback (taken if
-an update's denominator degenerates): G then holds only the features not yet
-added to U, and every _ROW_BLOCK of them are added in place and dropped, so
-memory stays at two p x p arrays however long the run.  Diagonal mode keeps
-only diag(U), matching the diagonal approximation used for wide networks.
+so it holds only a t x t factor of A^-1, which a BorderedInverse grows by one
+row per update without rewriting the rows it already holds.  A sigma is then
+one product with G and one with that factor, and memory grows with t.  Once t
+is a large enough share of dim, the p x p inverse of U costs less per round;
+full mode then builds it once from the dual form and keeps it up to date by
+rank-one Sherman-Morrison updates, applied in place one block of rows at a
+time, so that an update reads the inverse once and rewrites it once without a
+full-size temporary.  The primal inverse stays exactly symmetric, since
+u_i u_j == u_j u_i in IEEE arithmetic.  In primal form U itself is kept too,
+for `.matrix` and the rebuild fallback (taken if an update's denominator
+degenerates): G then holds only the features not yet added to U, and every
+_ROW_BLOCK of them are added in place and dropped, so memory stays at two
+p x p arrays however long the run.  Diagonal mode keeps only diag(U),
+matching the diagonal approximation used for wide networks.
 """
 
 from __future__ import annotations
@@ -31,11 +32,21 @@ log = logging.getLogger(__name__)
 # gathers before it adds them to U.
 _ROW_BLOCK = 32
 # Full mode leaves the dual form once t reaches this fraction of dim.  A dual
-# round reads G (t x p) twice and rewrites A^-1 (t x t); a primal round reads
-# and rewrites the p x p inverse.  With K=4 arms and one BLAS thread on a
-# 2-vCPU host, a dual round cost 0.8-0.95 of a primal one at t = 0.6 dim and
-# 1.15-1.3 at t = 0.65 dim, both at dim 1700 and at dim 850.
+# round reads G (t x p) twice and the lower triangle of the t x t factor of
+# A^-1 twice, and rewrites nothing; a primal round reads and rewrites the
+# p x p inverse.  With K=4 arms and one BLAS thread on a 2-vCPU host, a dual
+# round cost 0.21-0.24, 0.26-0.33, 0.35-0.40 and 0.48-0.56 of a primal one at
+# t = 0.5, 0.6, 0.8 and 1.0 dim (dim 1700 and dim 850), and 0.76-0.94 at 1.4
+# dim.  The switch stays at 0.6 for memory: G and the factor grow by capacity
+# doubling, and the switch holds them, R G and the two p x p arrays at once.
+# At dim 1700, `--posterior full --T 5000` took 56.2 s and peaked at 114.6 MiB
+# with 0.6, and 49.1 s and 143.2 MiB with 1.0.
 _DUAL_FRACTION = 0.6
+# Rows of the triangular factor per block of a product with it.  A product
+# then reads the lower triangle only, one 128-row panel at a time; at t=1000
+# a (2, t) stack times R^T took 0.23 ms this way and 0.89 ms as one matmul
+# over the square, one BLAS thread.
+_PANEL = 128
 
 
 class Rows:
@@ -82,44 +93,75 @@ def _add_outer(M: np.ndarray, u: np.ndarray, scale: float,
 
 
 class BorderedInverse:
-    """The inverse of a growing symmetric n x n matrix A, such as a Gram
-    matrix plus a ridge, bordered by one row and column per add.  It lives in
-    a buffer whose capacity doubles, so an add allocates no n x n array."""
+    """The inverse of a growing symmetric positive definite n x n matrix A,
+    such as a Gram matrix plus a ridge, bordered by one row and column per
+    add.  It is held as R = L^-1, where A = L L^T, so A^-1 = R^T R.  R is
+    lower triangular and bordering A only appends a row to it: an add
+    rewrites no stored entry.  R lives in a zero-initialised buffer whose
+    capacity doubles, so the entries above its diagonal stay exactly zero
+    and an add allocates no n x n array."""
 
     def __init__(self):
-        self._data = np.empty((0, 0))
-        self._scratch = np.empty((_ROW_BLOCK, 0))
+        self._data = np.zeros((0, 0))
         self.n = 0
 
     @property
-    def array(self) -> np.ndarray:
-        """A^-1 (a view)."""
+    def factor(self) -> np.ndarray:
+        """R = L^-1 (a view)."""
         return self._data[:self.n, :self.n]
+
+    def _panels(self):
+        """(i, j, R[i:j, :j]) for each block of _PANEL rows of R: its lower
+        triangle and diagonal, without the zeros to the right of row j."""
+        for i in range(0, self.n, _PANEL):
+            j = min(i + _PANEL, self.n)
+            yield i, j, self._data[i:j, :j]
+
+    def _apply(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """l = R k and u = R^T l = A^-1 k, in one pass over the panels of R:
+        u gains a panel's share as soon as its rows of l are known."""
+        l, u = np.empty(self.n), np.zeros(self.n)
+        for i, j, P in self._panels():
+            np.matmul(P, k[:j], out=l[i:j])
+            u[:j] += l[i:j] @ P
+        return l, u
+
+    def solve(self, k: np.ndarray) -> np.ndarray:
+        """A^-1 k."""
+        return self._apply(k)[1]
 
     def add(self, k: np.ndarray, d: float) -> float:
         """Borders A with the column k and the diagonal entry d, and returns
         the Schur complement s = d - k^T A^-1 k.  If s <= 0 the bordered
-        matrix is not positive definite and A^-1 is left as it was."""
+        matrix is not positive definite and R is left as it was."""
         n = self.n
-        u = self.array @ k
-        s = d - float(k @ u)
+        l, u = self._apply(k)
+        s = d - float(l @ l)
         if s <= 0.0:
             return s
         if n == len(self._data):
-            grown = np.empty((max(16, 2 * n),) * 2)
-            grown[:n, :n] = self.array
+            grown = np.zeros((max(16, 2 * n),) * 2)
+            grown[:n, :n] = self.factor
             self._data = grown
-            self._scratch = np.empty((_ROW_BLOCK, len(grown)))
-        _add_outer(self._data[:n, :n], u, s, self._scratch)
-        self._data[:n, n] = -u / s
-        self._data[n, :n] = -u / s
-        self._data[n, n] = 1.0 / s
+        # L gains the row (l^T, sqrt(s)), so R gains (-l^T R, 1) / sqrt(s)
+        root = np.sqrt(s)
+        np.divide(u, -root, out=self._data[n, :n])
+        self._data[n, n] = 1.0 / root
         self.n = n + 1
         return s
 
+    def whiten(self, K: np.ndarray) -> np.ndarray:
+        """K R^T for a (rows, n) stack K: each row k becomes R k, whose
+        squared norm is k^T A^-1 k."""
+        V = np.empty((len(K), self.n))
+        for i, j, P in self._panels():
+            np.matmul(K[:, :j], P.T, out=V[:, i:j])
+        return V
+
     def quad(self, K: np.ndarray) -> np.ndarray:
         """k^T A^-1 k for each row k of the (rows, n) stack K."""
-        return np.einsum("kt,kt->k", K @ self.array, K)
+        V = self.whiten(K)
+        return np.einsum("kt,kt->k", V, V)
 
 
 class DesignMatrix:
@@ -176,7 +218,7 @@ class DesignMatrix:
         if self._inv is not None:
             return self._inv @ v
         G = self._G.array
-        return (v - G.T @ (self._dual.array @ (G @ v))) / self.reg
+        return (v - G.T @ self._dual.solve(G @ v)) / self.reg
 
     def update(self, g: np.ndarray) -> None:
         """Rank-one update U += g g^T / m."""
@@ -217,12 +259,12 @@ class DesignMatrix:
         self.logdet += float(np.log(denom))
 
     def _primal_inverse(self) -> np.ndarray:
-        """U^-1 = (I - G^T A^-1 G) / reg from the dual form, made exactly
+        """U^-1 = (I - W^T W) / reg with W = R G, from the dual form.  numpy
+        forms W^T W by one symmetric rank-k product, so it is exactly
         symmetric."""
-        G = self._G.array
-        inv = G.T @ (self._dual.array @ G)
-        inv += inv.T
-        inv *= -0.5 / self.reg
+        W = self._dual.factor @ self._G.array
+        inv = W.T @ W
+        inv *= -1.0 / self.reg
         inv.flat[::self.dim + 1] += 1.0 / self.reg
         return inv
 

@@ -385,22 +385,67 @@ class TestKernel:
             reward = float(rng.uniform())
             policy.observe(contexts[got.arm], reward)
             ref.observe(contexts[got.arm], reward)
-            inv = policy.k_inv.array
-            np.testing.assert_array_equal(inv, inv.T)
-            np.testing.assert_allclose(inv, ref.k_inv, rtol=1e-9)
+            R = policy.k_inv.factor
+            np.testing.assert_allclose(R.T @ R, ref.k_inv, rtol=1e-9)
         assert len(policy.r) == len(ref.r) == (stop_train or 50)
 
     def test_regret_matches_reallocating_policy(self, monkeypatch):
-        # 16 fixed episode seeds, once scoring the arms through one
-        # BorderedInverse.quad and once arm by arm on a reallocated inverse
+        # 16 fixed episode seeds per dataset, once scoring the arms through
+        # the grown factor of the inverse and once arm by arm on a
+        # reallocated inverse; mushroom-like repeats rows, whose expanded
+        # distances are clamped
         from banditbench import policies
-        config = episode_config("kernel-ts", "synthetic-nonlinear")
-        real = episodes(config)
+        configs = [episode_config("kernel-ts", dataset)
+                   for dataset in ("synthetic-nonlinear", "mushroom-like")]
+        real = [episodes(config) for config in configs]
         monkeypatch.setattr(
             policies, "KernelPolicy",
             lambda dim, cfg, seed, thompson: ReallocatingKernelPolicy(
                 cfg, seed, thompson))
-        assert_regret_equivalent(real, episodes(config))
+        for got, config in zip(real, configs):
+            assert_regret_equivalent(got, episodes(config))
+
+    def test_kernel_block_matches_difference_form(self):
+        # unit-norm history rows like the mushroom-like contexts, scored
+        # again with fresh rows: a repeated row's expanded distance rounds to
+        # a few ulps either side of 0, and the clamp keeps k(x, x) <= 1
+        rng = np.random.default_rng(22)
+        cfg = neural_cfg("kernel-ts", bandwidth=0.7)
+        H = rng.standard_normal((200, 204))
+        H /= np.linalg.norm(H, axis=1, keepdims=True)
+        policy = KernelPolicy(204, cfg, 0, thompson=True)
+        for h in H:
+            policy.observe(h, float(rng.uniform()))
+        X = np.vstack([H, rng.standard_normal((4, 204))])
+        diff = X[:, None, :] - H[None, :, :]
+        want = np.exp(-cfg.bandwidth * np.sum(diff * diff, axis=2))
+        got = policy._kernel(X)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert np.all(np.diag(got) <= 1.0)
+
+    def test_select_allocates_less_than_a_difference_array(self):
+        # t=1000 history rows of d=204 (mushroom-like), K=2 arms: the
+        # (K, t, d) float64 difference array alone would take 3.3 MB
+        t, d, n_arms = 1000, 204, 2
+        rng = np.random.default_rng(24)
+        policy = KernelPolicy(d, neural_cfg("kernel-ts"), 24, thompson=True)
+        H = rng.standard_normal((t, d))
+        H /= np.linalg.norm(H, axis=1, keepdims=True)
+        for h in H:
+            policy.observe(h, float(rng.uniform()))
+        contexts = H[:n_arms] + 0.1 * rng.standard_normal((n_arms, d))
+        tracemalloc.start()
+        try:
+            policy.select(contexts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n_arms * t * d * 8
+
+    def test_nonpositive_bandwidth_rejected(self):
+        for bandwidth in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="bandwidth must be positive"):
+                neural_cfg("kernel-ts", bandwidth=bandwidth)
 
     def test_singular_kernel_matrix_raises(self):
         cfg = neural_cfg("kernel-ucb", reg=0.0)

@@ -344,26 +344,35 @@ class TestDualForm:
 
 class TestBorderedInverse:
     def test_growth_matches_dense_inverse(self):
-        # 40 adds cross the 16 -> 32 -> 64 capacity doublings
+        # 300 adds cross the 16 -> 32 -> 64 -> ... capacity doublings and the
+        # 128-row panels that products with the factor read
         rng = np.random.default_rng(15)
-        X = rng.standard_normal((40, 6))
-        A = X @ X.T + 0.3 * np.eye(40)
+        X = rng.standard_normal((300, 6))
+        A = X @ X.T + 0.3 * np.eye(300)
         bordered = BorderedInverse()
-        for n in range(40):
+        for n in range(300):
             s = bordered.add(A[:n, n], A[n, n])
             assert s > 0.0
-            np.testing.assert_allclose(bordered.array,
-                                       np.linalg.inv(A[:n + 1, :n + 1]),
-                                       rtol=1e-9, atol=1e-12)
-            np.testing.assert_array_equal(bordered.array, bordered.array.T)
-        K = rng.standard_normal((3, 40))
-        np.testing.assert_allclose(bordered.quad(K), np.einsum(
-            "kt,kt->k", K, np.linalg.solve(A, K.T).T), rtol=1e-9)
+            if n + 1 not in (1, 16, 17, 33, 40, 64, 65, 128, 129, 257, 300):
+                continue
+            R, An = bordered.factor, A[:n + 1, :n + 1]
+            assert R.shape == (n + 1, n + 1)
+            np.testing.assert_array_equal(np.triu(R, 1), 0.0)
+            np.testing.assert_allclose(R @ An @ R.T, np.eye(n + 1), rtol=1e-9,
+                                       atol=1e-9)
+            np.testing.assert_allclose(R.T @ R, np.linalg.inv(An), rtol=1e-9,
+                                       atol=1e-12)
+            K = rng.standard_normal((3, n + 1))
+            np.testing.assert_allclose(bordered.quad(K), np.einsum(
+                "kt,kt->k", K, np.linalg.solve(An, K.T).T), rtol=1e-9)
+            np.testing.assert_allclose(bordered.solve(K[0]),
+                                       np.linalg.solve(An, K[0]), rtol=1e-9,
+                                       atol=1e-12)
 
     def test_nonpositive_schur_complement_leaves_inverse(self):
         bordered = BorderedInverse()
         bordered.add(np.zeros(0), 2.0)
-        before = bordered.array.copy()
+        before = bordered.factor.copy()
         assert bordered.add(np.array([2.0]), 1.0) <= 0.0
         assert bordered.n == 1
-        np.testing.assert_array_equal(bordered.array, before)
+        np.testing.assert_array_equal(bordered.factor, before)
