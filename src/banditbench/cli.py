@@ -189,13 +189,12 @@ def cmd_ntk(args: argparse.Namespace) -> int:
                                   schema=args.schema)
         from .harness import build_rounds
         rounds = build_rounds(config, args.seed)
-        contexts = np.stack([r.contexts[k] for r in rounds
-                             for k in range(r.contexts.shape[0])])
+        contexts = np.concatenate([r.contexts for r in rounds])
     else:
         raw = rng.standard_normal((args.n, args.raw_dim))
         raw = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         from .data import duplicate_half
-        contexts = np.stack([duplicate_half(x) for x in raw])
+        contexts = duplicate_half(raw)
     if contexts.shape[0] > args.max_contexts:
         pick = rng.choice(contexts.shape[0], size=args.max_contexts, replace=False)
         contexts = contexts[np.sort(pick)]

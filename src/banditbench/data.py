@@ -186,50 +186,67 @@ def ingest_idx(images_path: str, labels_path: str) -> LabeledDataset:
                           sources=(images_path, labels_path))
 
 
+# Rows per block when a stream is built: large enough that each array op
+# covers many rounds, small enough that a block's temporaries stay far below
+# what the stream itself holds.
+BLOCK_ROWS = 256
+
+
 def normalize_unit(x: np.ndarray) -> np.ndarray:
-    """Scale to unit L2 norm; a zero vector maps to e1 (degenerate-row policy)."""
+    """Scale one row, or each row of an (n, d) block, to unit L2 norm; a zero
+    row maps to e1 (degenerate-row policy).  A row's squared norm is the BLAS
+    dot product np.linalg.norm takes on a 1-D row, in both shapes."""
     x = np.asarray(x, dtype=np.float64)
-    norm = np.linalg.norm(x)
-    if norm == 0.0:
-        out = np.zeros_like(x)
-        out[0] = 1.0
-        return out
-    return x / norm
+    norm = np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0])
+    zero = norm[..., 0] == 0.0
+    out = x / np.where(zero[..., None], 1.0, norm)
+    out[zero] = 0.0     # a row whose squares underflow is not all zeros
+    out[zero, ..., 0] = 1.0
+    return out
 
 
 def duplicate_half(x: np.ndarray) -> np.ndarray:
-    """Map a unit vector x to [x/sqrt(2); x/sqrt(2)] (unit norm, equal halves)."""
+    """Map a unit vector x, or each row of an (n, d) block, to
+    [x/sqrt(2); x/sqrt(2)] (unit norm, equal halves)."""
     x = np.asarray(x, dtype=np.float64)
-    if abs(np.linalg.norm(x) - 1.0) > 1e-9:
+    if np.any(np.abs(np.sqrt(np.einsum("...i,...i->...", x, x)) - 1.0) > 1e-9):
         raise ValueError("duplicate_half expects a unit-norm input")
-    half = x / np.sqrt(2.0)
-    return np.concatenate([half, half])
+    d = x.shape[-1]
+    out = np.empty(x.shape[:-1] + (2 * d,))
+    np.divide(x, np.sqrt(2.0), out=out[..., :d])
+    out[..., d:] = out[..., :d]
+    return out
 
 
 def disjoint_encode(x: np.ndarray, n_arms: int) -> np.ndarray:
-    """Block-sparse per-arm contexts: arm k holds x in block k, shape (K, K*d)."""
+    """Block-sparse per-arm contexts: arm k holds x in block k, shape
+    (K, K*d) for one row and (n, K, K*d) for an (n, d) block."""
     if n_arms < 2:
         raise ValueError("disjoint encoding needs at least 2 arms")
     x = np.asarray(x, dtype=np.float64)
-    d = len(x)
-    out = np.zeros((n_arms, n_arms * d))
-    for k in range(n_arms):
-        out[k, k * d:(k + 1) * d] = x
+    d = x.shape[-1]
+    lead = x.shape[:-1]
+    out = np.zeros(lead + (n_arms, n_arms * d))
+    arms = np.arange(n_arms)
+    out.reshape(lead + (n_arms, n_arms, d))[..., arms, arms, :] = x[..., None, :]
     return out
 
 
 def classification_rounds(dataset: LabeledDataset,
                           duplicate: bool = True) -> list[BanditRound]:
-    """Transform every row into a bandit round with 0/1 indicator rewards."""
+    """Transform every row into a bandit round with 0/1 indicator rewards,
+    BLOCK_ROWS rows at a time; each round holds views into its block."""
     rounds = []
-    for x, label in zip(dataset.features, dataset.labels):
-        z = normalize_unit(x)
+    for start in range(0, len(dataset), BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        z = normalize_unit(dataset.features[block])
         if duplicate:
             z = duplicate_half(z)
         contexts = disjoint_encode(z, dataset.n_classes)
-        rewards = np.zeros(dataset.n_classes)
-        rewards[label] = 1.0
-        rounds.append(BanditRound(contexts, rewards, rewards.copy()))
+        labels = dataset.labels[block]
+        expected = np.zeros((len(labels), dataset.n_classes))
+        expected[np.arange(len(labels)), labels] = 1.0
+        rounds.extend(map(BanditRound, contexts, expected, expected.copy()))
     n_zero = dataset.n_zero_rows
     if n_zero:
         log.warning("%d zero-feature rows replaced by the unit basis vector", n_zero)

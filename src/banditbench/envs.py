@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import (BanditRound, LabeledDataset, classification_rounds,
-                   duplicate_half, ingest_csv, ingest_idx, parse_schema)
+from .data import (BLOCK_ROWS, BanditRound, LabeledDataset,
+                   classification_rounds, duplicate_half, ingest_csv,
+                   ingest_idx, parse_schema)
 
 # Each synthetic stream: its task seed, which fixes the task direction so
 # every repeat faces the same reward function, and its expected reward of
-# unit contexts `raw` (K, raw_dim) along that direction.
+# unit contexts `raw` (n, K, raw_dim) along that direction.  `raw @ a` on the
+# stack is one (K, raw_dim) product per round; one product over the n*K rows
+# would round some rewards differently.
 _TASK_SEED = 0x5EED
 SYNTHETIC = {
     "synthetic-nonlinear": (_TASK_SEED, lambda raw, a: np.cos(3.0 * raw @ a)),
@@ -26,19 +29,26 @@ SYNTHETIC = {
 def synthetic_rounds(name: str, n_arms: int, raw_dim: int, horizon: int, seed,
                      noise_sd: float = 0.1) -> list[BanditRound]:
     """Per-arm random unit contexts with Gaussian noise on the stream's
-    reward: cos(3 x.a) for synthetic-nonlinear, x.w for synthetic-linear."""
+    reward: cos(3 x.a) for synthetic-nonlinear, x.w for synthetic-linear.
+
+    Built BLOCK_ROWS rounds at a time: one normal draw per block holds each
+    round's (K, raw_dim) contexts followed by its K noise terms, the numbers
+    that drawing one round at a time gives.  Each round holds views into its
+    block's arrays."""
     task_seed, reward = SYNTHETIC[name]
     direction = np.random.default_rng(task_seed).standard_normal(raw_dim)
     direction /= np.linalg.norm(direction)
     rng = np.random.default_rng(seed)
+    K, d = n_arms, raw_dim
     rounds = []
-    for _ in range(horizon):
-        raw = rng.standard_normal((n_arms, raw_dim))
-        raw = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    for start in range(0, horizon, BLOCK_ROWS):
+        n = min(BLOCK_ROWS, horizon - start)
+        draws = rng.standard_normal((n, K * d + K))
+        raw = draws[:, :K * d].reshape(n, K, d)
+        raw = raw / np.linalg.norm(raw, axis=2, keepdims=True)
         expected = reward(raw, direction)
-        rewards = expected + noise_sd * rng.standard_normal(n_arms)
-        contexts = np.stack([duplicate_half(x) for x in raw])
-        rounds.append(BanditRound(contexts, expected, rewards))
+        rewards = expected + noise_sd * draws[:, K * d:]
+        rounds.extend(map(BanditRound, duplicate_half(raw), expected, rewards))
     return rounds
 
 
@@ -50,30 +60,27 @@ def mushroom_like() -> LabeledDataset:
     the label is their XOR.  Every single column is uncorrelated with the
     label, so a linear model on the one-hot encoding stays at chance, while
     the factors dominate the context geometry and a network can learn the
-    interaction.
+    interaction.  The one-hot columns are written straight into one table.
     """
     n = 8124
     rng = np.random.default_rng(_TASK_SEED + 2)
     u = rng.integers(0, 2, size=n)
     v = rng.integers(0, 2, size=n)
     labels = (u ^ v).astype(np.int64)
+    # ten echoes of each factor, each flipped in 10% of the rows
+    flips = [rng.random(n) < 0.1 for _ in range(20)]
+    n_levels = [int(k) for k in rng.integers(4, 9, size=2)]
 
-    def echo(factor):
-        flips = rng.random(n) < 0.1
-        return np.where(flips, 1 - factor, factor)
-
-    cols = [echo(u) for _ in range(10)] + [echo(v) for _ in range(10)]
-    n_levels = [2] * 20
-    for k in rng.integers(4, 9, size=2):
-        n_levels.append(int(k))
-        cols.append(rng.integers(0, k, size=n))
-
-    blocks = []
-    for col, k in zip(cols, n_levels):
-        onehot = np.zeros((n, k))
-        onehot[np.arange(n), col] = 1.0
-        blocks.append(onehot)
-    return LabeledDataset(np.hstack(blocks), labels, n_classes=2,
+    table = np.zeros((n, 40 + sum(n_levels)))
+    rows = np.arange(n)
+    for j in range(20):
+        echo = (u if j < 10 else v) ^ flips[j]
+        table[rows, 2 * j + echo] = 1.0
+    offset = 40
+    for k in n_levels:
+        table[rows, offset + rng.integers(0, k, size=n)] = 1.0
+        offset += k
+    return LabeledDataset(table, labels, n_classes=2,
                           provenance="synthetic mushroom-like")
 
 

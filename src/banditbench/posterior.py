@@ -178,10 +178,10 @@ class DesignMatrix:
         self.reg = reg
         self.width = width
         self.mode = mode
-        self.logdet = dim * np.log(reg)
         self.n_rebuilds = 0
         self.n_updates = 0
         if mode == "full":
+            self._logdet = dim * np.log(reg)
             self._G = Rows((dim,))
             self._dual: BorderedInverse | None = BorderedInverse()
             self._inv: np.ndarray | None = None
@@ -227,7 +227,6 @@ class DesignMatrix:
         self.n_updates += 1
         if self.mode == "diagonal":
             self._diag += g * g / m
-            self.logdet = float(np.sum(np.log(self._diag)))
             return
         if self._inv is None:
             # A gains the row G g and the diagonal entry reg*m + g^T g, and
@@ -240,7 +239,7 @@ class DesignMatrix:
                             "rebuilding inverse", s)
                 self._rebuild()
                 return
-            self.logdet += float(np.log(s / (self.reg * m)))
+            self._logdet += float(np.log(s / (self.reg * m)))
             if len(self._G) >= _DUAL_FRACTION * self.dim:
                 self._set_inverse(self._primal_inverse(), self.matrix)
             return
@@ -256,7 +255,7 @@ class DesignMatrix:
             return
         # inv -= u u^T / (m * denom)
         _add_outer(self._inv, u, -(m * denom), self._scratch)
-        self.logdet += float(np.log(denom))
+        self._logdet += float(np.log(denom))
 
     def _primal_inverse(self) -> np.ndarray:
         """U^-1 = (I - W^T W) / reg with W = R G, from the dual form.  numpy
@@ -301,7 +300,15 @@ class DesignMatrix:
                 "raise --lambda or use --posterior diag")
         inv = np.linalg.inv(U)
         self._set_inverse((inv + inv.T) / 2.0, U)
-        self.logdet = logdet
+        self._logdet = logdet
+
+    @property
+    def logdet(self) -> float:
+        """log det U: a running sum in full mode, summed when read in
+        diagonal mode."""
+        if self.mode == "diagonal":
+            return float(np.sum(np.log(self._diag)))
+        return self._logdet
 
     @property
     def matrix(self) -> np.ndarray:

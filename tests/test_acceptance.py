@@ -149,7 +149,7 @@ def test_criterion_04_ntk_closed_form(capfd):
     # (c) empirical gradient Gram approaches H as the width grows
     raw = rng.standard_normal((6, 24))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    X = np.stack([duplicate_half(v) for v in raw])
+    X = duplicate_half(raw)
     H = ntk.ntk_matrix(X, 2).H
     med = {}
     for m in (256, 4096):
@@ -282,7 +282,7 @@ def test_criterion_09_delay_protocol(capfd, monkeypatch):
     rng = np.random.default_rng(109)
     raw = rng.standard_normal((4, 8))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    probes = np.stack([duplicate_half(v) for v in raw])
+    probes = duplicate_half(raw)
 
     frozen_ok = True
     for b in (1, 4, 32):

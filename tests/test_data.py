@@ -256,3 +256,131 @@ class TestPipeline:
         assert manifest["n_classes"] == 2
         assert manifest["provenance"] == "toy"
         assert out.exists()
+
+
+class TestBlockTransforms:
+    """Each transform gives an (n, d) block the rows it gives one at a time."""
+
+    def _rows(self):
+        X = np.random.default_rng(8).standard_normal((9, 5))
+        X[2] = 0.0
+        X[4] = 1e-170
+        return X
+
+    def test_normalize_block_equals_rows(self):
+        X = self._rows()
+        want = np.stack([bd.normalize_unit(x) for x in X])
+        assert bd.normalize_unit(X).tobytes() == want.tobytes()
+
+    def test_duplicate_block_equals_rows(self):
+        Z = bd.normalize_unit(self._rows())
+        want = np.stack([bd.duplicate_half(z) for z in Z])
+        assert bd.duplicate_half(Z).tobytes() == want.tobytes()
+
+    def test_duplicate_block_rejects_a_non_unit_row(self):
+        Z = bd.normalize_unit(self._rows())
+        Z[3] *= 2.0
+        with pytest.raises(ValueError):
+            bd.duplicate_half(Z)
+
+    def test_disjoint_block_equals_rows(self):
+        Z = bd.normalize_unit(self._rows())
+        want = np.stack([bd.disjoint_encode(z, 3) for z in Z])
+        assert bd.disjoint_encode(Z, 3).tobytes() == want.tobytes()
+
+
+def reference_classification_rounds(dataset, duplicate=True):
+    """The transform one row at a time, as np.linalg.norm, a concatenation
+    and a per-arm copy: what the block build must match bit for bit."""
+    rounds = []
+    K = dataset.n_classes
+    for x, label in zip(dataset.features, dataset.labels):
+        norm = np.linalg.norm(x)
+        if norm == 0.0:
+            z = np.zeros_like(x)
+            z[0] = 1.0
+        else:
+            z = x / norm
+        if duplicate:
+            half = z / np.sqrt(2.0)
+            z = np.concatenate([half, half])
+        d = len(z)
+        contexts = np.zeros((K, K * d))
+        for k in range(K):
+            contexts[k, k * d:(k + 1) * d] = z
+        rewards = np.zeros(K)
+        rewards[label] = 1.0
+        rounds.append(bd.BanditRound(contexts, rewards, rewards.copy()))
+    return rounds
+
+
+def assert_rounds_identical(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for name in ("contexts", "expected_rewards", "rewards"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestClassificationReference:
+    @pytest.mark.parametrize("duplicate", [True, False])
+    @pytest.mark.parametrize("d", [3, 51, 784])
+    def test_matches_per_row_reference(self, d, duplicate, caplog):
+        # more rows than one block, real values over a wide range of scales,
+        # an all-zero row and a row whose squares underflow
+        n = bd.BLOCK_ROWS + 3
+        rng = np.random.default_rng(d)
+        X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-150, 150, (n, 1))
+        X[1] = 0.0
+        X[bd.BLOCK_ROWS] = 1e-170
+        K = 2 if d == 784 else 3
+        ds = bd.LabeledDataset(X, rng.integers(0, K, size=n), K)
+        want = reference_classification_rounds(ds, duplicate)
+        with caplog.at_level(logging.WARNING):
+            got = bd.classification_rounds(ds, duplicate)
+        assert_rounds_identical(got, want)
+        n_zero = sum(np.linalg.norm(x) == 0.0 for x in X)
+        assert n_zero == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{n_zero} zero-feature rows replaced by the unit basis vector"]
+
+    @pytest.mark.parametrize("duplicate", [True, False])
+    def test_mushroom_like_dataset_rounds(self, duplicate):
+        ds = envs.mushroom_like()
+        rows = np.random.default_rng(11).permutation(len(ds))[:600]
+        played = bd.LabeledDataset(ds.features[rows], ds.labels[rows], 2)
+        want = reference_classification_rounds(played, duplicate)
+        assert_rounds_identical(envs.dataset_rounds(ds, 11, 600, duplicate),
+                                want)
+
+
+def reference_mushroom_like():
+    """The mushroom-like table as 22 one-hot blocks joined by hstack."""
+    n = 8124
+    rng = np.random.default_rng(0x5EED + 2)
+    u = rng.integers(0, 2, size=n)
+    v = rng.integers(0, 2, size=n)
+
+    def echo(factor):
+        flips = rng.random(n) < 0.1
+        return np.where(flips, 1 - factor, factor)
+
+    cols = [echo(u) for _ in range(10)] + [echo(v) for _ in range(10)]
+    n_levels = [2] * 20
+    for k in rng.integers(4, 9, size=2):
+        n_levels.append(int(k))
+        cols.append(rng.integers(0, k, size=n))
+    blocks = []
+    for col, k in zip(cols, n_levels):
+        onehot = np.zeros((n, k))
+        onehot[np.arange(n), col] = 1.0
+        blocks.append(onehot)
+    return np.hstack(blocks), (u ^ v).astype(np.int64)
+
+
+def test_mushroom_like_matches_reference():
+    ds = envs.mushroom_like()
+    features, labels = reference_mushroom_like()
+    assert ds.features.shape == features.shape == (8124, 51)
+    assert ds.features.tobytes() == features.tobytes()
+    assert ds.labels.tobytes() == labels.tobytes()

@@ -1,13 +1,14 @@
 import json
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from regret_equivalence import assert_regret_equivalent
 
-from banditbench import data, harness
-from banditbench.data import duplicate_half
+from banditbench import data, envs, harness
+from banditbench.data import BLOCK_ROWS, duplicate_half
 from banditbench.harness import (ExperimentConfig, RegretTrace, build_rounds,
                                  emit_grid_summary, emit_outputs, read_traces,
                                  run_episode, run_grid, run_repeats, summarize)
@@ -42,6 +43,15 @@ class SpyPolicy(Policy):
         self.observe_rounds.append(self.select_count)
 
 
+def _synthetic_case_id(dataset, seed, horizon, n_arms, raw_dim):
+    """`seed-dataset`, plus the horizon and shape when they are not the
+    first case's (T=30, K=4, d=5)."""
+    case = f"{seed}-{dataset}"
+    if (horizon, n_arms, raw_dim) != (30, 4, 5):
+        case += f"-T{horizon}-K{n_arms}-d{raw_dim}"
+    return case
+
+
 class TestRounds:
     def test_synthetic_deterministic(self):
         config = fast_config()
@@ -62,7 +72,8 @@ class TestRounds:
         with pytest.raises(ValueError):
             build_rounds(config, 0)
 
-    @pytest.mark.parametrize("dataset", ["mushroom-like", "csv"])
+    @pytest.mark.parametrize("dataset", ["mushroom-like", "csv",
+                                         "synthetic-nonlinear"])
     def test_builds_only_the_rounds_played(self, tmp_path, monkeypatch,
                                            dataset):
         if dataset == "csv":
@@ -76,7 +87,7 @@ class TestRounds:
             config = fast_config(dataset=f"csv:{table}", schema=str(schema),
                                  horizon=25)
         else:
-            config = fast_config(dataset=dataset, horizon=50)
+            config = fast_config(dataset=dataset, horizon=BLOCK_ROWS + 44)
         built = []
 
         class CountedRound(data.BanditRound):
@@ -84,21 +95,47 @@ class TestRounds:
                 super().__init__(*args)
                 built.append(self)
 
-        monkeypatch.setattr(data, "BanditRound", CountedRound)
+        # rounds are constructed through each module's BanditRound name,
+        # which is what the benchmark's tracer counts
+        for module in (data, envs):
+            monkeypatch.setattr(module, "BanditRound", CountedRound)
         rounds = build_rounds(config, 3)
         assert len(built) == len(rounds) == config.horizon
 
-    @pytest.mark.parametrize("dataset", ["synthetic-nonlinear",
-                                         "synthetic-linear"])
-    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
-    def test_synthetic_streams_match_reference(self, dataset, seed):
-        config = fast_config(dataset=dataset, horizon=30, n_arms=4, raw_dim=5)
+    @pytest.mark.parametrize("dataset,seed,horizon,n_arms,raw_dim", [
+        pytest.param(dataset, seed, horizon, n_arms, raw_dim,
+                     id=_synthetic_case_id(dataset, seed, horizon, n_arms,
+                                           raw_dim))
+        for n_arms, raw_dim in [(4, 5), (2, 5), (10, 16)]
+        for horizon in [1, 30, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                        2000]
+        for seed in [0, 7, 2**40 + 3]
+        for dataset in ["synthetic-nonlinear", "synthetic-linear"]])
+    def test_synthetic_streams_match_reference(self, dataset, seed, horizon,
+                                               n_arms, raw_dim):
+        config = fast_config(dataset=dataset, horizon=horizon, n_arms=n_arms,
+                             raw_dim=raw_dim)
         got = build_rounds(config, seed)
-        want = REFERENCE_SYNTHETIC[dataset](4, 5, 30, seed, config.noise_sd)
+        want = REFERENCE_SYNTHETIC[dataset](n_arms, raw_dim, horizon, seed,
+                                            config.noise_sd)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             for name in ("contexts", "expected_rewards", "rewards"):
-                assert getattr(g, name).tobytes() == getattr(w, name).tobytes()
+                a, b = getattr(g, name), getattr(w, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_synthetic_build_peaks_near_what_it_holds(self):
+        # a block's temporaries, not a whole-horizon array, on top of the
+        # rounds the stream keeps
+        config = fast_config(horizon=20_000, n_arms=4, raw_dim=8)
+        tracemalloc.start()
+        try:
+            rounds = build_rounds(config, 1)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rounds) == 20_000
+        assert peak - held <= 2**20
 
 
 def _unit(v):

@@ -82,7 +82,7 @@ class TestNtkMatrix:
         from banditbench.nn import NetShape, grad_batch, init_params
         rng = np.random.default_rng(5)
         raw = np.stack([random_unit(rng, 24) for _ in range(6)])
-        X = np.stack([duplicate_half(x) for x in raw])
+        X = duplicate_half(raw)
         H = ntk.ntk_matrix(X, 2).H
         med = {}
         for m in (64, 512):

@@ -25,7 +25,7 @@ def neural_cfg(algorithm, **kw):
 
 def random_contexts(rng, n_arms, dim):
     raw = rng.standard_normal((n_arms, dim // 2))
-    return np.stack([duplicate_half(normalize_unit(x)) for x in raw])
+    return duplicate_half(normalize_unit(raw))
 
 
 class TestNeuralTS:

@@ -119,6 +119,14 @@ class TestUpdate:
                 assert design.logdet >= prev - 1e-12
                 prev = design.logdet
 
+    def test_diagonal_logdet_is_sum_of_logs(self):
+        rng = np.random.default_rng(8)
+        design = DesignMatrix(7, reg=0.3, width=2, mode="diagonal")
+        for _ in range(25):
+            design.update(rng.standard_normal(7))
+            diag = np.diag(design.matrix)
+            assert design.logdet == float(np.sum(np.log(diag)))
+
     def test_inverse_symmetric(self):
         rng = np.random.default_rng(7)
         design = DesignMatrix(12, reg=0.2, width=4, mode="full")
