@@ -1,9 +1,12 @@
 """Command-line entry point.
 
 Subcommands: `run` (one configuration), `grid` (hyperparameter sweep),
-`ntk` (kernel diagnostics report as JSON), `ingest` (dataset manifest).
-Defaults can come from a `key = value` config file whose keys are the long
-flag names; flags always win.
+`ntk` (kernel diagnostics report as JSON, over the contexts of the stream
+that run plays), `ingest` (dataset manifest).  Each option is declared once,
+in the flag group of the subcommands that take it.  run's and grid's
+defaults can come from a `key = value` config file whose keys are the long
+flag names; flags always win.  A flag value that a subcommand's inputs
+cannot be built from stops it with exit status 2 and the reason.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ import numpy as np
 
 from . import envs, ntk
 from .data import write_manifest
-from .harness import (ExperimentConfig, check_start, emit_grid_summary,
+from .harness import (ExperimentConfig, build_rounds, emit_grid_summary,
                       emit_outputs, grid_cells, run_grid, run_repeats,
                       summarize)
 from .nn import TrainConfig, TrainingDiverged
-from .policies import ALGORITHMS, PolicyConfig
+from .policies import ALGORITHMS, PolicyConfig, make_policy
 
 # default sweeps for the grid subcommand, per algorithm family
 NEURAL_REG_GRID = (1.0, 0.1, 0.01, 0.001)
@@ -44,23 +47,34 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key = value file of these flags' "
-                        "values; flags override it")
+def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", default="synthetic-nonlinear",
                         help="synthetic-nonlinear, synthetic-linear, "
                         "mushroom-like, csv:<path>, or idx:<images>,<labels>")
     parser.add_argument("--schema", help="schema file for csv datasets")
-    parser.add_argument("--algo", choices=ALGORITHMS, default="neural-ts")
+    parser.add_argument("--no-duplicate", action="store_true",
+                        help="skip the duplicated-half transform")
+
+
+def _add_stream_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--T", type=int, dest="horizon", default=2000)
-    parser.add_argument("--repeats", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--delay", type=int, default=0)
-    parser.add_argument("--nu", type=float, default=0.1)
+    parser.add_argument("--arms", type=int, default=4, help="synthetic streams only")
+    parser.add_argument("--raw-dim", type=int, default=8,
+                        help="synthetic streams only")
     parser.add_argument("--lambda", type=float, dest="reg", default=1.0)
-    parser.add_argument("--eps", type=float, default=0.05)
     parser.add_argument("--width", type=int, default=100)
     parser.add_argument("--depth", type=int, default=2)
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", help="key = value file of these flags' "
+                        "values; flags override it")
+    parser.add_argument("--algo", choices=ALGORITHMS, default="neural-ts")
+    parser.add_argument("--repeats", type=int, default=8)
+    parser.add_argument("--delay", type=int, default=0)
+    parser.add_argument("--nu", type=float, default=0.1)
+    parser.add_argument("--eps", type=float, default=0.05)
     # Training defaults are the acceptance config's SGD x10 at lr 1e-4: the
     # data term of the loss is a sum over the history, so the effective step
     # grows with the round, and GD x100 at lr 1e-3 diverged before round 110.
@@ -70,11 +84,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--batch-size", type=int, default=64)
     parser.add_argument("--stop-train", type=int, default=1000)
     parser.add_argument("--posterior", choices=("diag", "full"), default="diag")
-    parser.add_argument("--arms", type=int, default=4, help="synthetic streams only")
-    parser.add_argument("--raw-dim", type=int, default=8,
-                        help="synthetic streams only")
-    parser.add_argument("--no-duplicate", action="store_true",
-                        help="skip the duplicated-half transform")
     parser.add_argument("--serial", action="store_true",
                         help="run repeats in-process instead of a worker pool")
     parser.add_argument("--out", default="out")
@@ -140,68 +149,15 @@ def _sweeps(algo: str) -> dict:
     return {}
 
 
-def _rejection(args: argparse.Namespace) -> str | None:
-    """Why run or grid cannot start with these values, or None.  Besides
-    the config dataclasses' checks, the first episode's rounds and policy
-    are built, for run's config or every grid cell, so that what only they
-    check is reported before any episode runs."""
-    try:
-        experiment = build_experiment(args)
-        cells = [experiment]
-        if args.command == "grid":
-            cells = grid_cells(experiment, **_sweeps(experiment.policy.algorithm))
-        check_start(cells)
-    except (ValueError, OSError) as err:
-        return str(err)
-    return None
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    config = args.experiment
-    traces = run_repeats(config, parallel=not args.serial)
-    stats = summarize(traces)
-    emit_outputs(traces, stats, args.out)
-    print(f"{config.policy.algorithm}: total regret "
-          f"{stats['mean']:.1f} +/- {stats['stderr']:.1f} "
-          f"over {stats['n_repeats']} repeats (T={config.horizon})")
-    return 0
-
-
-def cmd_grid(args: argparse.Namespace) -> int:
-    config = args.experiment
-    table, best = run_grid(config, **_sweeps(config.policy.algorithm),
-                           parallel=not args.serial)
-    emit_grid_summary(table, args.out)
-    for row in table:
-        print(f"lambda={row['reg']:<8g} nu={row['nu']:<8g} eps={row['eps']:<6g} "
-              f"regret {row['mean']:.1f} +/- {row['stderr']:.1f}")
-    print(f"best: lambda={best['reg']} nu={best['nu']} eps={best['eps']} "
-          f"regret {best['mean']:.1f}")
-    return 0
-
-
-def cmd_ntk(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    if args.dataset:
-        config = ExperimentConfig(dataset=args.dataset,
-                                  policy=PolicyConfig("neural-ts"),
-                                  horizon=args.n, raw_dim=args.raw_dim,
-                                  schema=args.schema)
-        from .harness import build_rounds
-        rounds = build_rounds(config, args.seed)
-        contexts = np.concatenate([r.contexts for r in rounds])
-    else:
-        raw = rng.standard_normal((args.n, args.raw_dim))
-        raw = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        from .data import duplicate_half
-        contexts = duplicate_half(raw)
-    if contexts.shape[0] > args.max_contexts:
-        pick = rng.choice(contexts.shape[0], size=args.max_contexts, replace=False)
-        contexts = contexts[np.sort(pick)]
-
+def _ntk_report(rounds: list, args: argparse.Namespace) -> dict:
+    """NTK diagnostics over every arm's context in rounds, with the budget
+    T*K of a horizon-T episode on their stream's K arms.  The ValueErrors
+    its checks raise are all about flag values (--lambda, --depth, --T,
+    --delta), so it runs before the command starts."""
+    contexts = np.concatenate([r.contexts for r in rounds])
+    K = rounds[0].contexts.shape[0]
     kernel = ntk.ntk_matrix(contexts, args.depth)
-    report = ntk.effective_dimension(kernel.H, args.reg,
-                                     args.T * args.K)
+    report = ntk.effective_dimension(kernel.H, args.reg, args.horizon * K)
     evals = report.eigenvalues
     out = {
         "n_contexts": int(contexts.shape[0]),
@@ -214,23 +170,85 @@ def cmd_ntk(args: argparse.Namespace) -> int:
         "spectrum": evals.tolist(),
         "H": kernel.H.tolist(),
     }
-    if args.rewards == "zero":
-        h = np.zeros(contexts.shape[0])
-    else:
-        h = np.cos(3.0 * contexts @ contexts[0])
+    h = (np.zeros(contexts.shape[0]) if args.rewards == "zero"
+         else np.cos(3.0 * contexts @ contexts[0]))
     try:
         B = ntk.theory_B(h, kernel.H)
         out["B"] = B
-        out["nu_theory"] = ntk.theory_nu(B, args.R, report.eff_dim, args.T,
-                                         args.K, args.reg, args.delta)
+        out["nu_theory"] = ntk.theory_nu(B, args.R, report.eff_dim,
+                                         args.horizon, K, args.reg, args.delta)
     except np.linalg.LinAlgError as err:
-        out["B"] = None
-        out["nu_theory"] = None
-        out["note"] = str(err)
+        out.update(B=None, nu_theory=None, note=str(err))
     out["width_condition"] = ntk.check_width_condition(
-        args.width, args.T, args.K, args.depth, args.reg,
+        args.width, args.horizon, K, args.depth, args.reg,
         max(float(evals[-1]), 1e-12), args.delta)
-    text = json.dumps(out, indent=2)
+    return out
+
+
+def _inputs(args: argparse.Namespace):
+    """What the subcommand runs on, built from its flags: the dataset for
+    ingest, the report for ntk, and for run or grid the experiment.  For
+    run's config or every grid cell, the first episode's rounds and policy
+    are built too, so that what only they check is reported before any
+    episode runs.  Raises the ValueError or OSError of a value that cannot
+    be run."""
+    if args.command == "ingest":
+        if args.dataset in envs.SYNTHETIC:
+            raise ValueError("ingest needs a labeled --dataset: mushroom-like, "
+                             "csv:<path> or idx:<images>,<labels>, not "
+                             f"the synthetic stream {args.dataset!r}")
+        return envs.load_dataset(args.dataset, args.schema)
+    if args.command == "ntk":
+        stream = ExperimentConfig(
+            dataset=args.dataset, policy=PolicyConfig("neural-ts"),
+            horizon=args.n, duplicate=not args.no_duplicate,
+            n_arms=args.arms, raw_dim=args.raw_dim, schema=args.schema)
+        return _ntk_report(build_rounds(stream, args.seed), args)
+    experiment = build_experiment(args)
+    cells = [experiment]
+    if args.command == "grid":
+        cells = grid_cells(experiment, **_sweeps(experiment.policy.algorithm))
+    rounds = build_rounds(experiment, experiment.base_seed)  # cells share them
+    for cell in cells:
+        make_policy(cell.policy, rounds[0].contexts.shape[1], cell.base_seed)
+    return experiment
+
+
+def _rejection(args: argparse.Namespace) -> str | None:
+    """Builds args.inputs, or returns why it cannot be built."""
+    try:
+        args.inputs = _inputs(args)
+    except (ValueError, OSError) as err:
+        return str(err)
+    return None
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    config = args.inputs
+    traces = run_repeats(config, parallel=not args.serial)
+    stats = summarize(traces)
+    emit_outputs(traces, stats, args.out)
+    print(f"{config.policy.algorithm}: total regret "
+          f"{stats['mean']:.1f} +/- {stats['stderr']:.1f} "
+          f"over {stats['n_repeats']} repeats (T={config.horizon})")
+    return 0
+
+
+def cmd_grid(args: argparse.Namespace) -> int:
+    config = args.inputs
+    table, best = run_grid(config, **_sweeps(config.policy.algorithm),
+                           parallel=not args.serial)
+    emit_grid_summary(table, args.out)
+    for row in table:
+        print(f"lambda={row['reg']:<8g} nu={row['nu']:<8g} eps={row['eps']:<6g} "
+              f"regret {row['mean']:.1f} +/- {row['stderr']:.1f}")
+    print(f"best: lambda={best['reg']} nu={best['nu']} eps={best['eps']} "
+          f"regret {best['mean']:.1f}")
+    return 0
+
+
+def cmd_ntk(args: argparse.Namespace) -> int:
+    text = json.dumps(args.inputs, indent=2)
     if args.out_file:
         with open(args.out_file, "w") as fh:
             fh.write(text)
@@ -240,12 +258,7 @@ def cmd_ntk(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    try:
-        dataset = envs.load_dataset(args.dataset, args.schema)
-    except ValueError as err:
-        print(err, file=sys.stderr)
-        return 2
-    manifest = write_manifest(dataset, args.out_file,
+    manifest = write_manifest(args.inputs, args.out_file,
                               duplicate=not args.no_duplicate)
     print(json.dumps(manifest, indent=2))
     return 0
@@ -255,60 +268,50 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="banditbench",
                                      description="contextual-bandit benchmark engine")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run one configuration", allow_abbrev=False)
-    _add_run_flags(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_grid = sub.add_parser("grid", help="hyperparameter sweep", allow_abbrev=False)
-    _add_run_flags(p_grid)
-    p_grid.set_defaults(func=cmd_grid)
-
-    p_ntk = sub.add_parser("ntk", help="kernel diagnostics report (JSON)")
-    p_ntk.add_argument("--dataset", help="optional dataset to draw contexts from")
-    p_ntk.add_argument("--schema")
-    p_ntk.add_argument("--n", type=int, default=50, help="number of contexts")
-    p_ntk.add_argument("--raw-dim", type=int, default=8)
-    p_ntk.add_argument("--depth", type=int, default=2)
-    p_ntk.add_argument("--reg", "--lambda", type=float, default=1.0, dest="reg")
-    p_ntk.add_argument("--T", type=int, default=2000)
-    p_ntk.add_argument("--K", type=int, default=4)
-    p_ntk.add_argument("--R", type=float, default=0.1)
-    p_ntk.add_argument("--delta", type=float, default=0.1)
-    p_ntk.add_argument("--width", type=int, default=100)
-    p_ntk.add_argument("--seed", type=int, default=0)
-    p_ntk.add_argument("--rewards", choices=("cosine", "zero"), default="cosine")
-    p_ntk.add_argument("--max-contexts", type=int, default=2000)
-    p_ntk.add_argument("--out-file")
-    p_ntk.set_defaults(func=cmd_ntk)
-
-    p_ing = sub.add_parser("ingest", help="build a dataset manifest")
-    p_ing.add_argument("--dataset", required=True)
-    p_ing.add_argument("--schema")
-    p_ing.add_argument("--no-duplicate", action="store_true")
-    p_ing.add_argument("--out-file", default="manifest.json")
-    p_ing.set_defaults(func=cmd_ingest)
+    commands = {}
+    for name, func, text in (
+            ("run", cmd_run, "run one configuration"),
+            ("grid", cmd_grid, "hyperparameter sweep"),
+            ("ntk", cmd_ntk, "kernel diagnostics report (JSON)"),
+            ("ingest", cmd_ingest, "build a dataset manifest")):
+        command = commands[name] = sub.add_parser(name, help=text,
+                                                  allow_abbrev=False)
+        command.set_defaults(func=func)
+        _add_dataset_flags(command)
+        if name != "ingest":
+            _add_stream_flags(command)
+        if name in ("run", "grid"):
+            _add_run_flags(command)
+        else:
+            command.add_argument("--out-file", help="the JSON's file "
+                                 "(ntk: stdout by default)")
+    ntk_parser = commands["ntk"]
+    ntk_parser.add_argument("--n", type=int, default=50, help="rounds of the "
+                            "stream whose arms' contexts the kernel is over")
+    ntk_parser.add_argument("--R", type=float, default=0.1)
+    ntk_parser.add_argument("--delta", type=float, default=0.1)
+    ntk_parser.add_argument("--rewards", choices=("cosine", "zero"),
+                            default="cosine")
+    commands["ingest"].set_defaults(out_file="manifest.json")
 
     args = parser.parse_args(argv)
-    run_parser = {"run": p_run, "grid": p_grid}.get(args.command)
-    if run_parser is not None:
-        flags, lines = args, {}
-        if args.config:
-            # the file's values become the defaults, so explicit flags win
-            lines = _config_defaults(run_parser, args.config)
-            run_parser.set_defaults(**dict(lines.values()))
-            args = parser.parse_args(argv)
-        message = _rejection(args)
-        if message is not None:
-            # name the file's line without which this rejection goes away
-            for key, (dest, _) in lines.items():
-                without = argparse.Namespace(**vars(args))
-                setattr(without, dest, getattr(flags, dest))
-                if _rejection(without) != message:
-                    message = f"--config {args.config}: {key}: {message}"
-                    break
-            run_parser.error(message)
-        args.experiment = build_experiment(args)
+    command = commands[args.command]
+    flags, lines = args, {}
+    if getattr(args, "config", None):
+        # the file's values become the defaults, so explicit flags win
+        lines = _config_defaults(command, args.config)
+        command.set_defaults(**dict(lines.values()))
+        args = parser.parse_args(argv)
+    message = _rejection(args)
+    if message is not None:
+        # name the file's line without which this rejection goes away
+        for key, (dest, _) in lines.items():
+            without = argparse.Namespace(**vars(args))
+            setattr(without, dest, getattr(flags, dest))
+            if _rejection(without) != message:
+                message = f"--config {args.config}: {key}: {message}"
+                break
+        command.error(message)
     try:
         return args.func(args)
     except (TrainingDiverged, np.linalg.LinAlgError) as err:

@@ -47,6 +47,10 @@ class ExperimentConfig:
             raise ValueError("delay must be >= 0")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        if self.n_arms < 1:
+            raise ValueError("n_arms must be >= 1")
+        if self.raw_dim < 1:
+            raise ValueError("raw_dim must be >= 1")
 
 
 @dataclass
@@ -74,16 +78,6 @@ def build_rounds(config: ExperimentConfig, seed) -> list[BanditRound]:
                                      config.horizon, seed, config.noise_sd)
     dataset = envs.load_dataset(name, config.schema)
     return envs.dataset_rounds(dataset, seed, config.horizon, config.duplicate)
-
-
-def check_start(configs: list[ExperimentConfig]) -> None:
-    """Raises the ValueError that the first episode of any of configs would
-    raise before its first round: an unknown dataset, a horizon past its
-    end, a network shape or a step size.  The configs differ in their policy
-    only, so the first episode's rounds are built once, and each policy."""
-    rounds = build_rounds(configs[0], configs[0].base_seed)
-    for config in configs:
-        make_policy(config.policy, rounds[0].contexts.shape[1], config.base_seed)
 
 
 def run_episode(config: ExperimentConfig, repeat_index: int) -> RegretTrace:

@@ -53,6 +53,8 @@ class PolicyConfig:
     def __post_init__(self):
         if self.nu < 0:
             raise ValueError("nu must be nonnegative")
+        if self.stop_train is not None and self.stop_train < 0:
+            raise ValueError("stop_train must be >= 0")
         if self.posterior not in ("diagonal", "full"):
             raise ValueError(f"unknown posterior {self.posterior!r}; "
                              "choose from 'diagonal', 'full'")

@@ -2,10 +2,13 @@ import csv
 import json
 import struct
 
+import numpy as np
 import pytest
 
-from banditbench import cli
+from banditbench import cli, ntk
 from banditbench.cli import main, read_config_file
+from banditbench.harness import ExperimentConfig, build_rounds
+from banditbench.policies import PolicyConfig
 
 
 def run_args(tmp_path, *extra):
@@ -73,6 +76,22 @@ class TestRejectedValues:
         assert not (tmp_path / "out").exists()
 
 
+class TestRejectedStreamAndPolicyValues:
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--arms", "0", "n_arms must be >= 1"),
+        ("--arms", "-2", "n_arms must be >= 1"),
+        ("--raw-dim", "0", "raw_dim must be >= 1"),
+        ("--stop-train", "-3", "stop_train must be >= 0")])
+    def test_exits_2_before_round_1(self, tmp_path, capsys, flag, value,
+                                    message):
+        with pytest.raises(SystemExit) as info:
+            main(run_args(tmp_path, "--algo", "neural-ts", flag, value))
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"banditbench run: error: {message}"
+        assert not (tmp_path / "out").exists()
+
+
 class TestGrid:
     def test_grid_table_printed(self, tmp_path, capsys):
         args = ["grid", "--dataset", "synthetic-nonlinear", "--algo", "lin-ts",
@@ -131,8 +150,8 @@ class TestGrid:
 class TestNtk:
     def test_report_fields(self, tmp_path):
         out = tmp_path / "report.json"
-        args = ["ntk", "--n", "10", "--raw-dim", "6", "--depth", "2",
-                "--T", "100", "--K", "2", "--out-file", str(out)]
+        args = ["ntk", "--n", "5", "--raw-dim", "6", "--depth", "2",
+                "--T", "100", "--arms", "2", "--out-file", str(out)]
         assert main(args) == 0
         report = json.loads(out.read_text())
         for key in ("eff_dim", "spectrum", "H", "B", "nu_theory",
@@ -142,11 +161,88 @@ class TestNtk:
         assert len(report["spectrum"]) == 10
 
     def test_subsampling_cap(self, tmp_path):
+        # --n rounds of the default 4-arm stream size the context set
         out = tmp_path / "report.json"
-        args = ["ntk", "--n", "30", "--max-contexts", "12",
-                "--out-file", str(out)]
+        args = ["ntk", "--n", "3", "--out-file", str(out)]
         assert main(args) == 0
         assert json.loads(out.read_text())["n_contexts"] == 12
+
+
+class TestNtkStream:
+    """ntk's contexts are every arm's context in the first --n rounds of the
+    stream that run plays, and its K is that stream's arm count."""
+
+    def report(self, tmp_path, *flags):
+        out = tmp_path / "report.json"
+        assert main(["ntk", *flags, "--out-file", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    def test_contexts_and_budget_come_from_the_stream(self, tmp_path):
+        report = self.report(tmp_path, "--dataset", "synthetic-linear",
+                             "--n", "5", "--arms", "2", "--T", "300",
+                             "--lambda", "0.5")
+        assert report["n_contexts"] == 10
+        H = np.array(report["H"])
+        expected = ntk.effective_dimension(H, 0.5, 300 * 2)
+        assert report["eff_dim"] == pytest.approx(expected.eff_dim, rel=1e-12)
+
+    def test_contexts_are_the_rounds_run_plays(self, tmp_path, monkeypatch):
+        seen = []
+        real = ntk.ntk_matrix
+        monkeypatch.setattr(ntk, "ntk_matrix",
+                            lambda contexts, depth: seen.append(contexts)
+                            or real(contexts, depth))
+        self.report(tmp_path, "--dataset", "mushroom-like", "--n", "4",
+                    "--seed", "3")
+        config = ExperimentConfig("mushroom-like", PolicyConfig("neural-ts"),
+                                  horizon=4)
+        rounds = build_rounds(config, 3)
+        np.testing.assert_array_equal(
+            seen[0], np.concatenate([r.contexts for r in rounds]))
+
+    def test_no_duplicate_halves_the_context_width(self, tmp_path,
+                                                   monkeypatch):
+        widths = []
+        real = ntk.ntk_matrix
+        monkeypatch.setattr(ntk, "ntk_matrix",
+                            lambda contexts, depth: widths.append(
+                                contexts.shape[1]) or real(contexts, depth))
+        self.report(tmp_path, "--dataset", "mushroom-like", "--n", "3")
+        self.report(tmp_path, "--dataset", "mushroom-like", "--n", "3",
+                    "--no-duplicate")
+        assert widths[1] * 2 == widths[0]
+
+
+class TestNtkIngestRejections:
+    """Bad ntk or ingest input ends like an argparse error: exit 2 and the
+    reason, no traceback."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["ntk", "--dataset", "nope"], "unknown dataset 'nope'"),
+        (["ntk", "--n", "0"], "horizon must be >= 1"),
+        (["ntk", "--dataset", "mushroom-like", "--n", "9000"],
+         "horizon 9000 exceeds dataset size 8124"),
+        (["ntk", "--lambda", "0"], "reg must be positive"),
+        (["ntk", "--dataset", "csv:missing.csv", "--schema", "schema.txt"],
+         "No such file or directory: 'missing.csv'"),
+        (["ingest", "--dataset", "csv:missing.csv", "--schema", "schema.txt"],
+         "No such file or directory: 'missing.csv'"),
+        (["ingest"], "ingest needs a labeled --dataset"),
+        (["ingest", "--dataset", "synthetic-linear"],
+         "ingest needs a labeled --dataset")])
+    def test_exits_2_with_the_reason(self, tmp_path, monkeypatch, capsys,
+                                     argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "schema.txt").write_text("size: numeric\nlabel: kind\n")
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(
+            f"banditbench {argv[0]}: error: ")
+        assert message in err.splitlines()[-1]
+        assert "Traceback" not in err
+        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestIngest:
@@ -211,8 +307,10 @@ class TestIngest:
         assert first["provenance"] == f"{images};{labels}"
 
     def test_unknown_dataset(self, tmp_path):
-        assert main(["ingest", "--dataset", "nope",
-                     "--out-file", str(tmp_path / "m.json")]) == 2
+        with pytest.raises(SystemExit) as info:
+            main(["ingest", "--dataset", "nope",
+                  "--out-file", str(tmp_path / "m.json")])
+        assert info.value.code == 2
 
 
 class TestConfigFile:
@@ -313,8 +411,10 @@ class TestConfigKeysAreFlags:
 
 class TestIngestErrors:
     def test_csv_without_schema(self, tmp_path, capsys):
-        assert main(["ingest", "--dataset", "csv:x",
-                     "--out-file", str(tmp_path / "m.json")]) == 2
+        with pytest.raises(SystemExit) as info:
+            main(["ingest", "--dataset", "csv:x",
+                  "--out-file", str(tmp_path / "m.json")])
+        assert info.value.code == 2
         assert "schema" in capsys.readouterr().err
 
 

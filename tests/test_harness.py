@@ -72,6 +72,13 @@ class TestRounds:
         with pytest.raises(ValueError):
             build_rounds(config, 0)
 
+    @pytest.mark.parametrize("field,value", [("n_arms", 0), ("n_arms", -2),
+                                             ("raw_dim", 0)])
+    def test_rejects_an_empty_stream_shape(self, field, value):
+        # before round 1, not as numpy's or duplicate_half's error within it
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            fast_config(**{field: value})
+
     @pytest.mark.parametrize("dataset", ["mushroom-like", "csv",
                                          "synthetic-nonlinear"])
     def test_builds_only_the_rounds_played(self, tmp_path, monkeypatch,

@@ -616,6 +616,12 @@ class TestFactory:
         with pytest.raises(ValueError, match="posterior"):
             neural_cfg("neural-ts", posterior="Full")
 
+    def test_negative_stop_train_rejected(self):
+        # a negative round would otherwise mean never training, silently
+        with pytest.raises(ValueError, match="stop_train must be >= 0"):
+            neural_cfg("neural-ts", stop_train=-3)
+        neural_cfg("neural-ts", stop_train=0)
+
 
 LEARNING = ["neural-ts", "neural-ucb", "lin-ts", "lin-ucb", "kernel-ts",
             "kernel-ucb", "eps-greedy", "bootstrap-nn"]

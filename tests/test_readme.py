@@ -1,0 +1,54 @@
+"""Every `banditbench` command in the README's CLI block works with its
+defaults.  run and grid go as far as the check before round 1 (their
+episodes are covered elsewhere); ntk and ingest run to completion, in a
+directory that holds the data.csv and schema.txt the ingest example names."""
+
+import json
+import pathlib
+import re
+import shlex
+
+import pytest
+
+from banditbench import cli
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    text = README.read_text()
+    block = re.search(r"## CLI\n+```sh\n(.*?)```", text, re.S).group(1)
+    joined = block.replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in joined.splitlines()
+            if line.startswith("banditbench ")]
+
+
+COMMANDS = readme_commands()
+
+
+def test_the_block_names_every_subcommand():
+    assert sorted(argv[0] for argv in COMMANDS) == ["grid", "ingest", "ntk",
+                                                    "run"]
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+def test_command_works(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text(
+        "size,color,kind\n1.0,red,a\n2.0,blue,b\n0.5,red,b\n")
+    (tmp_path / "schema.txt").write_text(
+        "size: numeric\ncolor: categorical\nlabel: kind\n")
+    started = []
+    for name in ("cmd_run", "cmd_grid"):
+        monkeypatch.setattr(cli, name,
+                            lambda args: started.append(args.inputs) or 0)
+    assert cli.main(argv) == 0
+    if argv[0] in ("run", "grid"):
+        [experiment] = started
+        assert experiment.horizon == int(argv[argv.index("--T") + 1])
+    elif argv[0] == "ntk":
+        out = argv[argv.index("--out-file") + 1]
+        assert json.loads((tmp_path / out).read_text())["n_contexts"] > 0
+    else:
+        assert json.loads(capsys.readouterr().out)["rows"] == 3
+        assert (tmp_path / "manifest.json").exists()
