@@ -20,8 +20,8 @@ import numpy as np
 from . import envs, ntk
 from .data import write_manifest
 from .harness import (ExperimentConfig, build_rounds, emit_grid_summary,
-                      emit_outputs, grid_cells, run_grid, run_repeats,
-                      summarize)
+                      emit_outputs, grid_cells, pool_size, run_grid,
+                      run_repeats, summarize)
 from .nn import TrainConfig, TrainingDiverged
 from .policies import ALGORITHMS, PolicyConfig, make_policy
 
@@ -189,9 +189,9 @@ def _inputs(args: argparse.Namespace):
     """What the subcommand runs on, built from its flags: the dataset for
     ingest, the report for ntk, and for run or grid the experiment.  For
     run's config or every grid cell, the first episode's rounds and policy
-    are built too, so that what only they check is reported before any
-    episode runs.  Raises the ValueError or OSError of a value that cannot
-    be run."""
+    are built too, and the worker pool sized, so that what only they check
+    is reported before any episode runs.  Raises the ValueError or OSError
+    of a value that cannot be run."""
     if args.command == "ingest":
         if args.dataset in envs.SYNTHETIC:
             raise ValueError("ingest needs a labeled --dataset: mushroom-like, "
@@ -205,6 +205,7 @@ def _inputs(args: argparse.Namespace):
             n_arms=args.arms, raw_dim=args.raw_dim, schema=args.schema)
         return _ntk_report(build_rounds(stream, args.seed), args)
     experiment = build_experiment(args)
+    pool_size()  # rejects a BANDITBENCH_THREADS that is not an integer
     cells = [experiment]
     if args.command == "grid":
         cells = grid_cells(experiment, **_sweeps(experiment.policy.algorithm))

@@ -27,9 +27,11 @@ SYNTHETIC = {
 
 
 def synthetic_rounds(name: str, n_arms: int, raw_dim: int, horizon: int, seed,
-                     noise_sd: float = 0.1) -> list[BanditRound]:
+                     noise_sd: float = 0.1,
+                     duplicate: bool = True) -> list[BanditRound]:
     """Per-arm random unit contexts with Gaussian noise on the stream's
     reward: cos(3 x.a) for synthetic-nonlinear, x.w for synthetic-linear.
+    With duplicate, each context x is played as [x/sqrt(2); x/sqrt(2)].
 
     Built BLOCK_ROWS rounds at a time: one normal draw per block holds each
     round's (K, raw_dim) contexts followed by its K noise terms, the numbers
@@ -48,7 +50,8 @@ def synthetic_rounds(name: str, n_arms: int, raw_dim: int, horizon: int, seed,
         raw = raw / np.linalg.norm(raw, axis=2, keepdims=True)
         expected = reward(raw, direction)
         rewards = expected + noise_sd * draws[:, K * d:]
-        rounds.extend(map(BanditRound, duplicate_half(raw), expected, rewards))
+        contexts = duplicate_half(raw) if duplicate else raw
+        rounds.extend(map(BanditRound, contexts, expected, rewards))
     return rounds
 
 

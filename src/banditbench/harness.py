@@ -75,7 +75,8 @@ def build_rounds(config: ExperimentConfig, seed) -> list[BanditRound]:
     name = config.dataset
     if name in envs.SYNTHETIC:
         return envs.synthetic_rounds(name, config.n_arms, config.raw_dim,
-                                     config.horizon, seed, config.noise_sd)
+                                     config.horizon, seed, config.noise_sd,
+                                     config.duplicate)
     dataset = envs.load_dataset(name, config.schema)
     return envs.dataset_rounds(dataset, seed, config.horizon, config.duplicate)
 
@@ -124,18 +125,25 @@ def _episode_task(args):
     return run_episode(config, repeat)
 
 
-def _pool_size() -> int:
+def pool_size() -> int:
+    """Worker processes for repeats: the CPU count, capped by
+    BANDITBENCH_THREADS when it is set.  Raises ValueError if that is not
+    an integer."""
     cap = os.environ.get("BANDITBENCH_THREADS")
     n = os.cpu_count() or 1
     if cap:
-        n = min(n, max(int(cap), 1))
+        try:
+            n = min(n, max(int(cap), 1))
+        except ValueError:
+            raise ValueError("BANDITBENCH_THREADS must be an integer, "
+                             f"not {cap!r}") from None
     return n
 
 
 def run_repeats(config: ExperimentConfig, parallel: bool = True) -> list[RegretTrace]:
     """All repeats of one configuration, optionally over a process pool."""
     tasks = [(config, i) for i in range(config.repeats)]
-    workers = _pool_size()
+    workers = pool_size()
     if not parallel or workers == 1 or config.repeats == 1:
         return [run_episode(c, i) for c, i in tasks]
     # imported here: the pool's modules cost every process about 1.2 MiB

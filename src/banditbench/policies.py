@@ -180,7 +180,13 @@ class _NeuralBandit(_NetworkPolicy):
 
     def observe(self, context: np.ndarray, reward: float) -> None:
         super().observe(context, reward)
-        self.design.update(grad(self.net.theta, context))
+        g = grad(self.net.theta, context)
+        try:
+            self.design.update(g)
+        except np.linalg.LinAlgError as err:
+            # only a full-mode design can degenerate, and only the network
+            # policies can choose the diagonal one
+            raise np.linalg.LinAlgError(f"{err} or use --posterior diag") from err
 
 
 class NeuralTS(_NeuralBandit):

@@ -6,30 +6,26 @@ so it holds only a t x t factor of A^-1, which a BorderedInverse grows by one
 row per update without rewriting the rows it already holds.  A sigma is then
 one product with G and one with that factor, and memory grows with t.  Once t
 is a large enough share of dim, the p x p inverse of U costs less per round;
-full mode then builds it once from the dual form and keeps it up to date by
-rank-one Sherman-Morrison updates, applied in place one block of rows at a
-time, so that an update reads the inverse once and rewrites it once without a
-full-size temporary.  The primal inverse stays exactly symmetric, since
-u_i u_j == u_j u_i in IEEE arithmetic.  In primal form U itself is kept too,
-for `.matrix` and the rebuild fallback (taken if an update's denominator
-degenerates): G then holds only the features not yet added to U, and every
-_ROW_BLOCK of them are added in place and dropped, so memory stays at two
-p x p arrays however long the run.  Diagonal mode keeps only diag(U),
-matching the diagonal approximation used for wide networks.
+full mode then builds it once from the dual form, drops G and the factor, and
+keeps the inverse up to date by rank-one Sherman-Morrison updates, applied in
+place one block of rows at a time, so that an update reads the inverse once
+and rewrites it once without a full-size temporary.  The primal inverse stays
+exactly symmetric, since u_i u_j == u_j u_i in IEEE arithmetic.  U itself is
+never stored, so the primal form holds one p x p array however long the run.
+In exact arithmetic an update's Schur complement is at least reg*m and its
+Sherman-Morrison denominator at least 1; if rounding takes either to zero or
+below, the update raises LinAlgError and leaves the design as it was.
+Diagonal mode keeps only diag(U), matching the diagonal approximation used
+for wide networks.
 """
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 # Rows rewritten per pass of a rank-one update: a 32-row block of the
 # correction (435 KB at dim 1700) stays in cache between its computation and
-# its addition to the inverse.  Also the number of features primal form
-# gathers before it adds them to U.
+# its addition to the inverse.
 _ROW_BLOCK = 32
 # Full mode leaves the dual form once t reaches this fraction of dim.  A dual
 # round reads G (t x p) twice and the lower triangle of the t x t factor of
@@ -38,9 +34,11 @@ _ROW_BLOCK = 32
 # round cost 0.21-0.24, 0.26-0.33, 0.35-0.40 and 0.48-0.56 of a primal one at
 # t = 0.5, 0.6, 0.8 and 1.0 dim (dim 1700 and dim 850), and 0.76-0.94 at 1.4
 # dim.  The switch stays at 0.6 for memory: G and the factor grow by capacity
-# doubling, and the switch holds them, R G and the two p x p arrays at once.
-# At dim 1700, `--posterior full --T 5000` took 56.2 s and peaked at 114.6 MiB
-# with 0.6, and 49.1 s and 143.2 MiB with 1.0.
+# doubling, and the switch holds them, W = R G and the p x p inverse at once.
+# At dim 1700 that is 56.6 MiB, against the 22.5 MiB held after it, and
+# `--posterior full --T 5000` took 44.2 s and peaked at 105.4 MiB (one BLAS
+# thread).  With 1.0, and U stored beside its inverse, that run took 49.1 s
+# and peaked at 143.2 MiB, against 56.2 s and 114.6 MiB with 0.6.
 _DUAL_FRACTION = 0.6
 # Rows of the triangular factor per block of a product with it.  A product
 # then reads the lower triangle only, one 128-row panel at a time; at t=1000
@@ -69,10 +67,6 @@ class Rows:
         self._data[self._n] = row
         self._n += 1
         return self._n - 1
-
-    def clear(self) -> None:
-        """Drops every row and keeps the buffer."""
-        self._n = 0
 
     @property
     def array(self) -> np.ndarray:
@@ -178,14 +172,12 @@ class DesignMatrix:
         self.reg = reg
         self.width = width
         self.mode = mode
-        self.n_rebuilds = 0
         self.n_updates = 0
         if mode == "full":
             self._logdet = dim * np.log(reg)
             self._G = Rows((dim,))
             self._dual: BorderedInverse | None = BorderedInverse()
             self._inv: np.ndarray | None = None
-            self._U: np.ndarray | None = None
         else:
             self._diag = np.full(dim, reg)
 
@@ -221,41 +213,39 @@ class DesignMatrix:
         return (v - G.T @ self._dual.solve(G @ v)) / self.reg
 
     def update(self, g: np.ndarray) -> None:
-        """Rank-one update U += g g^T / m."""
+        """Rank-one update U += g g^T / m.  Raises LinAlgError, and changes
+        nothing, if rounding has cost U its positive definiteness."""
         g = self._check(g)
         m = self.width
-        self.n_updates += 1
         if self.mode == "diagonal":
             self._diag += g * g / m
-            return
-        if self._inv is None:
+        elif self._inv is None:
             # A gains the row G g and the diagonal entry reg*m + g^T g, and
             # det U grows by the factor s / (reg*m)
-            k = self._G.array @ g
-            s = self._dual.add(k, self.reg * m + float(g @ g))
-            self._G.append(g)
+            s = self._dual.add(self._G.array @ g, self.reg * m + float(g @ g))
             if s <= 0.0:
-                log.warning("bordered-inverse Schur complement %.3g <= 0; "
-                            "rebuilding inverse", s)
-                self._rebuild()
-                return
+                raise self._degenerate()
+            self._G.append(g)
             self._logdet += float(np.log(s / (self.reg * m)))
             if len(self._G) >= _DUAL_FRACTION * self.dim:
-                self._set_inverse(self._primal_inverse(), self.matrix)
-            return
-        self._G.append(g)
-        if len(self._G) == _ROW_BLOCK:
-            self._fold()
-        u = self._inv @ g
-        denom = 1.0 + float(g @ u) / m
-        if denom <= 0.0:
-            log.warning("Sherman-Morrison denominator %.3g <= 0; rebuilding inverse",
-                        denom)
-            self._rebuild()
-            return
-        # inv -= u u^T / (m * denom)
-        _add_outer(self._inv, u, -(m * denom), self._scratch)
-        self._logdet += float(np.log(denom))
+                self._inv = self._primal_inverse()
+                self._G = self._dual = None
+                self._scratch = np.empty((_ROW_BLOCK, self.dim))
+        else:
+            u = self._inv @ g
+            denom = 1.0 + float(g @ u) / m
+            if denom <= 0.0:
+                raise self._degenerate()
+            # inv -= u u^T / (m * denom)
+            _add_outer(self._inv, u, -(m * denom), self._scratch)
+            self._logdet += float(np.log(denom))
+        self.n_updates += 1
+
+    def _degenerate(self) -> np.linalg.LinAlgError:
+        return np.linalg.LinAlgError(
+            f"design matrix lost positive definiteness after {self.n_updates} "
+            f"updates (dim={self.dim}, reg={self.reg:g}, width={self.width}); "
+            "raise --lambda")
 
     def _primal_inverse(self) -> np.ndarray:
         """U^-1 = (I - W^T W) / reg with W = R G, from the dual form.  numpy
@@ -267,41 +257,6 @@ class DesignMatrix:
         inv.flat[::self.dim + 1] += 1.0 / self.reg
         return inv
 
-    def _set_inverse(self, inv: np.ndarray, U: np.ndarray) -> None:
-        """Continues in primal form from U and its inverse inv."""
-        self._inv = inv
-        self._U = U
-        self._G = Rows((self.dim,))
-        self._dual = None
-        self._scratch = np.empty((_ROW_BLOCK, self.dim))
-
-    def _fold(self) -> None:
-        """U += G^T G / m in place, one block of rows at a time through the
-        scratch, and empties G."""
-        G = self._G.array
-        for start in range(0, self.dim, _ROW_BLOCK):
-            stop = min(start + _ROW_BLOCK, self.dim)
-            block = self._scratch[:stop - start]
-            np.matmul(G[:, start:stop].T, G, out=block)
-            block /= self.width
-            self._U[start:stop] += block
-        self._G.clear()
-
-    def _rebuild(self) -> None:
-        self.n_rebuilds += 1
-        U = self.matrix
-        # slogdet and inv both factorise U by LU with partial pivoting, so a
-        # sign > 0 rules out the zero pivot on which inv would raise
-        sign, logdet = np.linalg.slogdet(U)
-        if sign <= 0:
-            raise np.linalg.LinAlgError(
-                f"design matrix lost positive definiteness after {self.n_updates} "
-                f"updates (dim={self.dim}, reg={self.reg:g}, width={self.width}); "
-                "raise --lambda or use --posterior diag")
-        inv = np.linalg.inv(U)
-        self._set_inverse((inv + inv.T) / 2.0, U)
-        self._logdet = logdet
-
     @property
     def logdet(self) -> float:
         """log det U: a running sum in full mode, summed when read in
@@ -309,20 +264,6 @@ class DesignMatrix:
         if self.mode == "diagonal":
             return float(np.sum(np.log(self._diag)))
         return self._logdet
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The accumulated U (materialized in both modes)."""
-        if self.mode == "full":
-            G = self._G.array
-            U = G.T @ G
-            U /= self.width
-            if self._U is None:
-                U.flat[::self.dim + 1] += self.reg
-            else:
-                U += self._U
-            return U
-        return np.diag(self._diag)
 
     @property
     def inverse(self) -> np.ndarray:

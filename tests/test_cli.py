@@ -200,17 +200,20 @@ class TestNtkStream:
         np.testing.assert_array_equal(
             seen[0], np.concatenate([r.contexts for r in rounds]))
 
+    @pytest.mark.parametrize("dataset,n", [("mushroom-like", "3"),
+                                           ("synthetic-nonlinear", "2")])
     def test_no_duplicate_halves_the_context_width(self, tmp_path,
-                                                   monkeypatch):
+                                                   monkeypatch, dataset, n):
         widths = []
         real = ntk.ntk_matrix
         monkeypatch.setattr(ntk, "ntk_matrix",
                             lambda contexts, depth: widths.append(
                                 contexts.shape[1]) or real(contexts, depth))
-        self.report(tmp_path, "--dataset", "mushroom-like", "--n", "3")
-        self.report(tmp_path, "--dataset", "mushroom-like", "--n", "3",
-                    "--no-duplicate")
+        self.report(tmp_path, "--dataset", dataset, "--n", n)
+        self.report(tmp_path, "--dataset", dataset, "--n", n, "--no-duplicate")
         assert widths[1] * 2 == widths[0]
+        if dataset == "synthetic-nonlinear":
+            assert widths[1] == 8  # --raw-dim
 
 
 class TestNtkIngestRejections:
@@ -429,3 +432,39 @@ class TestDivergenceMessage:
         assert err.startswith("banditbench: error: neural-ts on "
                               "synthetic-nonlinear, round ")
         assert "of 300, episode seed 0: training diverged" in err
+
+
+class TestDegenerateUpdateMessage:
+    def test_lin_ts_exits_1_naming_only_its_remedy(self, tmp_path, capsys):
+        # one feature value under two labels: every round's contexts are the
+        # same two vectors, and at lambda 1e-20 the third update rounds U to
+        # a singular matrix
+        table = tmp_path / "same.csv"
+        table.write_text("size,kind\n" + "1.0,a\n1.0,b\n" * 4)
+        schema = tmp_path / "schema.txt"
+        schema.write_text("size: numeric\nlabel: kind\n")
+        args = ["run", "--algo", "lin-ts", "--dataset", f"csv:{table}",
+                "--schema", str(schema), "--lambda", "1e-20", "--T", "8",
+                "--repeats", "1", "--serial", "--out", str(tmp_path / "out")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"banditbench: error: lin-ts on csv:{table}, "
+                              "round 3 of 8, episode seed 0: design matrix "
+                              "lost positive definiteness")
+        assert err.rstrip().endswith("; raise --lambda")
+        assert "--posterior" not in err
+        assert "Traceback" not in err
+
+
+class TestThreadCap:
+    def test_non_integer_exits_2_before_any_episode(self, tmp_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.setenv("BANDITBENCH_THREADS", "two")
+        with pytest.raises(SystemExit) as info:
+            main(run_args(tmp_path, "--T", "5"))
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == ("banditbench run: error: "
+                                        "BANDITBENCH_THREADS must be an "
+                                        "integer, not 'two'")
+        assert not (tmp_path / "out").exists()

@@ -67,6 +67,16 @@ class TestRounds:
         assert len(rounds) == 50
         assert rounds[0].contexts.shape[0] == 2
 
+    def test_synthetic_no_duplicate_plays_the_raw_contexts(self):
+        config = fast_config(horizon=4, n_arms=4, raw_dim=8, duplicate=False)
+        rounds = build_rounds(config, 0)
+        wide = build_rounds(replace(config, duplicate=True), 0)
+        assert [r.contexts.shape for r in rounds] == [(4, 8)] * 4
+        for narrow, w in zip(rounds, wide):
+            np.testing.assert_array_equal(duplicate_half(narrow.contexts),
+                                          w.contexts)
+            np.testing.assert_array_equal(narrow.rewards, w.rewards)
+
     def test_horizon_exceeding_dataset(self):
         config = fast_config(dataset="mushroom-like", horizon=9000)
         with pytest.raises(ValueError):
@@ -414,7 +424,13 @@ class TestOutputs:
 class TestPool:
     def test_thread_cap_env(self, monkeypatch):
         monkeypatch.setenv("BANDITBENCH_THREADS", "1")
-        assert harness._pool_size() == 1
+        assert harness.pool_size() == 1
+
+    def test_thread_cap_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv("BANDITBENCH_THREADS", "two")
+        with pytest.raises(ValueError, match="BANDITBENCH_THREADS must be an "
+                           "integer, not 'two'"):
+            harness.pool_size()
 
     def test_parallel_matches_serial(self):
         config = fast_config(algorithm="uniform", repeats=2, horizon=20)

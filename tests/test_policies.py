@@ -134,6 +134,17 @@ class TestNeuralTS:
 
         assert decisions(11) == decisions(11)
 
+    def test_degenerate_update_names_both_remedies(self):
+        # frozen weights give one context the same feature every time, and
+        # at reg=1e-20 its copies soon round U to a singular matrix
+        policy = make_policy(neural_cfg("neural-ts", reg=1e-20, stop_train=0),
+                             2, seed=0)
+        x = np.array([0.6, 0.8])
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="; raise --lambda or use --posterior diag$"):
+            for _ in range(40):
+                policy.observe(x, 1.0)
+
 
 class TestNeuralUCB:
     def test_nu_zero_matches_ts(self):

@@ -62,8 +62,10 @@ class TestSigma:
 class TestUpdate:
     def test_diagonal_arithmetic(self):
         design = DesignMatrix(2, reg=1.0, width=1, mode="diagonal")
-        design.update(np.array([1.0, 0.0]))
-        np.testing.assert_allclose(np.diag(design.matrix), [2.0, 1.0])
+        g = np.array([1.0, 0.0])
+        design.update(g)
+        U = np.eye(2) + np.outer(g, g)  # diag(2, 1)
+        np.testing.assert_allclose(design.inverse, np.linalg.inv(U))
 
     def test_sherman_morrison_vs_direct(self):
         rng = np.random.default_rng(2)
@@ -122,9 +124,11 @@ class TestUpdate:
     def test_diagonal_logdet_is_sum_of_logs(self):
         rng = np.random.default_rng(8)
         design = DesignMatrix(7, reg=0.3, width=2, mode="diagonal")
+        diag = np.full(7, 0.3)  # diag(U), updated as the design updates it
         for _ in range(25):
-            design.update(rng.standard_normal(7))
-            diag = np.diag(design.matrix)
+            g = rng.standard_normal(7)
+            design.update(g)
+            diag += g * g / 2
             assert design.logdet == float(np.sum(np.log(diag)))
 
     def test_inverse_symmetric(self):
@@ -134,15 +138,6 @@ class TestUpdate:
             design.update(rng.standard_normal(12))
         inv = design.inverse
         np.testing.assert_array_equal(inv, inv.T)
-
-    def test_rebuild_recovers_inverse(self):
-        design = DesignMatrix(4, reg=1.0, width=1, mode="full")
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            design.update(rng.standard_normal(4))
-        design._rebuild()
-        assert design.n_rebuilds == 1
-        assert np.max(np.abs(design.inverse - np.linalg.inv(design.matrix))) < 1e-10
 
 
 class SeedDesignMatrix:
@@ -182,6 +177,15 @@ def _features(n, p, seed=9):
     return np.random.default_rng(seed).standard_normal((n, p))
 
 
+def _held_bytes(obj):
+    """Bytes of the arrays obj holds, through its helper objects."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if hasattr(obj, "__dict__"):
+        return sum(_held_bytes(v) for v in vars(obj).values())
+    return 0
+
+
 class TestInPlaceUpdate:
     # p is not a multiple of the 32-row block, and p=5 is smaller than one
     # row block; both runs cross from the dual to the primal form
@@ -202,29 +206,6 @@ class TestInPlaceUpdate:
         np.testing.assert_allclose(design.sigma(probes), ref.sigma(probes),
                                    rtol=1e-9)
 
-    def test_matrix_includes_pending_features(self):
-        p, m, reg = 77, 3, 0.6
-        design = DesignMatrix(p, reg=reg, width=m, mode="full")
-        G = _features(150, p)
-        for g in G:
-            design.update(g)
-        want = reg * np.eye(p) + sum(np.outer(g, g) for g in G) / m
-        assert np.max(np.abs(design.matrix - want)) < 1e-12
-
-    def test_rebuild_includes_pending_features(self):
-        p, m, reg = 77, 3, 0.6
-        design = DesignMatrix(p, reg=reg, width=m, mode="full")
-        G = _features(100, p)  # 53 primal updates: one block added to U, 21 not
-        for g in G:
-            design.update(g)
-        assert len(design._G) == 100 - _switch_round(p) - _ROW_BLOCK
-        design._rebuild()
-        want = np.linalg.inv(reg * np.eye(p) + G.T @ G / m)
-        assert np.max(np.abs(design.inverse - want)) < 1e-10
-        assert np.max(np.abs(design.inverse - np.linalg.inv(design.matrix))) < 1e-10
-        assert design.logdet == pytest.approx(np.linalg.slogdet(design.matrix)[1],
-                                              abs=1e-9)
-
     def test_update_allocates_less_than_one_matrix(self):
         p = 400
         design = DesignMatrix(p, reg=1.0, width=2, mode="full")
@@ -241,10 +222,11 @@ class TestInPlaceUpdate:
             tracemalloc.stop()
         assert peak < p * p * 8
 
-    def test_adding_features_to_U_allocates_less_than_one_matrix(self):
+    def test_switch_allocates_less_than_two_matrices(self):
+        # W = R G and the inverse built from it, not U beside them
         p = 400
         design = DesignMatrix(p, reg=1.0, width=2, mode="full")
-        G = _features(_switch_round(p) + _ROW_BLOCK, p)
+        G = _features(_switch_round(p), p)
         for g in G[:-1]:
             design.update(g)
         tracemalloc.start()
@@ -254,20 +236,51 @@ class TestInPlaceUpdate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(design._G) == 0
-        assert peak < p * p * 8
+        assert design._inv is not None
+        assert peak < 2 * p * p * 8
 
-    def test_rebuild_failure_names_config_and_remedy(self):
-        # reg far below the rounding of g g^T: U rounds to the singular ones
-        # matrix, so the fallback cannot rebuild its inverse
+    def test_primal_form_holds_one_matrix(self):
+        p = 400
+        design = DesignMatrix(p, reg=1.0, width=2, mode="full")
+        for g in _features(_switch_round(p) + 40, p):
+            design.update(g)
+        assert _held_bytes(design) < 1.5 * p * p * 8
+
+    def test_degenerate_dual_update_names_config_and_remedy(self):
+        # reg far below the rounding of g g^T: the second copy of g leaves a
+        # Schur complement of 3 - 3 = 0, and update raises before it changes
+        # anything
         design = DesignMatrix(3, reg=1e-20, width=1, mode="full")
         design.update(np.ones(3))
+        logdet = design.logdet
         with pytest.raises(np.linalg.LinAlgError) as err:
-            design._rebuild()
+            design.update(np.ones(3))
         message = str(err.value)
         for part in ("after 1 updates", "dim=3", "reg=1e-20", "width=1",
-                     "--lambda", "--posterior diag"):
+                     "raise --lambda"):
             assert part in message
+        assert "--posterior" not in message
+        assert (design.n_updates, len(design._G), design._dual.n) == (1, 1, 1)
+        assert design.logdet == logdet
+
+    def test_degenerate_primal_update_changes_nothing(self):
+        # three features in a plane of R^3 at reg=1e-16: the inverse's
+        # entries of order 1/reg along the normal cancel to rounding error,
+        # and the third update's denominator, >= 1 in exact arithmetic,
+        # comes out <= 0
+        rng = np.random.default_rng(4)
+        plane = rng.standard_normal((2, 3))
+        G = rng.standard_normal((3, 2)) @ plane
+        design = DesignMatrix(3, reg=1e-16, width=1, mode="full")
+        for g in G[:2]:
+            design.update(g)
+        assert design._inv is not None
+        inv, logdet = design.inverse, design.logdet
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="after 2 updates .*; raise --lambda$"):
+            design.update(G[2])
+        np.testing.assert_array_equal(design.inverse, inv)
+        assert (design.n_updates, design.logdet) == (2, logdet)
 
 
 class TestDualForm:
@@ -293,7 +306,6 @@ class TestDualForm:
             assert design.sigma(probes[0]) == pytest.approx(want[0], rel=1e-9)
             assert design.logdet == pytest.approx(np.linalg.slogdet(U)[1],
                                                   rel=1e-9)
-            np.testing.assert_allclose(design.matrix, U, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(design.solve(probes[0]),
                                        np.linalg.solve(U, probes[0]),
                                        rtol=1e-9, atol=1e-12)
