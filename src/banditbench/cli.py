@@ -139,7 +139,7 @@ def build_experiment(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _sweeps(algo: str) -> dict:
-    """grid's reg/nu/eps sweeps (run_grid's arguments) for an algorithm."""
+    """grid's reg/nu/eps sweeps (grid_cells' arguments) for an algorithm."""
     if algo in ("neural-ts", "neural-ucb"):
         return {"regs": NEURAL_REG_GRID, "nus": NEURAL_NU_GRID}
     if algo in ("lin-ts", "lin-ucb", "kernel-ts", "kernel-ucb"):
@@ -149,12 +149,15 @@ def _sweeps(algo: str) -> dict:
     return {}
 
 
-def _ntk_report(rounds: list, args: argparse.Namespace) -> dict:
-    """NTK diagnostics over every arm's context in rounds, with the budget
-    T*K of a horizon-T episode on their stream's K arms.  The ValueErrors
-    its checks raise are all about flag values (--lambda, --depth, --T,
-    --delta), so it runs before the command starts."""
+def _ntk_report(stream: ExperimentConfig, args: argparse.Namespace) -> dict:
+    """NTK diagnostics over every arm's context in the stream's rounds, with
+    the budget T*K of a horizon-T episode on its K arms, the rounds' expected
+    rewards as h and the stream's noise as R (0 for indicator rewards).  Its
+    ValueErrors are all about flags (--lambda, --depth, --T, --delta)."""
+    rounds = build_rounds(stream, args.seed)
     contexts = np.concatenate([r.contexts for r in rounds])
+    h = np.concatenate([r.expected_rewards for r in rounds])
+    R = stream.noise_sd if stream.dataset in envs.SYNTHETIC else 0.0
     K = rounds[0].contexts.shape[0]
     kernel = ntk.ntk_matrix(contexts, args.depth)
     report = ntk.effective_dimension(kernel.H, args.reg, args.horizon * K)
@@ -168,15 +171,12 @@ def _ntk_report(rounds: list, args: argparse.Namespace) -> dict:
         "min_eigenvalue": float(evals[-1]),
         "max_eigenvalue": float(evals[0]),
         "spectrum": evals.tolist(),
-        "H": kernel.H.tolist(),
+        "R": R,
     }
-    h = (np.zeros(contexts.shape[0]) if args.rewards == "zero"
-         else np.cos(3.0 * contexts @ contexts[0]))
     try:
-        B = ntk.theory_B(h, kernel.H)
-        out["B"] = B
-        out["nu_theory"] = ntk.theory_nu(B, args.R, report.eff_dim,
-                                         args.horizon, K, args.reg, args.delta)
+        out["B"] = B = ntk.theory_B(h, kernel.H)
+        out["nu_theory"] = ntk.theory_nu(B, R, report.eff_dim, args.horizon,
+                                         K, args.reg, args.delta)
     except np.linalg.LinAlgError as err:
         out.update(B=None, nu_theory=None, note=str(err))
     out["width_condition"] = ntk.check_width_condition(
@@ -187,11 +187,11 @@ def _ntk_report(rounds: list, args: argparse.Namespace) -> dict:
 
 def _inputs(args: argparse.Namespace):
     """What the subcommand runs on, built from its flags: the dataset for
-    ingest, the report for ntk, and for run or grid the experiment.  For
-    run's config or every grid cell, the first episode's rounds and policy
-    are built too, and the worker pool sized, so that what only they check
-    is reported before any episode runs.  Raises the ValueError or OSError
-    of a value that cannot be run."""
+    ingest, the report for ntk, the experiment for run and its cells for
+    grid.  For run's config or every grid cell, the first episode's rounds
+    and policy are built too, and the worker pool sized, so that what only
+    they check is reported before any episode runs.  Raises the ValueError
+    or OSError of a value that cannot be run."""
     if args.command == "ingest":
         if args.dataset in envs.SYNTHETIC:
             raise ValueError("ingest needs a labeled --dataset: mushroom-like, "
@@ -203,7 +203,7 @@ def _inputs(args: argparse.Namespace):
             dataset=args.dataset, policy=PolicyConfig("neural-ts"),
             horizon=args.n, duplicate=not args.no_duplicate,
             n_arms=args.arms, raw_dim=args.raw_dim, schema=args.schema)
-        return _ntk_report(build_rounds(stream, args.seed), args)
+        return _ntk_report(stream, args)
     experiment = build_experiment(args)
     pool_size()  # rejects a BANDITBENCH_THREADS that is not an integer
     cells = [experiment]
@@ -212,7 +212,7 @@ def _inputs(args: argparse.Namespace):
     rounds = build_rounds(experiment, experiment.base_seed)  # cells share them
     for cell in cells:
         make_policy(cell.policy, rounds[0].contexts.shape[1], cell.base_seed)
-    return experiment
+    return cells if args.command == "grid" else experiment
 
 
 def _rejection(args: argparse.Namespace) -> str | None:
@@ -236,9 +236,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    config = args.inputs
-    table, best = run_grid(config, **_sweeps(config.policy.algorithm),
-                           parallel=not args.serial)
+    table, best = run_grid(args.inputs, parallel=not args.serial)
     emit_grid_summary(table, args.out)
     for row in table:
         print(f"lambda={row['reg']:<8g} nu={row['nu']:<8g} eps={row['eps']:<6g} "
@@ -289,10 +287,7 @@ def main(argv=None) -> int:
     ntk_parser = commands["ntk"]
     ntk_parser.add_argument("--n", type=int, default=50, help="rounds of the "
                             "stream whose arms' contexts the kernel is over")
-    ntk_parser.add_argument("--R", type=float, default=0.1)
     ntk_parser.add_argument("--delta", type=float, default=0.1)
-    ntk_parser.add_argument("--rewards", choices=("cosine", "zero"),
-                            default="cosine")
     commands["ingest"].set_defaults(out_file="manifest.json")
 
     args = parser.parse_args(argv)

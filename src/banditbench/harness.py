@@ -2,12 +2,13 @@
 
 An episode plays one seeded pass over a round stream: select, pay the
 realized reward, and buffer the observation; buffered observations reach the
-policy only at delay-batch boundaries (and at the final round).  Grid runs
-fan episodes out over a process pool capped by BANDITBENCH_THREADS.
+policy only at delay-batch boundaries (and at the final round).  A run's or
+a grid's episodes fan out over one process pool capped by BANDITBENCH_THREADS.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
@@ -120,11 +121,6 @@ def run_episode(config: ExperimentConfig, repeat_index: int) -> RegretTrace:
     return trace
 
 
-def _episode_task(args):
-    config, repeat = args
-    return run_episode(config, repeat)
-
-
 def pool_size() -> int:
     """Worker processes for repeats: the CPU count, capped by
     BANDITBENCH_THREADS when it is set.  Raises ValueError if that is not
@@ -140,16 +136,28 @@ def pool_size() -> int:
     return n
 
 
+def run_cells(cells: list[ExperimentConfig], parallel: bool = True):
+    """Yields each cell's list of traces, in cell order.  Every repeat of
+    every cell is an episode of one map, in-process or over one process
+    pool, so a cell's traces are ready once its own episodes are."""
+    configs = [cell for cell in cells for _ in range(cell.repeats)]
+    repeats = [i for cell in cells for i in range(cell.repeats)]
+    with contextlib.ExitStack() as stack:
+        traces = map(run_episode, configs, repeats)
+        workers = min(pool_size(), len(configs))
+        if parallel and workers > 1:
+            # imported here: the pool's modules cost every process about 1.2 MiB
+            from concurrent.futures import ProcessPoolExecutor
+            pool = stack.enter_context(ProcessPoolExecutor(workers))
+            traces = pool.map(run_episode, configs, repeats)
+        for cell in cells:
+            yield list(itertools.islice(traces, cell.repeats))
+
+
 def run_repeats(config: ExperimentConfig, parallel: bool = True) -> list[RegretTrace]:
     """All repeats of one configuration, optionally over a process pool."""
-    tasks = [(config, i) for i in range(config.repeats)]
-    workers = pool_size()
-    if not parallel or workers == 1 or config.repeats == 1:
-        return [run_episode(c, i) for c, i in tasks]
-    # imported here: the pool's modules cost every process about 1.2 MiB
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(workers, config.repeats)) as pool:
-        return list(pool.map(_episode_task, tasks))
+    [traces] = run_cells([config], parallel)
+    return traces
 
 
 def summarize(traces: list[RegretTrace]) -> dict:
@@ -184,18 +192,16 @@ def grid_cells(config: ExperimentConfig, regs=(), nus=(),
     return cells
 
 
-def run_grid(config: ExperimentConfig, regs=(), nus=(), epss=(),
-             parallel: bool = True):
-    """Runs every cell of grid_cells(config, regs, nus, epss); returns
-    (table, best_row).
+def run_grid(cells: list[ExperimentConfig], parallel: bool = True):
+    """Runs every cell (as grid_cells builds them); returns (table, best_row).
 
     Every cell is reported; the best cell has the smallest mean terminal
     regret, ties broken toward smaller nu, then smaller reg, then smaller
     eps.
     """
     table = []
-    for cell in grid_cells(config, regs, nus, epss):
-        stats = summarize(run_repeats(cell, parallel=parallel))
+    for traces, cell in zip(run_cells(cells, parallel), cells):
+        stats = summarize(traces)
         table.append({"reg": cell.policy.reg, "nu": cell.policy.nu,
                       "eps": cell.policy.eps,
                       "mean": stats["mean"], "stderr": stats["stderr"],

@@ -4,12 +4,12 @@ Neural Thompson sampling and its deterministic UCB twin keep the ridge
 posterior over gradient features, the linear baselines the same posterior over
 the contexts themselves, and the kernelized baselines its dual form over an
 RBF Gram matrix; epsilon-greedy and the bootstrap ensemble explore without a
-posterior.  The four network policies keep one growing (context, reward)
-history and train their networks as one stack with one nn.train call per
-observe: one network, or the bootstrap ensemble's n_networks, each with the
-indices of the history rows it includes.  select never mutates policy state
-(beyond its own RNG stream) and observe never touches the selection RNG, so
-the decision sequence is fully determined by (seed, config, data order).
+posterior.  Until the stop-train round, the four network policies grow one
+(context, reward) history and train their networks as one stack with one
+nn.train call per observe: one network, or the bootstrap ensemble's
+n_networks, each with the indices of the history rows it includes.  select
+never mutates policy state (beyond its own RNG stream) and observe never
+touches the selection RNG, so (seed, config, data order) fixes the decisions.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class PolicyConfig:
     reg: float = 1.0
     train: TrainConfig = field(default_factory=TrainConfig)
     posterior: str = "diagonal"
-    stop_train: int | None = 1000
+    stop_train: int = 1000
     eps: float = 0.05
     n_networks: int = 10
     include_prob: float = 0.8
@@ -53,7 +53,7 @@ class PolicyConfig:
     def __post_init__(self):
         if self.nu < 0:
             raise ValueError("nu must be nonnegative")
-        if self.stop_train is not None and self.stop_train < 0:
+        if self.stop_train < 0:
             raise ValueError("stop_train must be >= 0")
         if self.posterior not in ("diagonal", "full"):
             raise ValueError(f"unknown posterior {self.posterior!r}; "
@@ -136,16 +136,16 @@ class _NetworkPolicy(Policy):
         self.t = 0
 
     def observe(self, context: np.ndarray, reward: float) -> None:
-        """Appends (context, reward) to the history and, until the stop-train
-        round, trains every network from where it stands (a warm start).
-
+        """Until the stop-train round, appends (context, reward) to the
+        history and trains every network from where it stands (a warm start).
         In network order, each network includes the row (the draw comes from
         the observation stream) and then draws its minibatches: the order in
-        which networks fitted one at a time would draw.
-        """
+        which networks fitted one at a time would draw.  Past that round no
+        fit reads the history, so nothing is stored."""
         _check_reward(reward)
         self.t += 1
-        fit = self.cfg.stop_train is None or self.t <= self.cfg.stop_train
+        if self.t > self.cfg.stop_train:
+            return
         self.contexts.append(context)
         row = self.rewards.append(float(reward))
         batches = []
@@ -153,13 +153,11 @@ class _NetworkPolicy(Policy):
             if (self.include_prob is None
                     or self.observe_rng.random() < self.include_prob):
                 net.history.append(row)
-            if fit:
-                batches.append(draw_batches(net.history.array, self.cfg.train,
-                                            self.observe_rng))
-        if fit:
-            data = Batches(self.contexts.array, self.rewards.array,
-                           [len(net.history) for net in self.nets], batches)
-            train(self.theta0, self.theta, data, self.cfg.train)
+            batches.append(draw_batches(net.history.array, self.cfg.train,
+                                        self.observe_rng))
+        data = Batches(self.contexts.array, self.rewards.array,
+                       [len(net.history) for net in self.nets], batches)
+        train(self.theta0, self.theta, data, self.cfg.train)
 
 
 class _NeuralBandit(_NetworkPolicy):
@@ -300,7 +298,7 @@ class KernelPolicy(Policy):
     def observe(self, context: np.ndarray, reward: float) -> None:
         _check_reward(reward)
         self.t += 1
-        if self.cfg.stop_train is not None and self.t > self.cfg.stop_train:
+        if self.t > self.cfg.stop_train:
             return
         x = np.asarray(context, dtype=np.float64)
         # k(x, x) = 1, so the new diagonal entry is 1 + reg

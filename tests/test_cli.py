@@ -154,7 +154,7 @@ class TestNtk:
                 "--T", "100", "--arms", "2", "--out-file", str(out)]
         assert main(args) == 0
         report = json.loads(out.read_text())
-        for key in ("eff_dim", "spectrum", "H", "B", "nu_theory",
+        for key in ("eff_dim", "spectrum", "B", "nu_theory",
                     "width_condition", "min_eigenvalue"):
             assert key in report
         assert report["n_contexts"] == 10
@@ -168,21 +168,27 @@ class TestNtk:
         assert json.loads(out.read_text())["n_contexts"] == 12
 
 
+def ntk_report(tmp_path, *flags):
+    out = tmp_path / "report.json"
+    assert main(["ntk", *flags, "--out-file", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
 class TestNtkStream:
     """ntk's contexts are every arm's context in the first --n rounds of the
     stream that run plays, and its K is that stream's arm count."""
 
-    def report(self, tmp_path, *flags):
-        out = tmp_path / "report.json"
-        assert main(["ntk", *flags, "--out-file", str(out)]) == 0
-        return json.loads(out.read_text())
+    report = staticmethod(ntk_report)
 
     def test_contexts_and_budget_come_from_the_stream(self, tmp_path):
         report = self.report(tmp_path, "--dataset", "synthetic-linear",
                              "--n", "5", "--arms", "2", "--T", "300",
                              "--lambda", "0.5")
         assert report["n_contexts"] == 10
-        H = np.array(report["H"])
+        config = ExperimentConfig("synthetic-linear", PolicyConfig("neural-ts"),
+                                  horizon=5, n_arms=2)
+        contexts = np.concatenate([r.contexts for r in build_rounds(config, 0)])
+        H = ntk.ntk_matrix(contexts, 2).H
         expected = ntk.effective_dimension(H, 0.5, 300 * 2)
         assert report["eff_dim"] == pytest.approx(expected.eff_dim, rel=1e-12)
 
@@ -214,6 +220,53 @@ class TestNtkStream:
         assert widths[1] * 2 == widths[0]
         if dataset == "synthetic-nonlinear":
             assert widths[1] == 8  # --raw-dim
+
+
+class TestNtkTheoryFromTheStream:
+    """B is over the stream's own expected rewards and R is its noise: the
+    synthetic streams' noise_sd, 0 for a labeled dataset."""
+
+    report = staticmethod(ntk_report)
+
+    def test_b_is_over_the_expected_rewards(self, tmp_path):
+        flags = ("--n", "5", "--arms", "2")
+        report = self.report(tmp_path, "--dataset", "synthetic-linear", *flags)
+        config = ExperimentConfig("synthetic-linear", PolicyConfig("neural-ts"),
+                                  horizon=5, n_arms=2)
+        rounds = build_rounds(config, 0)
+        h = np.concatenate([r.expected_rewards for r in rounds])
+        H = ntk.ntk_matrix(np.concatenate([r.contexts for r in rounds]), 2).H
+        assert report["B"] == ntk.theory_B(h, H)
+        assert report["R"] == config.noise_sd
+        assert report["nu_theory"] > report["B"]
+        nonlinear = self.report(tmp_path, "--dataset", "synthetic-nonlinear",
+                                *flags)
+        assert nonlinear["B"] != report["B"]
+
+    def test_labeled_rewards_carry_no_noise(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("size,color,kind\n1.0,red,a\n2.0,blue,b\n"
+                        "0.5,green,a\n3.0,red,b\n")
+        schema = tmp_path / "schema.txt"
+        schema.write_text("size: numeric\ncolor: categorical\nlabel: kind\n")
+        report = self.report(tmp_path, "--dataset", f"csv:{data}", "--schema",
+                             str(schema), "--n", "4")
+        assert report["R"] == 0.0
+        assert report["B"] is not None
+        assert report["nu_theory"] == report["B"]
+
+    def test_report_holds_no_kernel_matrix(self, tmp_path):
+        report = self.report(tmp_path, "--n", "5")
+        assert "H" not in report
+        assert len(report["spectrum"]) == 20
+
+    @pytest.mark.parametrize("flag,value", [("--rewards", "zero"),
+                                            ("--R", "0.5")])
+    def test_removed_flags_exit_2(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as info:
+            main(["ntk", "--n", "2", flag, value])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestNtkIngestRejections:

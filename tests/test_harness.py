@@ -10,8 +10,9 @@ from regret_equivalence import assert_regret_equivalent
 from banditbench import data, envs, harness
 from banditbench.data import BLOCK_ROWS, duplicate_half
 from banditbench.harness import (ExperimentConfig, RegretTrace, build_rounds,
-                                 emit_grid_summary, emit_outputs, read_traces,
-                                 run_episode, run_grid, run_repeats, summarize)
+                                 emit_grid_summary, emit_outputs, grid_cells,
+                                 read_traces, run_cells, run_episode, run_grid,
+                                 run_repeats, summarize)
 from banditbench.nn import TrainConfig
 from banditbench.policies import Policy, Decision, PolicyConfig
 
@@ -317,25 +318,79 @@ class TestSummarize:
 class TestGrid:
     def test_single_cell_equals_repeats(self):
         config = fast_config(algorithm="uniform", repeats=2)
-        table, best = run_grid(config, parallel=False)
+        table, best = run_grid([config], parallel=False)
         assert len(table) == 1
         direct = summarize(run_repeats(config, parallel=False))
         assert best["mean"] == pytest.approx(direct["mean"])
 
     def test_grid_counting(self):
         config = fast_config(algorithm="uniform", repeats=2)
-        table, _ = run_grid(config, regs=(1.0, 0.1), nus=(0.1, 0.01),
-                            parallel=False)
+        cells = grid_cells(config, regs=(1.0, 0.1), nus=(0.1, 0.01))
+        table, _ = run_grid(cells, parallel=False)
         assert len(table) == 4
 
     def test_tie_break_smaller_nu_then_reg(self):
         # uniform ignores nu/reg so every cell ties; the winner must be the
         # smallest nu, then the smallest reg
         config = fast_config(algorithm="uniform", repeats=1)
-        _, best = run_grid(config, regs=(1.0, 0.1), nus=(0.1, 0.01),
+        _, best = run_grid(grid_cells(config, regs=(1.0, 0.1), nus=(0.1, 0.01)),
                            parallel=False)
         assert best["nu"] == 0.01
         assert best["reg"] == 0.1
+
+
+class TestCells:
+    """run_cells plays every cell's repeats as one map: one pool for a whole
+    grid, and each cell's traces handed over as soon as they exist."""
+
+    @staticmethod
+    def counting_pools(monkeypatch):
+        import concurrent.futures
+
+        made = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            CountingPool)
+        monkeypatch.setattr(harness, "pool_size", lambda: 2)
+        return made
+
+    def test_one_pool_for_the_whole_grid(self, monkeypatch):
+        made = self.counting_pools(monkeypatch)
+        cells = grid_cells(fast_config(algorithm="uniform", repeats=2),
+                           nus=(0.1, 0.01, 0.001))
+        table, _ = run_grid(cells, parallel=True)
+        assert len(table) == 3
+        assert len(made) == 1
+
+    def test_pooled_single_repeat_grid_equals_serial(self, monkeypatch):
+        made = self.counting_pools(monkeypatch)
+        cells = grid_cells(fast_config(repeats=1, horizon=15),
+                           regs=(1.0, 0.1), nus=(0.1, 0.01))
+        serial, _ = run_grid(cells, parallel=False)
+        assert not made
+        pooled, _ = run_grid(cells, parallel=True)
+        assert len(made) == 1
+        assert pooled == serial
+
+    def test_yields_a_cell_after_its_own_repeats(self, monkeypatch):
+        played = []
+        real = harness.run_episode
+        monkeypatch.setattr(harness, "run_episode",
+                            lambda config, i: played.append((config, i))
+                            or real(config, i))
+        cells = [fast_config(algorithm="uniform", repeats=3, base_seed=s)
+                 for s in (0, 1)]
+        cell_traces = run_cells(cells, parallel=False)
+        first = next(cell_traces)
+        assert played == [(cells[0], 0), (cells[0], 1), (cells[0], 2)]
+        assert [tr.seed for tr in first] == [0, 1, 2]
+        assert [tr.seed for tr in next(cell_traces)] == [1, 0, 3]
+        assert len(played) == 6
 
 
 class TestOutputs:
@@ -357,7 +412,8 @@ class TestOutputs:
 
     def test_summary_rows_match_grid_cells(self, tmp_path):
         config = fast_config(algorithm="uniform", repeats=1)
-        table, _ = run_grid(config, regs=(1.0, 0.1), nus=(0.1,), parallel=False)
+        table, _ = run_grid(grid_cells(config, regs=(1.0, 0.1), nus=(0.1,)),
+                            parallel=False)
         emit_grid_summary(table, str(tmp_path))
         lines = (tmp_path / "summary.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 cells

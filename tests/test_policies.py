@@ -376,7 +376,7 @@ class TestKernel:
             policy.observe(rng.standard_normal(3), float(rng.uniform()))
         assert len(policy.r) == 2
 
-    @pytest.mark.parametrize("algorithm,stop_train", [("kernel-ts", None),
+    @pytest.mark.parametrize("algorithm,stop_train", [("kernel-ts", 60),
                                                       ("kernel-ucb", 37)])
     def test_decisions_match_reallocating_inverse(self, algorithm, stop_train):
         # 50 observations cross the 16 -> 32 -> 64 capacity doublings
@@ -398,7 +398,7 @@ class TestKernel:
             ref.observe(contexts[got.arm], reward)
             R = policy.k_inv.factor
             np.testing.assert_allclose(R.T @ R, ref.k_inv, rtol=1e-9)
-        assert len(policy.r) == len(ref.r) == (stop_train or 50)
+        assert len(policy.r) == len(ref.r) == min(stop_train, 50)
 
     def test_regret_matches_reallocating_policy(self, monkeypatch):
         # 16 fixed episode seeds per dataset, once scoring the arms through
@@ -505,7 +505,7 @@ class ReallocatingKernelPolicy:
 
     def observe(self, context, reward):
         self.t += 1
-        if self.cfg.stop_train is not None and self.t > self.cfg.stop_train:
+        if self.t > self.cfg.stop_train:
             return
         x = np.asarray(context, dtype=np.float64)
         if self.X is None:
@@ -589,8 +589,10 @@ class TestBootstrap:
             np.testing.assert_array_equal(net.theta.flat, theta0)
 
     def test_inclusion_frequency(self):
+        # rows are included until the stop round; no training is needed
         cfg = neural_cfg("bootstrap-nn", n_networks=2, include_prob=0.8,
-                         stop_train=0)
+                         stop_train=500,
+                         train=TrainConfig(step_size=0.001, iterations=0))
         boot = make_policy(cfg, 4, seed=22)
         rng = np.random.default_rng(21)
         for _ in range(500):
@@ -599,6 +601,21 @@ class TestBootstrap:
         frac = sum(len(net.history) for net in boot.nets) / offered
         se = np.sqrt(0.8 * 0.2 / offered)
         assert frac == pytest.approx(0.8, abs=3 * se)
+
+
+class TestStopTrain:
+    @pytest.mark.parametrize("algorithm", ["neural-ts", "neural-ucb",
+                                           "eps-greedy", "bootstrap-nn"])
+    def test_nothing_is_stored_past_the_stop_round(self, algorithm):
+        policy = make_policy(neural_cfg(algorithm, stop_train=5), 4, seed=25)
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            policy.observe(random_contexts(rng, 1, 4)[0], float(rng.uniform()))
+        assert len(policy.contexts) == len(policy.rewards) == 5
+        assert all(len(net.history) <= 5 for net in policy.nets)
+        if algorithm in ("neural-ts", "neural-ucb"):
+            # select reads the posterior, which takes every observation
+            assert policy.design.n_updates == 20
 
 
 class TestUniform:

@@ -44,11 +44,17 @@ def test_command_works(tmp_path, monkeypatch, capsys, argv):
                             lambda args: started.append(args.inputs) or 0)
     assert cli.main(argv) == 0
     if argv[0] in ("run", "grid"):
-        [experiment] = started
+        [inputs] = started
+        experiment = inputs[0] if argv[0] == "grid" else inputs  # grid: cells
         assert experiment.horizon == int(argv[argv.index("--T") + 1])
     elif argv[0] == "ntk":
-        out = argv[argv.index("--out-file") + 1]
-        assert json.loads((tmp_path / out).read_text())["n_contexts"] > 0
+        out = tmp_path / argv[argv.index("--out-file") + 1]
+        report = json.loads(out.read_text())
+        assert report["n_contexts"] > 0
+        # the kernel matrix grows with the square of --n; the report holds
+        # its spectrum only
+        assert "H" not in report
+        assert out.stat().st_size < 64 * 1024
     else:
         assert json.loads(capsys.readouterr().out)["rows"] == 3
         assert (tmp_path / "manifest.json").exists()

