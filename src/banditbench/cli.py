@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -191,7 +192,13 @@ def _inputs(args: argparse.Namespace):
     grid.  For run's config or every grid cell, the first episode's rounds
     and policy are built too, and the worker pool sized, so that what only
     they check is reported before any episode runs.  Raises the ValueError
-    or OSError of a value that cannot be run."""
+    or OSError of a value that cannot be run, such as an --out or --out-file
+    that cannot be created or written."""
+    if args.command in ("ntk", "ingest") and args.out_file:
+        folder = os.path.dirname(args.out_file) or "."
+        if os.path.isdir(args.out_file) or not os.path.isdir(folder):
+            raise ValueError(f"--out-file {args.out_file}: not a file in an "
+                             "existing directory")
     if args.command == "ingest":
         if args.dataset in envs.SYNTHETIC:
             raise ValueError("ingest needs a labeled --dataset: mushroom-like, "
@@ -199,8 +206,9 @@ def _inputs(args: argparse.Namespace):
                              f"the synthetic stream {args.dataset!r}")
         return envs.load_dataset(args.dataset, args.schema)
     if args.command == "ntk":
+        # the policy checks --lambda before any kernel is built
         stream = ExperimentConfig(
-            dataset=args.dataset, policy=PolicyConfig("neural-ts"),
+            dataset=args.dataset, policy=PolicyConfig("neural-ts", reg=args.reg),
             horizon=args.n, duplicate=not args.no_duplicate,
             n_arms=args.arms, raw_dim=args.raw_dim, schema=args.schema)
         return _ntk_report(stream, args)
@@ -212,6 +220,12 @@ def _inputs(args: argparse.Namespace):
     rounds = build_rounds(experiment, experiment.base_seed)  # cells share them
     for cell in cells:
         make_policy(cell.policy, rounds[0].contexts.shape[1], cell.base_seed)
+    # checked, not created: main reruns this to blame a config line
+    head = os.path.abspath(args.out)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not (os.path.isdir(head) and os.access(head, os.W_OK)):
+        raise ValueError(f"--out {args.out}: {head} is not a writable directory")
     return cells if args.command == "grid" else experiment
 
 

@@ -101,12 +101,13 @@ class TrainConfig:
     batch_size: int = 64
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if not 0.0 < self.step_size < np.inf:
+            raise ValueError(f"step_size must be positive and finite, "
+                             f"got {self.step_size}")
         if self.iterations < 0:
             raise ValueError("iterations must be nonnegative")
-        if self.reg <= 0:
-            raise ValueError("reg must be positive")
+        if not 0.0 < self.reg < np.inf:
+            raise ValueError(f"reg must be positive and finite, got {self.reg}")
         if self.mode not in ("gd", "sgd"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.batch_size <= 0:
@@ -201,22 +202,23 @@ def _deltas(layers: list[np.ndarray], pre, seed: np.ndarray,
     return deltas
 
 
-def grad_batch(theta: ParamVector, X: np.ndarray) -> np.ndarray:
-    """Per-sample flat gradients of the network output, shape (n, p).
+def grad_batch(theta: ParamVector, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Network outputs (n,), with forward_batch's bits, and their per-sample
+    flat gradients (n, p), from one forward and one backward pass.
 
     The 1/sqrt(m) posterior scale is NOT folded in here.
     """
     X = _inputs(theta, X)
     n = X.shape[0]
-    _, acts, pre = _forward_cached(theta.layers, X, theta.shape.width)
+    out, acts, pre = _forward_cached(theta.layers, X, theta.shape.width)
     deltas = _deltas(theta.layers, pre, np.ones(n), theta.shape.width)
-    return np.concatenate([np.einsum("ni,nj->nij", delta, act).reshape(n, -1)
-                           for delta, act in zip(deltas, acts)], axis=1)
+    return out, np.concatenate([np.einsum("ni,nj->nij", delta, act).reshape(n, -1)
+                                for delta, act in zip(deltas, acts)], axis=1)
 
 
 def grad(theta: ParamVector, x: np.ndarray) -> np.ndarray:
     """Flat gradient of forward(theta, x) w.r.t. all weights, length p."""
-    return grad_batch(theta, np.asarray(x, dtype=np.float64)[None, :])[0]
+    return grad_batch(theta, np.asarray(x, dtype=np.float64)[None, :])[1][0]
 
 
 @dataclass

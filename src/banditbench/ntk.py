@@ -31,8 +31,6 @@ class NtkMatrix:
 class EffDimReport:
     eff_dim: float
     logdet: float
-    reg: float
-    budget: int  # T*K, the normalization horizon
     eigenvalues: np.ndarray = field(repr=False)
 
 
@@ -79,8 +77,8 @@ def ntk_matrix(contexts: np.ndarray, depth: int) -> NtkMatrix:
 
 def effective_dimension(H: np.ndarray, reg: float, budget: int) -> EffDimReport:
     """Effective dimension log det(I + H/reg) / log(1 + budget/reg)."""
-    if reg <= 0:
-        raise ValueError("reg must be positive")
+    if not 0.0 < reg < np.inf:
+        raise ValueError(f"reg must be positive and finite, got {reg}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     H = np.asarray(H, dtype=np.float64)
@@ -91,7 +89,7 @@ def effective_dimension(H: np.ndarray, reg: float, budget: int) -> EffDimReport:
     evals = np.clip(evals, 0.0, None)
     logdet = float(np.sum(np.log1p(evals / reg)))
     d_eff = logdet / np.log1p(budget / reg)
-    return EffDimReport(d_eff, logdet, reg, budget, evals[::-1])
+    return EffDimReport(d_eff, logdet, evals[::-1])
 
 
 def effdim_truncation_bound(H: np.ndarray, d_prime: int, budget: int):

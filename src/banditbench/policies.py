@@ -51,8 +51,10 @@ class PolicyConfig:
     depth: int = 2
 
     def __post_init__(self):
-        if self.nu < 0:
-            raise ValueError("nu must be nonnegative")
+        if not 0.0 <= self.nu < np.inf:
+            raise ValueError(f"nu must be nonnegative and finite, got {self.nu}")
+        if not 0.0 < self.reg < np.inf:
+            raise ValueError(f"reg must be positive and finite, got {self.reg}")
         if self.stop_train < 0:
             raise ValueError("stop_train must be >= 0")
         if self.posterior not in ("diagonal", "full"):
@@ -64,8 +66,9 @@ class PolicyConfig:
             raise ValueError("include_prob must be in [0, 1]")
         if self.n_networks < 1:
             raise ValueError("n_networks must be >= 1")
-        if not self.bandwidth > 0.0:
-            raise ValueError("bandwidth must be positive")
+        if not 0.0 < self.bandwidth < np.inf:
+            raise ValueError(f"bandwidth must be positive and finite, "
+                             f"got {self.bandwidth}")
 
 
 class Policy:
@@ -160,18 +163,18 @@ class _NetworkPolicy(Policy):
         train(self.theta0, self.theta, data, self.cfg.train)
 
 
-class _NeuralBandit(_NetworkPolicy):
-    """Shared plumbing for NeuralTS / NeuralUCB: network + design matrix."""
+class NeuralBandit(_NetworkPolicy):
+    """NeuralTS (thompson) or NeuralUCB: means from the network, widths from a
+    design matrix over its gradient features, both from one network pass."""
 
-    def __init__(self, shape: NetShape, cfg: PolicyConfig, seed):
+    def __init__(self, shape: NetShape, cfg: PolicyConfig, seed, thompson: bool):
         super().__init__(shape, cfg, seed)
+        self.thompson = thompson
         self.design = DesignMatrix(shape.n_params, cfg.reg, shape.width,
                                    mode=cfg.posterior)
 
     def select(self, contexts: np.ndarray) -> Decision:
-        contexts = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
-        means = forward_batch(self.net.theta, contexts)
-        feats = grad_batch(self.net.theta, contexts)
+        means, feats = grad_batch(self.net.theta, contexts)
         sigmas = self.design.sigma(feats)
         scores = score(means, sigmas, self.cfg.nu, self.thompson, self.select_rng)
         return Decision(int(np.argmax(scores)), scores, means, sigmas)
@@ -187,23 +190,10 @@ class _NeuralBandit(_NetworkPolicy):
             raise np.linalg.LinAlgError(f"{err} or use --posterior diag") from err
 
 
-class NeuralTS(_NeuralBandit):
-    """Thompson sampling on the scalar reward posterior of the network."""
-
-    thompson = True
-
-
-class NeuralUCB(_NeuralBandit):
-    """Deterministic twin: score = mean + nu * sigma."""
-
-    thompson = False
-
-
 class EpsGreedyNN(_NetworkPolicy):
     """Greedy on the network output, uniform with probability eps."""
 
     def select(self, contexts: np.ndarray) -> Decision:
-        contexts = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
         means = forward_batch(self.net.theta, contexts)
         arm = int(np.argmax(means))
         if self.cfg.eps > 0.0 and self.select_rng.random() < self.cfg.eps:
@@ -218,7 +208,6 @@ class BootstrapNN(_NetworkPolicy):
         super().__init__(shape, cfg, seed, cfg.n_networks, cfg.include_prob)
 
     def select(self, contexts: np.ndarray) -> Decision:
-        contexts = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
         pick = int(self.select_rng.integers(len(self.nets)))
         means = forward_batch(self.nets[pick].theta, contexts)
         return Decision(int(np.argmax(means)), means.copy(), means,
@@ -334,23 +323,18 @@ ALGORITHMS = ("neural-ts", "neural-ucb", "lin-ts", "lin-ucb", "kernel-ts",
 def make_policy(cfg: PolicyConfig, input_dim: int, seed) -> Policy:
     """Construct the policy named by cfg.algorithm for contexts of input_dim."""
     algo = cfg.algorithm
+    thompson = algo.endswith("-ts")
     if algo in ("neural-ts", "neural-ucb", "eps-greedy", "bootstrap-nn"):
         shape = NetShape(input_dim, cfg.width, cfg.depth)
-        if algo == "neural-ts":
-            return NeuralTS(shape, cfg, seed)
-        if algo == "neural-ucb":
-            return NeuralUCB(shape, cfg, seed)
+        if algo in ("neural-ts", "neural-ucb"):
+            return NeuralBandit(shape, cfg, seed, thompson)
         if algo == "eps-greedy":
             return EpsGreedyNN(shape, cfg, seed)
         return BootstrapNN(shape, cfg, seed)
-    if algo == "lin-ts":
-        return LinearPolicy(input_dim, cfg, seed, thompson=True)
-    if algo == "lin-ucb":
-        return LinearPolicy(input_dim, cfg, seed, thompson=False)
-    if algo == "kernel-ts":
-        return KernelPolicy(input_dim, cfg, seed, thompson=True)
-    if algo == "kernel-ucb":
-        return KernelPolicy(input_dim, cfg, seed, thompson=False)
+    if algo in ("lin-ts", "lin-ucb"):
+        return LinearPolicy(input_dim, cfg, seed, thompson)
+    if algo in ("kernel-ts", "kernel-ucb"):
+        return KernelPolicy(input_dim, cfg, seed, thompson)
     if algo == "uniform":
         return UniformRandom(seed)
     raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")

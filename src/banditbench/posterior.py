@@ -162,8 +162,8 @@ class DesignMatrix:
     """Incrementally updated design matrix over gradient features."""
 
     def __init__(self, dim: int, reg: float, width: int, mode: str = "full"):
-        if reg <= 0:
-            raise ValueError("reg must be positive")
+        if not 0.0 < reg < np.inf:
+            raise ValueError(f"reg must be positive and finite, got {reg}")
         if width <= 0:
             raise ValueError("width must be positive")
         if mode not in ("full", "diagonal"):

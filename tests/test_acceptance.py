@@ -156,7 +156,7 @@ def test_criterion_04_ntk_closed_form(capfd):
         errs = []
         for seed in range(10):
             theta = init_params(NetShape(X.shape[1], m, 2), seed)
-            G = grad_batch(theta, X)
+            _, G = grad_batch(theta, X)
             errs.append(np.abs(G @ G.T / m - H))
         med[m] = float(np.median(np.stack(errs)))
     gram_ok = med[4096] < med[256]

@@ -301,6 +301,97 @@ class TestNtkIngestRejections:
         assert not (tmp_path / "manifest.json").exists()
 
 
+class TestNonFiniteValues:
+    """NaN and infinite floats fail the range checks as well, before round 1
+    or before the ntk report is built."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "--algo", "lin-ts", "--nu", "nan"],
+         "nu must be nonnegative and finite, got nan"),
+        (["run", "--algo", "neural-ts", "--nu", "nan", "--width", "8"],
+         "nu must be nonnegative and finite, got nan"),
+        (["run", "--algo", "lin-ts", "--nu", "inf"],
+         "nu must be nonnegative and finite, got inf"),
+        (["run", "--algo", "lin-ucb", "--lambda", "nan"],
+         "reg must be positive and finite, got nan"),
+        (["run", "--algo", "lin-ucb", "--lambda", "inf"],
+         "reg must be positive and finite, got inf"),
+        (["run", "--algo", "kernel-ts", "--lambda", "nan"],
+         "reg must be positive and finite, got nan"),
+        (["run", "--algo", "neural-ts", "--lambda", "nan"],
+         "reg must be positive and finite, got nan"),
+        (["run", "--algo", "neural-ts", "--lr", "nan"],
+         "step_size must be positive and finite, got nan"),
+        (["ntk", "--lambda", "nan", "--n", "5"],
+         "reg must be positive and finite, got nan")])
+    def test_exits_2_naming_the_value(self, tmp_path, monkeypatch, capsys,
+                                      argv, message):
+        # no episode may run and no kernel matrix be built
+        monkeypatch.setattr(cli, "run_repeats", None)
+        monkeypatch.setattr(ntk, "ntk_matrix", None)
+        if argv[0] == "run":
+            argv = [*argv, "--T", "20", "--repeats", "1", "--serial",
+                    "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"banditbench {argv[0]}: error: {message}"
+        assert not (tmp_path / "out").exists()
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written ends the command with exit 2
+    and the path before any episode runs or any report is built."""
+
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    def test_out_under_a_file(self, tmp_path, monkeypatch, capsys, command):
+        # no episode may run
+        monkeypatch.setattr(cli, "run_repeats", None)
+        monkeypatch.setattr(cli, "run_grid", None)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sub"
+        with pytest.raises(SystemExit) as info:
+            main([command, "--algo", "lin-ts", "--T", "20", "--repeats", "1",
+                  "--serial", "--out", str(out)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith(f"banditbench {command}: error: ")
+        assert str(out) in err
+
+    def test_a_config_out_is_blamed_and_nothing_created(self, tmp_path,
+                                                        monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_repeats", None)
+        (tmp_path / "file").write_text("")
+        (tmp_path / "e.cfg").write_text("algo = lin-ts\nT = 20\nrepeats = 1\n"
+                                        "out = file/sub\n")
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--config", "e.cfg", "--serial"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "banditbench run: error: --config e.cfg: out: --out file/sub: ")
+        # finding the line to blame reruns the checks with --out's default
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e.cfg", "file"]
+
+    @pytest.mark.parametrize("argv", [["ntk", "--n", "5"],
+                                      ["ingest", "--dataset", "mushroom-like"]])
+    @pytest.mark.parametrize("name", ["missing/report.json", "a-directory"])
+    def test_out_file_that_cannot_be_opened(self, tmp_path, monkeypatch,
+                                            capsys, argv, name):
+        monkeypatch.setattr(cli, "_ntk_report", None)  # no report may be built
+        monkeypatch.setattr(cli.envs, "load_dataset", None)
+        (tmp_path / "a-directory").mkdir()
+        out_file = tmp_path / name
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--out-file", str(out_file)])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"banditbench {argv[0]}: error: --out-file {out_file}: "
+            "not a file in an existing directory")
+        assert not (tmp_path / "missing").exists()
+
+
 class TestIngest:
     def test_csv_manifest(self, tmp_path):
         csv = tmp_path / "toy.csv"
@@ -451,7 +542,7 @@ class TestConfigKeysAreFlags:
             main([*self.write(tmp_path, "T = 5", "lambda = 2"), "--lambda", "0"])
         assert info.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
-            "banditbench run: error: reg must be positive")
+            "banditbench run: error: reg must be positive and finite, got 0.0")
 
     @pytest.mark.parametrize("flags,error", [
         (["--lamda", "5"], "banditbench: error: unrecognized arguments: "

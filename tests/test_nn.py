@@ -5,6 +5,8 @@ from banditbench.nn import (Batches, NetShape, ParamStack, ParamVector,
                             TrainConfig, draw_batches, forward, forward_batch,
                             grad, grad_batch, init_params, train)
 from banditbench.data import duplicate_half, normalize_unit
+from banditbench.harness import ExperimentConfig, build_rounds
+from banditbench.policies import PolicyConfig
 
 
 def small_hand_net():
@@ -162,9 +164,23 @@ class TestGrad:
         rng = np.random.default_rng(5)
         theta = random_param_vector(rng, NetShape(6, 4, 3))
         X = rng.standard_normal((4, 6))
-        G = grad_batch(theta, X)
+        _, G = grad_batch(theta, X)
         for i, x in enumerate(X):
             np.testing.assert_allclose(G[i], grad(theta, x), atol=1e-12)
+
+    @pytest.mark.parametrize("dataset", ["synthetic-nonlinear", "mushroom-like"])
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_grad_batch_outputs_are_forward_batch(self, dataset, depth):
+        # the outputs of the gradient pass carry forward_batch's bits, on
+        # weights moved off the init and the contexts of d=16 and d=204 streams
+        config = ExperimentConfig(dataset, PolicyConfig("neural-ts"), horizon=30)
+        rounds = build_rounds(config, 3)
+        rng = np.random.default_rng(depth)
+        theta = random_param_vector(
+            rng, NetShape(rounds[0].contexts.shape[1], 32, depth))
+        for r in rounds:
+            out, _ = grad_batch(theta, r.contexts)
+            assert out.tobytes() == forward_batch(theta, r.contexts).tobytes()
 
 
 class TestTrain:

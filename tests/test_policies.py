@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from regret_equivalence import assert_regret_equivalent
 
+from banditbench import nn
 from banditbench.data import duplicate_half, normalize_unit
 from banditbench.harness import ExperimentConfig, run_episode
 from banditbench.nn import NetShape, TrainConfig, forward_batch
 from banditbench.policies import (BootstrapNN, Decision, EpsGreedyNN,
-                                  KernelPolicy, LinearPolicy, NeuralTS,
-                                  NeuralUCB, PolicyConfig, UniformRandom,
-                                  make_policy, score)
+                                  KernelPolicy, LinearPolicy, NeuralBandit,
+                                  PolicyConfig, UniformRandom, make_policy,
+                                  score)
 
 FAST_TRAIN = TrainConfig(step_size=0.001, iterations=5)
 
@@ -144,6 +145,32 @@ class TestNeuralTS:
                            match="; raise --lambda or use --posterior diag$"):
             for _ in range(40):
                 policy.observe(x, 1.0)
+
+
+class TestNeuralBandit:
+    @pytest.mark.parametrize("algorithm,thompson", [("neural-ts", True),
+                                                    ("neural-ucb", False)])
+    def test_make_policy_sets_the_scoring_rule(self, algorithm, thompson):
+        policy = make_policy(neural_cfg(algorithm), 4, seed=0)
+        assert type(policy) is NeuralBandit
+        assert policy.thompson is thompson
+
+    @pytest.mark.parametrize("algorithm", ["neural-ts", "neural-ucb"])
+    def test_select_runs_one_forward_pass(self, monkeypatch, algorithm):
+        rng = np.random.default_rng(4)
+        policy = make_policy(neural_cfg(algorithm), 4, seed=3)
+        for _ in range(3):
+            policy.observe(random_contexts(rng, 1, 4)[0], float(rng.uniform()))
+        passes = []
+        forward_cached = nn._forward_cached
+
+        def counted(*args):
+            passes.append(1)
+            return forward_cached(*args)
+
+        monkeypatch.setattr(nn, "_forward_cached", counted)
+        policy.select(random_contexts(rng, 3, 4))
+        assert len(passes) == 1
 
 
 class TestNeuralUCB:
@@ -459,7 +486,8 @@ class TestKernel:
                 neural_cfg("kernel-ts", bandwidth=bandwidth)
 
     def test_singular_kernel_matrix_raises(self):
-        cfg = neural_cfg("kernel-ucb", reg=0.0)
+        # 1 + reg rounds to 1, so a repeated row's Schur complement is 0
+        cfg = neural_cfg("kernel-ucb", reg=1e-20)
         policy = KernelPolicy(2, cfg, 0, thompson=False)
         x = np.array([0.3, -0.2])
         policy.observe(x, 0.5)
