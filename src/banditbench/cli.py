@@ -85,8 +85,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--batch-size", type=int, default=64)
     parser.add_argument("--stop-train", type=int, default=1000)
     parser.add_argument("--posterior", choices=("diag", "full"), default="diag")
-    parser.add_argument("--serial", action="store_true",
-                        help="run repeats in-process instead of a worker pool")
     parser.add_argument("--out", default="out")
 
 
@@ -160,8 +158,8 @@ def _ntk_report(stream: ExperimentConfig, args: argparse.Namespace) -> dict:
     h = np.concatenate([r.expected_rewards for r in rounds])
     R = stream.noise_sd if stream.dataset in envs.SYNTHETIC else 0.0
     K = rounds[0].contexts.shape[0]
-    kernel = ntk.ntk_matrix(contexts, args.depth)
-    report = ntk.effective_dimension(kernel.H, args.reg, args.horizon * K)
+    H = ntk.ntk_matrix(contexts, args.depth)
+    report = ntk.effective_dimension(H, args.reg, args.horizon * K)
     evals = report.eigenvalues
     out = {
         "n_contexts": int(contexts.shape[0]),
@@ -175,7 +173,7 @@ def _ntk_report(stream: ExperimentConfig, args: argparse.Namespace) -> dict:
         "R": R,
     }
     try:
-        out["B"] = B = ntk.theory_B(h, kernel.H)
+        out["B"] = B = ntk.theory_B(h, H)
         out["nu_theory"] = ntk.theory_nu(B, R, report.eff_dim, args.horizon,
                                          K, args.reg, args.delta)
     except np.linalg.LinAlgError as err:
@@ -206,6 +204,10 @@ def _inputs(args: argparse.Namespace):
                              f"the synthetic stream {args.dataset!r}")
         return envs.load_dataset(args.dataset, args.schema)
     if args.command == "ntk":
+        # the width condition is about a network that run could build
+        if args.width <= 0 or args.width % 2:
+            raise ValueError("width must be a positive even integer, "
+                             f"got {args.width}")
         # the policy checks --lambda before any kernel is built
         stream = ExperimentConfig(
             dataset=args.dataset, policy=PolicyConfig("neural-ts", reg=args.reg),
@@ -240,7 +242,7 @@ def _rejection(args: argparse.Namespace) -> str | None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = args.inputs
-    traces = run_repeats(config, parallel=not args.serial)
+    traces = run_repeats(config)
     stats = summarize(traces)
     emit_outputs(traces, stats, args.out)
     print(f"{config.policy.algorithm}: total regret "
@@ -250,7 +252,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    table, best = run_grid(args.inputs, parallel=not args.serial)
+    table, best = run_grid(args.inputs)
     emit_grid_summary(table, args.out)
     for row in table:
         print(f"lambda={row['reg']:<8g} nu={row['nu']:<8g} eps={row['eps']:<6g} "

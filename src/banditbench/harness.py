@@ -3,7 +3,8 @@
 An episode plays one seeded pass over a round stream: select, pay the
 realized reward, and buffer the observation; buffered observations reach the
 policy only at delay-batch boundaries (and at the final round).  A run's or
-a grid's episodes fan out over one process pool capped by BANDITBENCH_THREADS.
+a grid's episodes fan out over one process pool capped by BANDITBENCH_THREADS;
+with BANDITBENCH_THREADS=1, or a single episode, they play in-process.
 """
 
 from __future__ import annotations
@@ -136,16 +137,17 @@ def pool_size() -> int:
     return n
 
 
-def run_cells(cells: list[ExperimentConfig], parallel: bool = True):
+def run_cells(cells: list[ExperimentConfig]):
     """Yields each cell's list of traces, in cell order.  Every repeat of
-    every cell is an episode of one map, in-process or over one process
-    pool, so a cell's traces are ready once its own episodes are."""
+    every cell is an episode of one map, over one process pool of
+    pool_size() workers, or in-process when there is one worker or one
+    episode, so a cell's traces are ready once its own episodes are."""
     configs = [cell for cell in cells for _ in range(cell.repeats)]
     repeats = [i for cell in cells for i in range(cell.repeats)]
     with contextlib.ExitStack() as stack:
         traces = map(run_episode, configs, repeats)
         workers = min(pool_size(), len(configs))
-        if parallel and workers > 1:
+        if workers > 1:
             # imported here: the pool's modules cost every process about 1.2 MiB
             from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(ProcessPoolExecutor(workers))
@@ -154,9 +156,9 @@ def run_cells(cells: list[ExperimentConfig], parallel: bool = True):
             yield list(itertools.islice(traces, cell.repeats))
 
 
-def run_repeats(config: ExperimentConfig, parallel: bool = True) -> list[RegretTrace]:
-    """All repeats of one configuration, optionally over a process pool."""
-    [traces] = run_cells([config], parallel)
+def run_repeats(config: ExperimentConfig) -> list[RegretTrace]:
+    """All repeats of one configuration, as run_cells plays them."""
+    [traces] = run_cells([config])
     return traces
 
 
@@ -192,7 +194,7 @@ def grid_cells(config: ExperimentConfig, regs=(), nus=(),
     return cells
 
 
-def run_grid(cells: list[ExperimentConfig], parallel: bool = True):
+def run_grid(cells: list[ExperimentConfig]):
     """Runs every cell (as grid_cells builds them); returns (table, best_row).
 
     Every cell is reported; the best cell has the smallest mean terminal
@@ -200,7 +202,7 @@ def run_grid(cells: list[ExperimentConfig], parallel: bool = True):
     eps.
     """
     table = []
-    for traces, cell in zip(run_cells(cells, parallel), cells):
+    for traces, cell in zip(run_cells(cells), cells):
         stats = summarize(traces)
         table.append({"reg": cell.policy.reg, "nu": cell.policy.nu,
                       "eps": cell.policy.eps,

@@ -2,9 +2,9 @@
 
 The network is f(x) = sqrt(m) * W_L ReLU(W_{L-1} ... ReLU(W_1 x)), with the
 block-structured random initialization that makes the output exactly zero on
-duplicated-half inputs.  Parameters are exposed both as per-layer matrices and
-as one flat vector (layer-major, row-major) so gradient features line up with
-the design matrix in the posterior module.
+duplicated-half inputs.  Parameters are per-layer matrices; grad_batch lays
+a gradient feature out layer-major, row-major within a layer, the order of the
+design matrix in the posterior module.
 
 Training runs one loop over a stack of N networks (ParamStack, layers held as
 (N, rows, cols) arrays): each iteration is one forward, backward and in-place
@@ -57,7 +57,7 @@ class NetShape:
 
 @dataclass
 class ParamVector:
-    """Network weights as per-layer matrices with a fixed flat layout."""
+    """Network weights as per-layer matrices."""
 
     shape: NetShape
     layers: list[np.ndarray] = field(repr=False)
@@ -67,27 +67,6 @@ class ParamVector:
         got = [W.shape for W in self.layers]
         if got != expected:
             raise ValueError(f"layer shapes {got} do not match {expected}")
-
-    @property
-    def flat(self) -> np.ndarray:
-        return np.concatenate([W.ravel() for W in self.layers])
-
-    @classmethod
-    def from_flat(cls, shape: NetShape, flat: np.ndarray) -> "ParamVector":
-        if flat.shape != (shape.n_params,):
-            raise ValueError(
-                f"flat vector length {flat.shape} does not match p={shape.n_params}"
-            )
-        layers = []
-        offset = 0
-        for rows, cols in shape.layer_shapes():
-            n = rows * cols
-            layers.append(flat[offset:offset + n].reshape(rows, cols).copy())
-            offset += n
-        return cls(shape, layers)
-
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.shape, [W.copy() for W in self.layers])
 
 
 @dataclass(frozen=True)
@@ -177,11 +156,6 @@ def forward_batch(theta: ParamVector, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward(theta: ParamVector, x: np.ndarray) -> float:
-    """Scalar network output sqrt(m) * W_L ReLU(... ReLU(W_1 x))."""
-    return float(forward_batch(theta, np.asarray(x, dtype=np.float64)[None, :])[0])
-
-
 def _deltas(layers: list[np.ndarray], pre, seed: np.ndarray,
             m: int) -> list[np.ndarray]:
     """Sensitivity of sum_i seed_i * f(x_i) to each layer's outputs, per
@@ -217,7 +191,8 @@ def grad_batch(theta: ParamVector, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def grad(theta: ParamVector, x: np.ndarray) -> np.ndarray:
-    """Flat gradient of forward(theta, x) w.r.t. all weights, length p."""
+    """Flat gradient of the output at one input x w.r.t. all weights,
+    length p."""
     return grad_batch(theta, np.asarray(x, dtype=np.float64)[None, :])[1][0]
 
 

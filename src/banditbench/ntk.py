@@ -15,16 +15,8 @@ import numpy as np
 
 # lower bound baked into the reward-norm constant
 B_FLOOR = 1.0 / (22.0 * np.e * np.sqrt(np.pi))
-
-
-@dataclass
-class NtkMatrix:
-    """NTK matrix H over a context set, with per-level intermediates."""
-
-    H: np.ndarray
-    sigmas: list[np.ndarray] = field(default_factory=list, repr=False)
-    htildes: list[np.ndarray] = field(default_factory=list, repr=False)
-    derivs: list[np.ndarray] = field(default_factory=list, repr=False)
+# the largest x whose exp a double holds
+_LOG_MAX = np.log(np.finfo(np.float64).max)
 
 
 @dataclass
@@ -49,8 +41,8 @@ def _arccos_step(sigma: np.ndarray, diag: np.ndarray):
     return nxt, deriv
 
 
-def ntk_matrix(contexts: np.ndarray, depth: int) -> NtkMatrix:
-    """Closed-form NTK matrix for unit-norm contexts at the given depth."""
+def ntk_matrix(contexts: np.ndarray, depth: int) -> np.ndarray:
+    """Closed-form NTK matrix H for unit-norm contexts at the given depth."""
     X = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
     if X.shape[0] == 0:
         raise ValueError("need at least one context")
@@ -62,17 +54,12 @@ def ntk_matrix(contexts: np.ndarray, depth: int) -> NtkMatrix:
 
     sigma = X @ X.T
     htilde = sigma.copy()
-    sigmas, htildes, derivs = [sigma], [htilde], []
     for _ in range(depth - 1):
         nxt, deriv = _arccos_step(sigma, np.diag(sigma))
         htilde = htilde * deriv + nxt
         sigma = nxt
-        sigmas.append(sigma)
-        htildes.append(htilde)
-        derivs.append(deriv)
     H = (htilde + sigma) / 2.0
-    H = (H + H.T) / 2.0
-    return NtkMatrix(H, sigmas, htildes, derivs)
+    return (H + H.T) / 2.0
 
 
 def effective_dimension(H: np.ndarray, reg: float, budget: int) -> EffDimReport:
@@ -117,7 +104,9 @@ def theory_nu(B: float, R: float, d_eff: float, T: int, K: int, reg: float,
     """Exploration scale B + R*sqrt(d_eff*log(1 + TK/reg) + 2 + 2*log(1/delta))."""
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
-    return B + R * np.sqrt(d_eff * np.log1p(T * K / reg) + 2.0 + 2.0 * np.log(1.0 / delta))
+    # 1/delta overflows for a subnormal delta; -log(delta) does not
+    log_inv = np.log(1.0 / delta) if 1.0 / delta < np.inf else -np.log(delta)
+    return B + R * np.sqrt(d_eff * np.log1p(T * K / reg) + 2.0 + 2.0 * log_inv)
 
 
 def theory_B(h: np.ndarray, H: np.ndarray) -> float:
@@ -133,31 +122,57 @@ def theory_B(h: np.ndarray, H: np.ndarray) -> float:
     return float(max(B_FLOOR, np.sqrt(2.0 * float(h @ x))))
 
 
+def _held(value: float, log_value: float) -> float | None:
+    """value when double arithmetic held it, else exp(log_value) when a
+    double holds that, else None."""
+    if np.isfinite(value):
+        return float(value)
+    return float(np.exp(log_value)) if log_value < _LOG_MAX else None
+
+
+@np.errstate(all="ignore")
 def check_width_condition(m: int, T: int, K: int, L: int, reg: float,
                           lambda0: float, delta: float, C: float = 1.0) -> dict:
     """Evaluate the two width inequalities with the supplied absolute constant.
 
     Diagnostic only: the constant is unspecified in theory, so the flags are
-    advisory and labeled as such in the report.
+    advisory and labeled as such in the report.  The inequalities are
+    compared in log space, so the flags hold however large the terms are.  A
+    term is reported as double arithmetic computes it, from its logarithm
+    where that overflows, and as None where a double cannot hold it.
     """
+    if not 0 < delta < 1:
+        raise ValueError("delta must be in (0, 1)")
+    reg = np.float64(reg)  # so that its powers overflow to inf, not raise
     term_a = np.sqrt(reg) * L ** -1.5 * np.log(T * K * L ** 2 / delta) ** 1.5
     term_b = T ** 6 * K ** 6 * L ** 6 * np.log(T * K * L / delta) * max(lambda0 ** -4, 1.0)
     rhs1 = C * max(term_a, term_b)
-
     rhs2 = (C * T * L ** 12 / reg
             + C * T ** 7 * reg ** -8 * L ** 18 * (reg + L * T) ** 6
             + C * L ** 21 * T ** 7 * reg ** -7 * (1.0 + np.sqrt(T / reg)) ** 6)
-    logm = np.log(m)
-    lhs2 = np.inf if logm <= 0 else m / logm ** 3
+    lhs2 = m / np.log(m) ** 3
+
+    # the same quantities' logarithms
+    lm, lT, lK, lL, lreg, lC, ldelta = np.log([m, T, K, L, reg, C, delta])
+    log_a = 0.5 * lreg - 1.5 * lL + 1.5 * np.log(lT + lK + 2 * lL - ldelta)
+    log_b = (6 * (lT + lK + lL) + np.log(lT + lK + lL - ldelta)
+             + max(-4 * np.log(lambda0), 0.0))
+    log_rhs1 = lC + max(log_a, log_b)
+    log_rhs2 = lC + np.logaddexp.reduce([
+        lT + 12 * lL - lreg,
+        7 * lT - 8 * lreg + 18 * lL + 6 * np.logaddexp(lreg, lL + lT),
+        21 * lL + 7 * lT - 7 * lreg + 6 * np.logaddexp(0.0, (lT - lreg) / 2)])
+    log_lhs2 = lm - 3 * np.log(lm)
 
     return {
         "note": "diagnostic -- constant C unknown",
         "C": C,
-        "lower_bound_terms": {"sqrt_reg_term": float(term_a), "horizon_term": float(term_b)},
+        "lower_bound_terms": {"sqrt_reg_term": _held(term_a, log_a),
+                              "horizon_term": _held(term_b, log_b)},
         "width": m,
-        "lower_bound_rhs": float(rhs1),
-        "lower_bound_ok": bool(m >= rhs1),
-        "log_cubed_lhs": float(lhs2),
-        "log_cubed_rhs": float(rhs2),
-        "log_cubed_ok": bool(lhs2 >= rhs2),
+        "lower_bound_rhs": _held(rhs1, log_rhs1),
+        "lower_bound_ok": bool(lm >= log_rhs1),
+        "log_cubed_lhs": _held(lhs2, log_lhs2),
+        "log_cubed_rhs": _held(rhs2, log_rhs2),
+        "log_cubed_ok": bool(log_lhs2 >= log_rhs2),
     }

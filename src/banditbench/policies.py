@@ -105,8 +105,7 @@ class _Net:
     """One network of a stack: its weights as views into the stack, and the
     indices of the history rows it trains on."""
 
-    def __init__(self, theta0, theta):
-        self.theta0 = theta0
+    def __init__(self, theta):
         self.theta = theta
         self.history = Rows(dtype=np.intp)
 
@@ -130,8 +129,7 @@ class _NetworkPolicy(Policy):
         self.cfg = cfg
         self.theta0 = ParamStack.of([init_params(shape, s) for s in children[2:]])
         self.theta = self.theta0.copy()
-        self.nets = [_Net(self.theta0.member(j), self.theta.member(j))
-                     for j in range(n_networks)]
+        self.nets = [_Net(self.theta.member(j)) for j in range(n_networks)]
         self.net = self.nets[0]
         self.contexts = Rows((shape.input_dim,))
         self.rewards = Rows()

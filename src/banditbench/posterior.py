@@ -264,11 +264,3 @@ class DesignMatrix:
         if self.mode == "diagonal":
             return float(np.sum(np.log(self._diag)))
         return self._logdet
-
-    @property
-    def inverse(self) -> np.ndarray:
-        if self.mode == "full":
-            if self._inv is None:
-                return self._primal_inverse()
-            return self._inv.copy()
-        return np.diag(1.0 / self._diag)

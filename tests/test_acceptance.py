@@ -16,10 +16,14 @@ from banditbench import harness, ntk
 from banditbench.data import duplicate_half, normalize_unit
 from banditbench.harness import (ExperimentConfig, emit_outputs, run_episode,
                                  run_repeats, summarize)
-from banditbench.nn import (NetShape, ParamVector, TrainConfig, forward,
-                            grad, grad_batch, init_params)
+from banditbench.nn import (NetShape, TrainConfig, forward_batch, grad,
+                            grad_batch, init_params)
 from banditbench.policies import Policy, PolicyConfig, make_policy
 from banditbench.posterior import DesignMatrix
+from helpers import flat, from_flat, inverse, ntk_levels
+
+# every criterion's episodes play in-process
+pytestmark = pytest.mark.usefixtures("in_process")
 
 SGD10 = TrainConfig(step_size=1e-4, iterations=10, reg=1.0, mode="sgd",
                     batch_size=64)
@@ -58,18 +62,18 @@ def test_criterion_01_gradient_oracle(capfd):
         m = 2 * int(rng.integers(1, 9))       # m <= 16
         L = int(rng.integers(2, 5))           # L <= 4
         shape = NetShape(d, m, L)
-        flat = init_params(shape, int(rng.integers(1 << 31))).flat
-        flat = flat + 0.1 * rng.standard_normal(shape.n_params)
-        theta = ParamVector.from_flat(shape, flat)
+        weights = flat(init_params(shape, int(rng.integers(1 << 31))))
+        weights = weights + 0.1 * rng.standard_normal(shape.n_params)
+        theta = from_flat(shape, weights)
         x = rng.standard_normal(d)
         g = grad(theta, x)
         for i in rng.choice(shape.n_params, size=min(25, shape.n_params),
                             replace=False):
-            up, dn = flat.copy(), flat.copy()
+            up, dn = weights.copy(), weights.copy()
             up[i] += h
             dn[i] -= h
-            fd = (forward(ParamVector.from_flat(shape, up), x)
-                  - forward(ParamVector.from_flat(shape, dn), x)) / (2 * h)
+            fd = (forward_batch(from_flat(shape, up), x[None])[0]
+                  - forward_batch(from_flat(shape, dn), x[None])[0]) / (2 * h)
             worst = max(worst, abs(fd - g[i]) / max(abs(fd), abs(g[i]), 1e-8))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-4 and elapsed < 5.0
@@ -88,7 +92,7 @@ def test_criterion_02_sherman_morrison(capfd):
         g = rng.standard_normal(p)
         design.update(g)
         U += np.outer(g, g) / width
-    err = float(np.max(np.abs(design.inverse - np.linalg.inv(U))))
+    err = float(np.max(np.abs(inverse(design) - np.linalg.inv(U))))
     elapsed = time.perf_counter() - start
     ok = err < 1e-8 and elapsed < 1.0
     _report(capfd, 2, ok,
@@ -106,7 +110,8 @@ def test_criterion_03_zero_at_init(capfd):
             x = duplicate_half(raw)
             theta = init_params(NetShape(12, m, 3), int(rng.integers(1 << 31)))
             worst_ratio = max(worst_ratio,
-                              abs(forward(theta, x)) / (1e-6 * np.sqrt(m)))
+                              abs(forward_batch(theta, x[None])[0])
+                              / (1e-6 * np.sqrt(m)))
     elapsed = time.perf_counter() - start
     ok = worst_ratio <= 1.0 and elapsed < 2.0
     _report(capfd, 3, ok,
@@ -122,7 +127,7 @@ def test_criterion_04_ntk_closed_form(capfd):
     x = normalize_unit(np.array([0.3, -1.2, 0.7, 0.1]))[None, :]
     for L in (2, 3, 4):
         diag_err = max(diag_err,
-                       abs(ntk.ntk_matrix(x, L).H[0, 0] - (L + 1) / 2.0))
+                       abs(ntk.ntk_matrix(x, L)[0, 0] - (L + 1) / 2.0))
 
     # (b) every recursion entry vs 1e6-sample Monte Carlo, 20 unit pairs
     rng = np.random.default_rng(104)
@@ -130,19 +135,19 @@ def test_criterion_04_ntk_closed_form(capfd):
     for _ in range(20):
         pair = rng.standard_normal((2, 6))
         pair /= np.linalg.norm(pair, axis=1, keepdims=True)
-        kernel = ntk.ntk_matrix(pair, 4)
-        for lvl in range(len(kernel.sigmas) - 1):
-            s = kernel.sigmas[lvl]
+        sigmas, _, derivs = ntk_levels(pair, 4)
+        for lvl in range(len(sigmas) - 1):
+            s = sigmas[lvl]
             chol = np.linalg.cholesky(
                 np.array([[s[0, 0], s[0, 1]], [s[0, 1], s[1, 1]]])
                 + 1e-14 * np.eye(2))
             z = rng.standard_normal((1_000_000, 2)) @ chol.T
             prod = 2.0 * np.maximum(z[:, 0], 0.0) * np.maximum(z[:, 1], 0.0)
             ind = 2.0 * ((z[:, 0] >= 0) & (z[:, 1] >= 0)).astype(float)
-            if abs(kernel.sigmas[lvl + 1][0, 1] - prod.mean()) > \
+            if abs(sigmas[lvl + 1][0, 1] - prod.mean()) > \
                     3 * prod.std(ddof=1) / 1000.0 + 1e-9:
                 mc_ok = False
-            if abs(kernel.derivs[lvl][0, 1] - ind.mean()) > \
+            if abs(derivs[lvl][0, 1] - ind.mean()) > \
                     3 * ind.std(ddof=1) / 1000.0 + 1e-9:
                 mc_ok = False
 
@@ -150,7 +155,7 @@ def test_criterion_04_ntk_closed_form(capfd):
     raw = rng.standard_normal((6, 24))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
     X = duplicate_half(raw)
-    H = ntk.ntk_matrix(X, 2).H
+    H = ntk.ntk_matrix(X, 2)
     med = {}
     for m in (256, 4096):
         errs = []
@@ -227,12 +232,10 @@ def test_criterion_06_theory_parameters(capfd):
 def test_criterion_07_synthetic_nonlinear(capfd):
     start = time.perf_counter()
     config = _experiment("synthetic-nonlinear", _policy("neural-ts"))
-    curves = np.stack([tr.cum_regret
-                       for tr in run_repeats(config, parallel=False)])
+    curves = np.stack([tr.cum_regret for tr in run_repeats(config)])
     mean = curves.mean(axis=0)
     uniform = summarize(run_repeats(
-        _experiment("synthetic-nonlinear", _policy("uniform")),
-        parallel=False))["mean"]
+        _experiment("synthetic-nonlinear", _policy("uniform"))))["mean"]
     ratio_uniform = mean[-1] / uniform
     ratio_rate = (mean[-1] / 2000.0) / (mean[499] / 500.0)
     elapsed = time.perf_counter() - start
@@ -246,14 +249,11 @@ def test_criterion_07_synthetic_nonlinear(capfd):
 
 def test_criterion_08_linear_sanity(capfd):
     uniform = _finals(run_repeats(
-        _experiment("synthetic-linear", _policy("uniform")),
-        parallel=False)).mean()
+        _experiment("synthetic-linear", _policy("uniform")))).mean()
     lin = _finals(run_repeats(
-        _experiment("synthetic-linear", _policy("lin-ts")),
-        parallel=False)).mean()
+        _experiment("synthetic-linear", _policy("lin-ts")))).mean()
     neural = _finals(run_repeats(
-        _experiment("synthetic-linear", _policy("neural-ts")),
-        parallel=False)).mean()
+        _experiment("synthetic-linear", _policy("neural-ts")))).mean()
     ok = lin < 0.4 * uniform and neural < 0.4 * uniform
     _report(capfd, 8, ok,
             f"linear synthetic T=2000, 8 seeds: LinTS at "
@@ -318,11 +318,10 @@ def test_criterion_09_delay_protocol(capfd, monkeypatch):
     slow = TrainConfig(step_size=1e-4, iterations=2, reg=1.0, mode="sgd",
                        batch_size=64)
     b0 = _finals(run_repeats(
-        _experiment("synthetic-nonlinear", _policy("neural-ucb", slow)),
-        parallel=False))
+        _experiment("synthetic-nonlinear", _policy("neural-ucb", slow))))
     b32 = _finals(run_repeats(
         _experiment("synthetic-nonlinear", _policy("neural-ucb", slow),
-                    delay=32), parallel=False))
+                    delay=32)))
     wins = int(np.sum(b32 >= b0))
 
     ok = frozen_ok and same_01 and wins >= 6
@@ -338,10 +337,9 @@ def test_criterion_10_categorical_scaled_run(capfd):
     strong = TrainConfig(step_size=1e-4, iterations=30, reg=1.0, mode="sgd",
                          batch_size=64)
     neural = _finals(run_repeats(
-        _experiment("mushroom-like", _policy("neural-ts", strong)),
-        parallel=False))
+        _experiment("mushroom-like", _policy("neural-ts", strong))))
     lin = _finals(run_repeats(
-        _experiment("mushroom-like", _policy("lin-ts")), parallel=False))
+        _experiment("mushroom-like", _policy("lin-ts"))))
     wins = int(np.sum(neural < lin))
     elapsed = time.perf_counter() - start
     ok = wins >= 6 and elapsed < 900.0
@@ -357,7 +355,7 @@ def test_criterion_11_determinism(capfd, tmp_path):
                               repeats=2, n_arms=4, raw_dim=8)
 
     def emitted(sub):
-        traces = run_repeats(config, parallel=False)
+        traces = run_repeats(config)
         emit_outputs(traces, summarize(traces), str(tmp_path / sub))
         out = []
         for i in range(2):

@@ -10,10 +10,13 @@ from banditbench.cli import main, read_config_file
 from banditbench.harness import ExperimentConfig, build_rounds
 from banditbench.policies import PolicyConfig
 
+# every CLI test plays its episodes in-process
+pytestmark = pytest.mark.usefixtures("in_process")
+
 
 def run_args(tmp_path, *extra):
     return ["run", "--dataset", "synthetic-nonlinear", "--algo", "uniform",
-            "--T", "20", "--repeats", "2", "--serial",
+            "--T", "20", "--repeats", "2",
             "--out", str(tmp_path / "out"), *extra]
 
 
@@ -29,7 +32,7 @@ class TestRun:
     def test_neural_run_small(self, tmp_path, capsys):
         args = ["run", "--dataset", "synthetic-nonlinear", "--algo", "neural-ts",
                 "--T", "8", "--repeats", "1", "--width", "4", "--iters", "2",
-                "--serial", "--out", str(tmp_path / "out")]
+                "--out", str(tmp_path / "out")]
         assert main(args) == 0
         assert "neural-ts" in capsys.readouterr().out
 
@@ -37,7 +40,7 @@ class TestRun:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("algo = uniform\nT = 30\nrepeats = 1\n"
                        "dataset = synthetic-nonlinear\n")
-        args = ["run", "--config", str(cfg), "--T", "10", "--serial",
+        args = ["run", "--config", str(cfg), "--T", "10",
                 "--out", str(tmp_path / "out")]
         assert main(args) == 0
         assert "(T=10)" in capsys.readouterr().out
@@ -45,7 +48,7 @@ class TestRun:
     def test_stop_train_zero_accepted(self, tmp_path, capsys):
         args = ["run", "--dataset", "synthetic-nonlinear", "--algo", "neural-ts",
                 "--T", "5", "--repeats", "1", "--width", "4", "--iters", "2",
-                "--stop-train", "0", "--serial", "--out", str(tmp_path / "out")]
+                "--stop-train", "0", "--out", str(tmp_path / "out")]
         assert main(args) == 0
 
 
@@ -95,7 +98,7 @@ class TestRejectedStreamAndPolicyValues:
 class TestGrid:
     def test_grid_table_printed(self, tmp_path, capsys):
         args = ["grid", "--dataset", "synthetic-nonlinear", "--algo", "lin-ts",
-                "--T", "15", "--repeats", "1", "--serial",
+                "--T", "15", "--repeats", "1",
                 "--out", str(tmp_path / "out")]
         assert main(args) == 0
         out = capsys.readouterr().out
@@ -104,7 +107,7 @@ class TestGrid:
 
     def test_writes_the_cell_summary_only(self, tmp_path):
         args = ["grid", "--dataset", "synthetic-nonlinear", "--algo", "lin-ts",
-                "--T", "15", "--repeats", "1", "--serial",
+                "--T", "15", "--repeats", "1",
                 "--out", str(tmp_path / "out")]
         assert main(args) == 0
         assert not (tmp_path / "out" / "plot_none.csv").exists()
@@ -114,7 +117,7 @@ class TestGrid:
     def test_rejects_a_cell_before_any_runs(self, tmp_path, capsys):
         # step*m*lambda is 0.005 at --lambda 0.001 but 5 in the lambda=1 cell
         args = ["grid", "--algo", "neural-ts", "--lambda", "0.001", "--lr",
-                "0.05", "--T", "5", "--repeats", "1", "--serial",
+                "0.05", "--T", "5", "--repeats", "1",
                 "--out", str(tmp_path / "out")]
         with pytest.raises(SystemExit) as info:
             main(args)
@@ -125,15 +128,14 @@ class TestGrid:
 
     def test_network_width_is_not_checked_for_lin_ts(self, tmp_path):
         assert main(["grid", "--algo", "lin-ts", "--width", "3", "--T", "5",
-                     "--repeats", "1", "--serial",
+                     "--repeats", "1",
                      "--out", str(tmp_path / "out")]) == 0
 
     def test_cell_equals_run_with_its_lambda_and_nu(self, tmp_path):
         # a cell's lambda reaches the training loss as well as the posterior
         common = ["--dataset", "synthetic-nonlinear", "--algo", "neural-ts",
                   "--T", "40", "--repeats", "2", "--width", "8",
-                  "--train-mode", "gd", "--iters", "20", "--lr", "0.01",
-                  "--serial"]
+                  "--train-mode", "gd", "--iters", "20", "--lr", "0.01"]
         assert main(["grid", *common, "--out", str(tmp_path / "grid")]) == 0
         with open(tmp_path / "grid" / "summary.csv") as fh:
             cells = {(float(row["reg"]), float(row["nu"])): float(row["mean"])
@@ -188,7 +190,7 @@ class TestNtkStream:
         config = ExperimentConfig("synthetic-linear", PolicyConfig("neural-ts"),
                                   horizon=5, n_arms=2)
         contexts = np.concatenate([r.contexts for r in build_rounds(config, 0)])
-        H = ntk.ntk_matrix(contexts, 2).H
+        H = ntk.ntk_matrix(contexts, 2)
         expected = ntk.effective_dimension(H, 0.5, 300 * 2)
         assert report["eff_dim"] == pytest.approx(expected.eff_dim, rel=1e-12)
 
@@ -235,7 +237,7 @@ class TestNtkTheoryFromTheStream:
                                   horizon=5, n_arms=2)
         rounds = build_rounds(config, 0)
         h = np.concatenate([r.expected_rewards for r in rounds])
-        H = ntk.ntk_matrix(np.concatenate([r.contexts for r in rounds]), 2).H
+        H = ntk.ntk_matrix(np.concatenate([r.contexts for r in rounds]), 2)
         assert report["B"] == ntk.theory_B(h, H)
         assert report["R"] == config.noise_sd
         assert report["nu_theory"] > report["B"]
@@ -267,6 +269,93 @@ class TestNtkTheoryFromTheStream:
             main(["ntk", "--n", "2", flag, value])
         assert info.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+class TestNtkReportIsStrictJson:
+    """Extreme --lambda and --delta values give a report without NaN or
+    Infinity, whose flags are compared in log space and whose terms are null
+    where a double cannot hold them; a --width that no network has exits 2
+    before any kernel is built."""
+
+    @staticmethod
+    def strict(text):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+        return json.loads(text, parse_constant=reject)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--lambda", "1e-40", None),
+        ("--lambda", "1e300", None),
+        ("--lambda", "1e-30", None),
+        ("--width", "1", "width must be a positive even integer, got 1"),
+        ("--width", "0", "width must be a positive even integer, got 0"),
+        ("--delta", "1e-320", None)])
+    def test_exits_0_with_strict_json_or_2(self, monkeypatch, capsys, flag,
+                                           value, message):
+        argv = ["ntk", "--n", "5", flag, value]
+        if message is not None:
+            monkeypatch.setattr(ntk, "ntk_matrix", None)
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            err = capsys.readouterr().err
+            assert err.splitlines()[-1] == f"banditbench ntk: error: {message}"
+            return
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = self.strict(captured.out)
+        cond = report["width_condition"]
+        if cond["lower_bound_rhs"] is not None:
+            assert cond["lower_bound_ok"] == (cond["width"]
+                                              >= cond["lower_bound_rhs"])
+        if cond["log_cubed_rhs"] is not None:
+            assert cond["log_cubed_ok"] == (cond["log_cubed_lhs"]
+                                            >= cond["log_cubed_rhs"])
+        if flag == "--lambda" and float(value) < 1.0:
+            # the terms in lambda^-7 and lambda^-8 are past 1e308
+            assert cond["log_cubed_rhs"] is None
+            assert cond["log_cubed_ok"] is False
+
+
+    def test_delta_is_checked_on_a_singular_kernel(self, capsys):
+        # a singular H skips nu, whose check --delta reached alone; past 1
+        # the width terms took the log of a number below 1
+        with pytest.raises(SystemExit) as info:
+            main(["ntk", "--dataset", "mushroom-like", "--n", "50",
+                  "--delta", "1e9"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "banditbench ntk: error: delta must be in (0, 1)")
+
+class TestInProcessSwitch:
+    """BANDITBENCH_THREADS=1 is the one switch that keeps a run's episodes
+    in-process: --serial is gone from the command line and config files."""
+
+    @pytest.fixture(autouse=True)
+    def no_episodes(self, monkeypatch):
+        monkeypatch.setattr(cli, "run_repeats", None)
+        monkeypatch.setattr(cli, "run_grid", None)
+
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    def test_serial_flag_exits_2(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--algo", "uniform", "--T", "5", "--serial",
+                  "--out", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "banditbench: error: unrecognized arguments: --serial")
+
+    def test_serial_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("algo = uniform\nT = 5\nserial = true\n")
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"banditbench run: error: --config {cfg}: serial: "
+            "unrecognized arguments: --serial=true")
 
 
 class TestNtkIngestRejections:
@@ -330,7 +419,7 @@ class TestNonFiniteValues:
         monkeypatch.setattr(cli, "run_repeats", None)
         monkeypatch.setattr(ntk, "ntk_matrix", None)
         if argv[0] == "run":
-            argv = [*argv, "--T", "20", "--repeats", "1", "--serial",
+            argv = [*argv, "--T", "20", "--repeats", "1",
                     "--out", str(tmp_path / "out")]
         with pytest.raises(SystemExit) as info:
             main(argv)
@@ -353,7 +442,7 @@ class TestUnwritableOutput:
         out = tmp_path / "file" / "sub"
         with pytest.raises(SystemExit) as info:
             main([command, "--algo", "lin-ts", "--T", "20", "--repeats", "1",
-                  "--serial", "--out", str(out)])
+                  "--out", str(out)])
         assert info.value.code == 2
         err = capsys.readouterr().err.splitlines()[-1]
         assert err.startswith(f"banditbench {command}: error: ")
@@ -367,7 +456,7 @@ class TestUnwritableOutput:
         (tmp_path / "e.cfg").write_text("algo = lin-ts\nT = 20\nrepeats = 1\n"
                                         "out = file/sub\n")
         with pytest.raises(SystemExit) as info:
-            main(["run", "--config", "e.cfg", "--serial"])
+            main(["run", "--config", "e.cfg"])
         assert info.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith(
             "banditbench run: error: --config e.cfg: out: --out file/sub: ")
@@ -478,7 +567,7 @@ class TestDefaultsTrainStably:
     the former defaults (GD x100 at lr 1e-3) raised TrainingDiverged."""
 
     def test_defaults(self, tmp_path, capsys):
-        args = ["run", "--T", "150", "--repeats", "1", "--serial",
+        args = ["run", "--T", "150", "--repeats", "1",
                 "--out", str(tmp_path / "out")]
         assert main(args) == 0
         assert "(T=150)" in capsys.readouterr().out
@@ -486,7 +575,7 @@ class TestDefaultsTrainStably:
     def test_readme_run_example(self, tmp_path, capsys):
         args = ["run", "--dataset", "synthetic-nonlinear", "--algo", "neural-ts",
                 "--T", "450", "--repeats", "1", "--width", "32",
-                "--posterior", "diag", "--serial", "--out", str(tmp_path / "out")]
+                "--posterior", "diag", "--out", str(tmp_path / "out")]
         assert main(args) == 0
         assert "(T=450)" in capsys.readouterr().out
 
@@ -498,7 +587,7 @@ class TestConfigKeysAreFlags:
     def write(self, tmp_path, *lines):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("algo = uniform\nrepeats = 1\n" + "\n".join(lines) + "\n")
-        return ["run", "--config", str(cfg), "--serial",
+        return ["run", "--config", str(cfg),
                 "--out", str(tmp_path / "out")]
 
     def test_horizon_from_config_without_flag(self, tmp_path, capsys):
@@ -511,9 +600,9 @@ class TestConfigKeysAreFlags:
         seen = []
         real = cli.run_repeats
 
-        def spy(config, parallel=True):
+        def spy(config):
             seen.append(config)
-            return real(config, parallel=parallel)
+            return real(config)
 
         monkeypatch.setattr(cli, "run_repeats", spy)
         assert main(self.write(tmp_path, "T = 5",
@@ -570,7 +659,7 @@ class TestDivergenceMessage:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_run_exits_1_with_round_and_seed(self, tmp_path, capsys):
         args = ["run", "--train-mode", "gd", "--lr", "1e-3", "--T", "300",
-                "--repeats", "1", "--serial", "--out", str(tmp_path / "out")]
+                "--repeats", "1", "--out", str(tmp_path / "out")]
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("banditbench: error: neural-ts on "
@@ -589,7 +678,7 @@ class TestDegenerateUpdateMessage:
         schema.write_text("size: numeric\nlabel: kind\n")
         args = ["run", "--algo", "lin-ts", "--dataset", f"csv:{table}",
                 "--schema", str(schema), "--lambda", "1e-20", "--T", "8",
-                "--repeats", "1", "--serial", "--out", str(tmp_path / "out")]
+                "--repeats", "1", "--out", str(tmp_path / "out")]
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"banditbench: error: lin-ts on csv:{table}, "

@@ -7,7 +7,7 @@ import pytest
 
 from banditbench import data as bd
 from banditbench import envs
-from banditbench.nn import NetShape, forward, init_params
+from banditbench.nn import NetShape, forward_batch, init_params
 
 
 @pytest.fixture
@@ -164,7 +164,7 @@ class TestTransforms:
         for seed in range(5):
             x = bd.duplicate_half(bd.normalize_unit(rng.standard_normal(5)))
             theta = init_params(NetShape(10, 16, 3), seed)
-            assert abs(forward(theta, x)) <= 1e-6 * np.sqrt(16)
+            assert abs(forward_batch(theta, x[None])[0]) <= 1e-6 * np.sqrt(16)
 
     def test_disjoint_encode(self):
         out = bd.disjoint_encode(np.array([1.0, 2.0]), 2)

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import flat
 from regret_equivalence import assert_regret_equivalent
 
 from banditbench import data, envs, harness
@@ -15,6 +16,9 @@ from banditbench.harness import (ExperimentConfig, RegretTrace, build_rounds,
                                  run_repeats, summarize)
 from banditbench.nn import TrainConfig
 from banditbench.policies import Policy, Decision, PolicyConfig
+
+# episodes play in-process unless a test sets BANDITBENCH_THREADS=2
+pytestmark = pytest.mark.usefixtures("in_process")
 
 FAST_TRAIN = TrainConfig(step_size=0.001, iterations=3)
 
@@ -218,7 +222,7 @@ class TestDelayProtocol:
                 self.inner = inner
 
             def select(self, contexts):
-                states.append((self.inner.net.theta.flat.tobytes(),
+                states.append((flat(self.inner.net.theta).tobytes(),
                                self.inner.design.logdet))
                 return self.inner.select(contexts)
 
@@ -318,23 +322,22 @@ class TestSummarize:
 class TestGrid:
     def test_single_cell_equals_repeats(self):
         config = fast_config(algorithm="uniform", repeats=2)
-        table, best = run_grid([config], parallel=False)
+        table, best = run_grid([config])
         assert len(table) == 1
-        direct = summarize(run_repeats(config, parallel=False))
+        direct = summarize(run_repeats(config))
         assert best["mean"] == pytest.approx(direct["mean"])
 
     def test_grid_counting(self):
         config = fast_config(algorithm="uniform", repeats=2)
         cells = grid_cells(config, regs=(1.0, 0.1), nus=(0.1, 0.01))
-        table, _ = run_grid(cells, parallel=False)
+        table, _ = run_grid(cells)
         assert len(table) == 4
 
     def test_tie_break_smaller_nu_then_reg(self):
         # uniform ignores nu/reg so every cell ties; the winner must be the
         # smallest nu, then the smallest reg
         config = fast_config(algorithm="uniform", repeats=1)
-        _, best = run_grid(grid_cells(config, regs=(1.0, 0.1), nus=(0.1, 0.01)),
-                           parallel=False)
+        _, best = run_grid(grid_cells(config, regs=(1.0, 0.1), nus=(0.1, 0.01)))
         assert best["nu"] == 0.01
         assert best["reg"] == 0.1
 
@@ -344,7 +347,9 @@ class TestCells:
     grid, and each cell's traces handed over as soon as they exist."""
 
     @staticmethod
-    def counting_pools(monkeypatch):
+    def counting_pools(monkeypatch, threads):
+        """The list of the process pools built from here on, with
+        BANDITBENCH_THREADS set to threads on a two-CPU host."""
         import concurrent.futures
 
         made = []
@@ -356,24 +361,33 @@ class TestCells:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             CountingPool)
-        monkeypatch.setattr(harness, "pool_size", lambda: 2)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("BANDITBENCH_THREADS", threads)
         return made
 
     def test_one_pool_for_the_whole_grid(self, monkeypatch):
-        made = self.counting_pools(monkeypatch)
+        made = self.counting_pools(monkeypatch, "2")
         cells = grid_cells(fast_config(algorithm="uniform", repeats=2),
                            nus=(0.1, 0.01, 0.001))
-        table, _ = run_grid(cells, parallel=True)
+        table, _ = run_grid(cells)
         assert len(table) == 3
         assert len(made) == 1
 
+    @pytest.mark.parametrize("threads,pools", [("1", 0), ("2", 1)])
+    def test_thread_cap_decides_the_pool(self, monkeypatch, threads, pools):
+        made = self.counting_pools(monkeypatch, threads)
+        traces = run_repeats(fast_config(algorithm="uniform", repeats=3))
+        assert [tr.seed for tr in traces] == [0, 1, 2]
+        assert len(made) == pools
+
     def test_pooled_single_repeat_grid_equals_serial(self, monkeypatch):
-        made = self.counting_pools(monkeypatch)
+        made = self.counting_pools(monkeypatch, "1")
         cells = grid_cells(fast_config(repeats=1, horizon=15),
                            regs=(1.0, 0.1), nus=(0.1, 0.01))
-        serial, _ = run_grid(cells, parallel=False)
+        serial, _ = run_grid(cells)
         assert not made
-        pooled, _ = run_grid(cells, parallel=True)
+        monkeypatch.setenv("BANDITBENCH_THREADS", "2")
+        pooled, _ = run_grid(cells)
         assert len(made) == 1
         assert pooled == serial
 
@@ -385,7 +399,7 @@ class TestCells:
                             or real(config, i))
         cells = [fast_config(algorithm="uniform", repeats=3, base_seed=s)
                  for s in (0, 1)]
-        cell_traces = run_cells(cells, parallel=False)
+        cell_traces = run_cells(cells)
         first = next(cell_traces)
         assert played == [(cells[0], 0), (cells[0], 1), (cells[0], 2)]
         assert [tr.seed for tr in first] == [0, 1, 2]
@@ -396,7 +410,7 @@ class TestCells:
 class TestOutputs:
     def test_jsonl_roundtrip(self, tmp_path):
         config = fast_config(algorithm="uniform", repeats=2, horizon=15)
-        traces = run_repeats(config, parallel=False)
+        traces = run_repeats(config)
         emit_outputs(traces, summarize(traces), str(tmp_path))
         back = read_traces(str(tmp_path), "uniform")
         assert len(back) == 2
@@ -405,15 +419,14 @@ class TestOutputs:
 
     def test_plot_csv_rows(self, tmp_path):
         config = fast_config(algorithm="uniform", repeats=2, horizon=15)
-        traces = run_repeats(config, parallel=False)
+        traces = run_repeats(config)
         emit_outputs(traces, summarize(traces), str(tmp_path))
         lines = (tmp_path / "plot_uniform.csv").read_text().strip().splitlines()
         assert len(lines) == 16  # header + T rows
 
     def test_summary_rows_match_grid_cells(self, tmp_path):
         config = fast_config(algorithm="uniform", repeats=1)
-        table, _ = run_grid(grid_cells(config, regs=(1.0, 0.1), nus=(0.1,)),
-                            parallel=False)
+        table, _ = run_grid(grid_cells(config, regs=(1.0, 0.1), nus=(0.1,)))
         emit_grid_summary(table, str(tmp_path))
         lines = (tmp_path / "summary.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 cells
@@ -422,7 +435,7 @@ class TestOutputs:
     def test_byte_identical_traces_modulo_wallclock(self, tmp_path):
         config = fast_config(horizon=12, repeats=1)
         for sub in ("a", "b"):
-            traces = run_repeats(config, parallel=False)
+            traces = run_repeats(config)
             emit_outputs(traces, summarize(traces), str(tmp_path / sub))
 
         def strip(path):
@@ -488,10 +501,11 @@ class TestPool:
                            "integer, not 'two'"):
             harness.pool_size()
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
         config = fast_config(algorithm="uniform", repeats=2, horizon=20)
-        serial = [t.total_regret for t in run_repeats(config, parallel=False)]
-        parallel = [t.total_regret for t in run_repeats(config, parallel=True)]
+        serial = [t.total_regret for t in run_repeats(config)]
+        monkeypatch.setenv("BANDITBENCH_THREADS", "2")
+        parallel = [t.total_regret for t in run_repeats(config)]
         assert serial == parallel
 
     def test_import_does_not_load_the_pool(self):

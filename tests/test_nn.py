@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from banditbench.nn import (Batches, NetShape, ParamStack, ParamVector,
-                            TrainConfig, draw_batches, forward, forward_batch,
-                            grad, grad_batch, init_params, train)
+                            TrainConfig, draw_batches, forward_batch, grad,
+                            grad_batch, init_params, train)
 from banditbench.data import duplicate_half, normalize_unit
 from banditbench.harness import ExperimentConfig, build_rounds
 from banditbench.policies import PolicyConfig
+from helpers import flat, from_flat
 
 
 def small_hand_net():
@@ -32,15 +33,15 @@ def loss(theta, theta0, X, r, reg):
     """The regularized square loss that training descends:
     sum (f - r)^2 / 2 + m*reg*||theta - theta0||^2 / 2."""
     resid = forward_batch(theta, X) - r
-    drift = theta.flat - theta0.flat
+    drift = flat(theta) - flat(theta0)
     return float(0.5 * np.sum(resid ** 2)
                  + 0.5 * theta.shape.width * reg * np.dot(drift, drift))
 
 
 def random_param_vector(rng, shape):
-    flat = init_params(shape, int(rng.integers(1 << 31))).flat
-    flat = flat + 0.1 * rng.standard_normal(shape.n_params)
-    return ParamVector.from_flat(shape, flat)
+    weights = flat(init_params(shape, int(rng.integers(1 << 31))))
+    weights = weights + 0.1 * rng.standard_normal(shape.n_params)
+    return from_flat(shape, weights)
 
 
 class TestShape:
@@ -56,7 +57,7 @@ class TestShape:
     def test_flat_roundtrip(self):
         s = NetShape(4, 6, 3)
         theta = init_params(s, 3)
-        again = ParamVector.from_flat(s, theta.flat)
+        again = from_flat(s, flat(theta))
         for a, b in zip(theta.layers, again.layers):
             np.testing.assert_array_equal(a, b)
 
@@ -76,12 +77,13 @@ class TestInit:
 
     def test_deterministic(self):
         s = NetShape(6, 8, 3)
-        np.testing.assert_array_equal(init_params(s, 11).flat, init_params(s, 11).flat)
+        np.testing.assert_array_equal(flat(init_params(s, 11)),
+                                      flat(init_params(s, 11)))
 
     def test_zero_output_on_duplicated_half(self):
         theta = init_params(NetShape(6, 8, 3), 7)
         x = duplicate_half(normalize_unit(np.array([1.0, -2.0, 0.5])))
-        assert abs(forward(theta, x)) <= 1e-6
+        assert abs(forward_batch(theta, x[None])[0]) <= 1e-6
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ValueError):
@@ -93,26 +95,26 @@ class TestInit:
 class TestForward:
     def test_hand_example(self):
         _, theta = small_hand_net()
-        out = forward(theta, np.array([1.0, -1.0]))
+        out = forward_batch(theta, np.array([[1.0, -1.0]]))[0]
         assert out == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_zero_input(self):
         rng = np.random.default_rng(0)
         theta = random_param_vector(rng, NetShape(4, 6, 3))
-        assert forward(theta, np.zeros(4)) == 0.0
+        assert forward_batch(theta, np.zeros((1, 4)))[0] == 0.0
 
     def test_dimension_mismatch(self):
         _, theta = small_hand_net()
         with pytest.raises(ValueError):
-            forward(theta, np.array([1.0, 2.0, 3.0]))
+            forward_batch(theta, np.array([[1.0, 2.0, 3.0]]))
 
     def test_positive_homogeneity_two_layer(self):
         rng = np.random.default_rng(1)
         theta = random_param_vector(rng, NetShape(4, 8, 2))
         x = rng.standard_normal(4)
         for c in (0.5, 2.0, 7.3):
-            assert forward(theta, c * x) == pytest.approx(c * forward(theta, x),
-                                                          rel=1e-10)
+            assert forward_batch(theta, c * x[None])[0] == pytest.approx(
+                c * forward_batch(theta, x[None])[0], rel=1e-10)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(2)
@@ -120,7 +122,8 @@ class TestForward:
         X = rng.standard_normal((5, 4))
         batch = forward_batch(theta, X)
         for i, x in enumerate(X):
-            assert batch[i] == pytest.approx(forward(theta, x), abs=1e-12)
+            assert batch[i] == pytest.approx(forward_batch(theta, x[None])[0],
+                                             abs=1e-12)
 
 
 class TestGrad:
@@ -146,16 +149,16 @@ class TestGrad:
             theta = random_param_vector(rng, shape)
             x = rng.standard_normal(d)
             g = grad(theta, x)
-            flat = theta.flat
+            weights = flat(theta)
             idx = rng.choice(shape.n_params, size=min(10, shape.n_params),
                              replace=False)
             h = 1e-5
             for i in idx:
-                up, dn = flat.copy(), flat.copy()
+                up, dn = weights.copy(), weights.copy()
                 up[i] += h
                 dn[i] -= h
-                fd = (forward(ParamVector.from_flat(shape, up), x)
-                      - forward(ParamVector.from_flat(shape, dn), x)) / (2 * h)
+                fd = (forward_batch(from_flat(shape, up), x[None])[0]
+                      - forward_batch(from_flat(shape, dn), x[None])[0]) / (2 * h)
                 denom = max(abs(fd), abs(g[i]), 1e-8)
                 worst = max(worst, abs(fd - g[i]) / denom)
         assert worst < 1e-4
@@ -188,7 +191,7 @@ class TestTrain:
         shape = NetShape(4, 4, 2)
         theta0 = init_params(shape, 0)
         out = fit(theta0, theta0, [], TrainConfig(step_size=0.01, iterations=50))
-        np.testing.assert_array_equal(out.flat, theta0.flat)
+        np.testing.assert_array_equal(flat(out), flat(theta0))
 
     def test_scalar_ridge_closed_form(self):
         # 1-parameter surrogate f(x; theta) = theta * x, one data point:
@@ -211,7 +214,7 @@ class TestTrain:
         cfg = TrainConfig(step_size=0.01, iterations=30)
         a = fit(theta0, theta0, data, cfg)
         b = fit(theta0, theta0, data, cfg)
-        np.testing.assert_array_equal(a.flat, b.flat)
+        np.testing.assert_array_equal(flat(a), flat(b))
 
     def test_network_fits_toward_targets(self):
         shape = NetShape(4, 16, 2)
@@ -259,4 +262,4 @@ class TestTrain:
         cfg = TrainConfig(step_size=0.002, iterations=50, mode="sgd", batch_size=4)
         a = fit(theta0, theta0, data, cfg, np.random.default_rng(42))
         b = fit(theta0, theta0, data, cfg, np.random.default_rng(42))
-        np.testing.assert_array_equal(a.flat, b.flat)
+        np.testing.assert_array_equal(flat(a), flat(b))

@@ -3,6 +3,7 @@ import pytest
 
 from banditbench import ntk
 from banditbench.data import duplicate_half
+from helpers import ntk_levels
 
 
 def random_unit(rng, d):
@@ -24,35 +25,45 @@ def mc_level_estimates(cov, rng, n_samples=1_000_000):
 class TestNtkMatrix:
     def test_single_context_depth_two(self):
         x = np.array([1.0, 0.0])
-        H = ntk.ntk_matrix(x[None, :], 2).H
+        H = ntk.ntk_matrix(x[None, :], 2)
         assert H[0, 0] == pytest.approx(1.5, abs=1e-12)
 
     @pytest.mark.parametrize("depth", [2, 3, 4])
     def test_diagonal_law(self, depth):
         rng = np.random.default_rng(0)
         X = np.stack([random_unit(rng, 6) for _ in range(4)])
-        H = ntk.ntk_matrix(X, depth).H
+        H = ntk.ntk_matrix(X, depth)
         np.testing.assert_allclose(np.diag(H), (depth + 1) / 2.0, atol=1e-12)
 
     def test_orthogonal_pair_off_diagonal(self):
         X = np.eye(2)
-        kernel = ntk.ntk_matrix(X, 2)
-        assert kernel.sigmas[-1][0, 1] == pytest.approx(1.0 / np.pi, abs=1e-12)
-        assert kernel.htildes[-1][0, 1] == pytest.approx(1.0 / np.pi, abs=1e-12)
-        assert kernel.H[0, 1] == pytest.approx(1.0 / np.pi, abs=1e-12)
+        sigmas, htildes, _ = ntk_levels(X, 2)
+        assert sigmas[-1][0, 1] == pytest.approx(1.0 / np.pi, abs=1e-12)
+        assert htildes[-1][0, 1] == pytest.approx(1.0 / np.pi, abs=1e-12)
+        assert ntk.ntk_matrix(X, 2)[0, 1] == pytest.approx(1.0 / np.pi, abs=1e-12)
 
     def test_duplicated_context_rank_deficient(self):
         x = random_unit(np.random.default_rng(1), 4)
-        H = ntk.ntk_matrix(np.stack([x, x]), 2).H
+        H = ntk.ntk_matrix(np.stack([x, x]), 2)
         np.testing.assert_allclose(H[0], H[1], atol=1e-12)
         assert abs(np.linalg.eigvalsh(H)[0]) < 1e-10
 
     def test_symmetric_psd(self):
         rng = np.random.default_rng(2)
         X = np.stack([random_unit(rng, 8) for _ in range(6)])
-        H = ntk.ntk_matrix(X, 3).H
+        H = ntk.ntk_matrix(X, 3)
         np.testing.assert_allclose(H, H.T, atol=1e-14)
         assert np.linalg.eigvalsh(H)[0] >= -1e-8 * np.linalg.norm(H)
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_is_the_last_level_of_the_recursion(self, depth):
+        # H = (H-tilde + Sigma) / 2 at the last level, made exactly symmetric
+        rng = np.random.default_rng(6)
+        X = np.stack([random_unit(rng, 6) for _ in range(5)])
+        sigmas, htildes, _ = ntk_levels(X, depth)
+        H = (htildes[-1] + sigmas[-1]) / 2.0
+        H = (H + H.T) / 2.0
+        assert ntk.ntk_matrix(X, depth).tobytes() == H.tobytes()
 
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
@@ -66,13 +77,13 @@ class TestNtkMatrix:
         for _ in range(5):
             x = random_unit(rng, 6)
             y = random_unit(rng, 6)
-            kernel = ntk.ntk_matrix(np.stack([x, y]), 3)
-            for lvl in range(len(kernel.sigmas) - 1):
-                s = kernel.sigmas[lvl]
+            sigmas, _, derivs = ntk_levels(np.stack([x, y]), 3)
+            for lvl in range(len(sigmas) - 1):
+                s = sigmas[lvl]
                 cov = np.array([[s[0, 0], s[0, 1]], [s[0, 1], s[1, 1]]])
                 (prod, prod_se), (ind, ind_se) = mc_level_estimates(cov, mc_rng)
-                closed_sigma = kernel.sigmas[lvl + 1][0, 1]
-                closed_deriv = kernel.derivs[lvl][0, 1]
+                closed_sigma = sigmas[lvl + 1][0, 1]
+                closed_deriv = derivs[lvl][0, 1]
                 assert abs(closed_sigma - prod) <= 3 * prod_se + 1e-9
                 assert abs(closed_deriv - ind) <= 3 * ind_se + 1e-9
 
@@ -83,7 +94,7 @@ class TestNtkMatrix:
         rng = np.random.default_rng(5)
         raw = np.stack([random_unit(rng, 24) for _ in range(6)])
         X = duplicate_half(raw)
-        H = ntk.ntk_matrix(X, 2).H
+        H = ntk.ntk_matrix(X, 2)
         med = {}
         for m in (64, 512):
             errs = []
@@ -215,3 +226,18 @@ class TestWidthCondition:
                 if prev_ok is not None and not prev_ok:
                     assert not ok  # growing T never flips fail -> pass
                 prev_ok = ok
+
+    @pytest.mark.parametrize("args", [(100, 2000, 4, 2, 1.0, 0.13, 0.1),
+                                      (32, 50, 10, 3, 0.01, 1e-12, 1e-6),
+                                      (1000, 7, 2, 4, 40.0, 2.5, 0.9)])
+    def test_logarithms_match_the_terms(self, monkeypatch, args):
+        # the logarithms that stand in for a term a double cannot hold give
+        # the term itself where it can
+        direct = ntk.check_width_condition(*args)
+        monkeypatch.setattr(ntk, "_held",
+                            lambda value, log_value: float(np.exp(log_value)))
+        via_logs = ntk.check_width_condition(*args)
+        for key in ("lower_bound_rhs", "log_cubed_lhs", "log_cubed_rhs"):
+            assert via_logs[key] == pytest.approx(direct[key], rel=1e-12)
+        assert via_logs["lower_bound_terms"] == pytest.approx(
+            direct["lower_bound_terms"], rel=1e-12)

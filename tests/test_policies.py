@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import flat, inverse
 from regret_equivalence import assert_regret_equivalent
 
 from banditbench import nn
@@ -74,21 +75,21 @@ class TestNeuralTS:
     def test_select_does_not_mutate_state(self):
         policy = make_policy(neural_cfg("neural-ts"), 4, seed=4)
         contexts = random_contexts(np.random.default_rng(3), 2, 4)
-        theta_before = policy.net.theta.flat.copy()
+        theta_before = flat(policy.net.theta)
         logdet_before = policy.design.logdet
         for _ in range(10):
             policy.select(contexts)
-        np.testing.assert_array_equal(policy.net.theta.flat, theta_before)
+        np.testing.assert_array_equal(flat(policy.net.theta), theta_before)
         assert policy.design.logdet == logdet_before
 
     def test_stop_train_zero_freezes_parameters(self):
         policy = make_policy(neural_cfg("neural-ts", stop_train=0), 4, seed=5)
-        theta0 = policy.net.theta0.flat.copy()
+        theta0 = flat(policy.theta0.member(0))
         contexts = random_contexts(np.random.default_rng(4), 2, 4)
         logdet_before = policy.design.logdet
         for k in range(4):
             policy.observe(contexts[k % 2], 1.0)
-        np.testing.assert_array_equal(policy.net.theta.flat, theta0)
+        np.testing.assert_array_equal(flat(policy.net.theta), theta0)
         assert policy.design.logdet > logdet_before  # U still accumulates
 
     def test_observe_is_stateful_no_dedup(self):
@@ -109,7 +110,7 @@ class TestNeuralTS:
         expected = policy.design.dim * np.log(policy.design.reg)
         for _ in range(6):
             ctx = random_contexts(rng, 1, 4)[0]
-            inv_before = policy.design.inverse
+            inv_before = inverse(policy.design)
             # theta after this observe is what enters the update feature
             policy.observe(ctx, float(rng.uniform()))
             g = grad(policy.net.theta, ctx)
@@ -247,7 +248,7 @@ class TestLinear:
             policy.observe(x, r)
             A += np.outer(x, x)
             b += r * x
-        np.testing.assert_allclose(policy.design.inverse, np.linalg.inv(A),
+        np.testing.assert_allclose(inverse(policy.design), np.linalg.inv(A),
                                    atol=1e-8)
         np.testing.assert_allclose(policy.b, b, atol=1e-12)
 
@@ -261,7 +262,7 @@ class TestLinear:
             u = ref @ x
             ref -= np.outer(u, u) / (1.0 + float(x @ u))
             ref = (ref + ref.T) / 2.0
-        inv = policy.design.inverse
+        inv = inverse(policy.design)
         np.testing.assert_array_equal(inv, inv.T)
         np.testing.assert_allclose(inv, ref, rtol=1e-9)
 
@@ -284,7 +285,7 @@ class TestLinear:
             reward = float(rng.uniform())
             policy.observe(contexts[got.arm], reward)
             ref.observe(contexts[got.arm], reward)
-            inv = policy.design.inverse
+            inv = inverse(policy.design)
             np.testing.assert_array_equal(inv, inv.T)
             np.testing.assert_allclose(inv, ref.a_inv, rtol=1e-9, atol=1e-15)
         assert policy.design._inv is not None
@@ -608,13 +609,13 @@ class TestBootstrap:
     def test_q_zero_never_trains(self):
         boot = make_policy(neural_cfg("bootstrap-nn", n_networks=3,
                                       include_prob=0.0), 4, seed=21)
-        init = [net.theta0.flat.copy() for net in boot.nets]
+        init = [flat(boot.theta0.member(j)) for j in range(len(boot.nets))]
         rng = np.random.default_rng(20)
         for _ in range(5):
             boot.observe(random_contexts(rng, 1, 4)[0], 1.0)
         for net, theta0 in zip(boot.nets, init):
             assert not net.history
-            np.testing.assert_array_equal(net.theta.flat, theta0)
+            np.testing.assert_array_equal(flat(net.theta), theta0)
 
     def test_inclusion_frequency(self):
         # rows are included until the stop round; no training is needed

@@ -14,6 +14,7 @@ from banditbench.harness import ExperimentConfig, run_episode
 from banditbench.nn import (Batches, NetShape, ParamStack, TrainConfig,
                             TrainingDiverged, draw_batches, init_params, train)
 from banditbench.policies import BootstrapNN, PolicyConfig, make_policy
+from helpers import copy_params, flat
 
 
 def _seed_forward_cached(theta, X):
@@ -48,13 +49,13 @@ def seed_train(theta0, theta_init, dataset, cfg, rng=None):
     if cfg.step_size * m * cfg.reg >= 1.0:
         raise ValueError("the regularization contraction diverges")
     if not dataset:
-        return theta_init.copy()
+        return copy_params(theta_init)
     if cfg.mode == "sgd" and rng is None:
         rng = np.random.default_rng(0)
     X = np.asarray([x for x, _ in dataset], dtype=np.float64)
     r = np.asarray([rw for _, rw in dataset], dtype=np.float64)
     n = len(dataset)
-    theta = theta_init.copy()
+    theta = copy_params(theta_init)
     for _ in range(cfg.iterations):
         if cfg.mode == "gd":
             Xb, rb = X, r
@@ -77,7 +78,7 @@ class SeedNeuralNet:
     def __init__(self, shape, seed, cfg):
         self.cfg = cfg
         self.theta0 = init_params(shape, seed)
-        self.theta = self.theta0.copy()
+        self.theta = copy_params(self.theta0)
         self.history = []
 
     def add(self, x, r):
@@ -138,7 +139,7 @@ def assert_same_ensembles(cfg, rounds=24, dim=6, seed=5):
         new.observe(x, reward)
         old.observe(x, reward)
         for a, b in zip(new.nets, old.nets):
-            assert a.theta.flat.tobytes() == b.theta.flat.tobytes()
+            assert flat(a.theta).tobytes() == flat(b.theta).tobytes()
         # past the stop round the seed ensemble still includes rows and
         # draws from the observation stream; no fit reads either
         if t <= cfg.stop_train:
@@ -193,14 +194,14 @@ class TestSingleNetworkMatchesSeed:
         X, r = contexts_stream(20, 6, seed=2)
         data = list(zip(X, r))
         start = seed_train(theta0, theta0, data[:5], cfg, np.random.default_rng(1))
-        before = start.flat.tobytes()
+        before = flat(start).tobytes()
         new = ParamStack.of([start])
         batches = Batches(X, r, [len(X)], [draw_batches(
             np.arange(len(X)), cfg, np.random.default_rng(7))])
         train(ParamStack.of([theta0]), new, batches, cfg)
         old = seed_train(theta0, start, data, cfg, np.random.default_rng(7))
-        assert new.member(0).flat.tobytes() == old.flat.tobytes()
-        assert start.flat.tobytes() == before
+        assert flat(new.member(0)).tobytes() == flat(old).tobytes()
+        assert flat(start).tobytes() == before
 
     @pytest.mark.parametrize("algorithm", ["neural-ts", "eps-greedy"])
     def test_policy_networks(self, algorithm):
@@ -216,7 +217,7 @@ class TestSingleNetworkMatchesSeed:
             ref.add(x, reward)
             if t <= 15:
                 ref.fit(rng)
-            assert policy.net.theta.flat.tobytes() == ref.theta.flat.tobytes()
+            assert flat(policy.net.theta).tobytes() == flat(ref.theta).tobytes()
 
 
 class TestTraces:
