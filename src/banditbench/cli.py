@@ -173,7 +173,7 @@ def _ntk_report(stream: ExperimentConfig, args: argparse.Namespace) -> dict:
         "R": R,
     }
     try:
-        out["B"] = B = ntk.theory_B(h, H)
+        out["B"] = B = ntk.theory_B(h, H, out["min_eigenvalue"])
         out["nu_theory"] = ntk.theory_nu(B, R, report.eff_dim, args.horizon,
                                          K, args.reg, args.delta)
     except np.linalg.LinAlgError as err:

@@ -191,18 +191,23 @@ class DesignMatrix:
 
     def sigma(self, g):
         """Posterior scale sqrt(reg * g^T U^{-1} g / m): a float for one
-        feature, an array for a (K, dim) stack of them."""
+        feature, an array for a (K, dim) stack of them.  Raises LinAlgError
+        if a sigma is not finite."""
         g = self._check(g, stack=True)
         F = np.atleast_2d(g)
-        if self.mode == "diagonal":
-            scaled = self.reg * np.sum(F * F / self._diag, axis=1)
-        elif self._inv is not None:
-            scaled = self.reg * np.einsum("kp,kp->k", F @ self._inv, F)
-        else:
-            # reg * g^T U^-1 g = g^T g - k^T A^-1 k with k = G g
-            K = F @ self._G.array.T
-            scaled = np.einsum("kp,kp->k", F, F) - self._dual.quad(K)
-        sigmas = np.sqrt(np.maximum(scaled / self.width, 0.0))
+        # a tiny reg can overflow sigma; that raises below, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.mode == "diagonal":
+                scaled = self.reg * np.sum(F * F / self._diag, axis=1)
+            elif self._inv is not None:
+                scaled = self.reg * np.einsum("kp,kp->k", F @ self._inv, F)
+            else:
+                # reg * g^T U^-1 g = g^T g - k^T A^-1 k with k = G g
+                K = F @ self._G.array.T
+                scaled = np.einsum("kp,kp->k", F, F) - self._dual.quad(K)
+            sigmas = np.sqrt(np.maximum(scaled / self.width, 0.0))
+        if not np.all(np.isfinite(sigmas)):
+            raise self._failure("posterior scale is not finite")
         return float(sigmas[0]) if g.ndim == 1 else sigmas
 
     def solve(self, v: np.ndarray) -> np.ndarray:
@@ -224,7 +229,7 @@ class DesignMatrix:
             # det U grows by the factor s / (reg*m)
             s = self._dual.add(self._G.array @ g, self.reg * m + float(g @ g))
             if s <= 0.0:
-                raise self._degenerate()
+                raise self._failure("design matrix lost positive definiteness")
             self._G.append(g)
             self._logdet += float(np.log(s / (self.reg * m)))
             if len(self._G) >= _DUAL_FRACTION * self.dim:
@@ -235,17 +240,16 @@ class DesignMatrix:
             u = self._inv @ g
             denom = 1.0 + float(g @ u) / m
             if denom <= 0.0:
-                raise self._degenerate()
+                raise self._failure("design matrix lost positive definiteness")
             # inv -= u u^T / (m * denom)
             _add_outer(self._inv, u, -(m * denom), self._scratch)
             self._logdet += float(np.log(denom))
         self.n_updates += 1
 
-    def _degenerate(self) -> np.linalg.LinAlgError:
+    def _failure(self, what: str) -> np.linalg.LinAlgError:
         return np.linalg.LinAlgError(
-            f"design matrix lost positive definiteness after {self.n_updates} "
-            f"updates (dim={self.dim}, reg={self.reg:g}, width={self.width}); "
-            "raise --lambda")
+            f"{what} after {self.n_updates} updates (dim={self.dim}, "
+            f"reg={self.reg:g}, width={self.width}); raise --lambda")
 
     def _primal_inverse(self) -> np.ndarray:
         """U^-1 = (I - W^T W) / reg with W = R G, from the dual form.  numpy

@@ -1,6 +1,7 @@
 """Views of the engine's state that only tests read: network weights as
-one flat vector, the dense inverse of a design matrix, and every level of
-the NTK recursion."""
+one flat vector, the dense inverse of a design matrix, every level of the
+NTK recursion, and the eigenvalue-truncation bound on the effective
+dimension."""
 
 import numpy as np
 
@@ -53,3 +54,23 @@ def ntk_levels(contexts: np.ndarray, depth: int):
         sigmas.append(sigma)
         derivs.append(deriv)
     return sigmas, htildes, derivs
+
+
+def effdim_truncation_bound(H: np.ndarray, d_prime: int, budget: int):
+    """Eigenvalue-truncation upper bound on the effective-dimension numerator.
+
+    Returns (bound, tail_ok) where bound = sum of all eigenvalues split at
+    d_prime and tail_ok flags whether every tail eigenvalue is <= 1/budget,
+    the hypothesis under which the bound controls the effective dimension
+    (stated for reg = 1).
+    """
+    H = np.asarray(H, dtype=np.float64)
+    n = H.shape[0]
+    if not 0 <= d_prime <= n:
+        raise ValueError(f"d_prime {d_prime} out of range for n={n}")
+    evals = np.linalg.eigvalsh((H + H.T) / 2.0)[::-1]
+    evals = np.clip(evals, 0.0, None)
+    head = float(np.sum(evals[:d_prime]))
+    tail = float(np.sum(evals[d_prime:]))
+    tail_ok = bool(np.all(evals[d_prime:] <= 1.0 / budget + 1e-12))
+    return head + tail, tail_ok

@@ -20,7 +20,8 @@ from banditbench.nn import (NetShape, TrainConfig, forward_batch, grad,
                             grad_batch, init_params)
 from banditbench.policies import Policy, PolicyConfig, make_policy
 from banditbench.posterior import DesignMatrix
-from helpers import flat, from_flat, inverse, ntk_levels
+from helpers import (effdim_truncation_bound, flat, from_flat, inverse,
+                     ntk_levels)
 
 # every criterion's episodes play in-process
 pytestmark = pytest.mark.usefixtures("in_process")
@@ -190,8 +191,8 @@ def test_criterion_05_effective_dimension(capfd):
         H = A @ A.T / n
         budget = int(rng.integers(2, 60))
         report = ntk.effective_dimension(H, reg=1.0, budget=budget)
-        bound, _ = ntk.effdim_truncation_bound(H, int(rng.integers(0, n + 1)),
-                                               budget)
+        bound, _ = effdim_truncation_bound(H, int(rng.integers(0, n + 1)),
+                                           budget)
         # d_tilde * log(1 + budget) = logdet(I + H) <= trace-based bound
         if bound < report.eff_dim * np.log(1 + budget) - 1e-9:
             bound_ok = False
@@ -210,17 +211,18 @@ def test_criterion_06_theory_parameters(capfd):
             - (1.0 + np.sqrt(np.log(1.5) + 4.0))),
         abs(ntk.theory_nu(1.0, 1.0, 1.0, 1, 1, 2.0, np.exp(-1.0)) - 3.09892),
     )
-    B_err = max(abs(ntk.theory_B(np.zeros(3), np.eye(3)) - floor),
-                abs(ntk.theory_B(np.zeros(3), np.eye(3)) - 0.0094352),
-                abs(ntk.theory_B(np.array([1.0, 0, 0]), np.eye(3))
+    B_err = max(abs(ntk.theory_B(np.zeros(3), np.eye(3), 1.0) - floor),
+                abs(ntk.theory_B(np.zeros(3), np.eye(3), 1.0) - 0.0094352),
+                abs(ntk.theory_B(np.array([1.0, 0, 0]), np.eye(3), 1.0)
                     - np.sqrt(2.0)))
     rng = np.random.default_rng(106)
     floor_ok = True
     for _ in range(20):
         n = int(rng.integers(2, 10))
         A = rng.standard_normal((n, n))
-        if ntk.theory_B(rng.standard_normal(n) * 1e-8,
-                        A @ A.T + n * np.eye(n)) < floor:
+        H = A @ A.T + n * np.eye(n)
+        if ntk.theory_B(rng.standard_normal(n) * 1e-8, H,
+                        np.linalg.eigvalsh(H)[0]) < floor:
             floor_ok = False
     ok = nu_err < 1e-6 and B_err < 1e-6 and floor_ok
     _report(capfd, 6, ok,

@@ -238,7 +238,7 @@ class TestNtkTheoryFromTheStream:
         rounds = build_rounds(config, 0)
         h = np.concatenate([r.expected_rewards for r in rounds])
         H = ntk.ntk_matrix(np.concatenate([r.contexts for r in rounds]), 2)
-        assert report["B"] == ntk.theory_B(h, H)
+        assert report["B"] == ntk.theory_B(h, H, np.linalg.eigvalsh(H)[0])
         assert report["R"] == config.noise_sd
         assert report["nu_theory"] > report["B"]
         nonlinear = self.report(tmp_path, "--dataset", "synthetic-nonlinear",
@@ -256,6 +256,16 @@ class TestNtkTheoryFromTheStream:
         assert report["R"] == 0.0
         assert report["B"] is not None
         assert report["nu_theory"] == report["B"]
+
+    def test_one_eigendecomposition_per_report(self, tmp_path, monkeypatch):
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append(a.shape) or real(a))
+        report = self.report(tmp_path, "--dataset", "synthetic-linear",
+                             "--n", "5")
+        assert report["B"] is not None
+        assert calls == [(20, 20)]
 
     def test_report_holds_no_kernel_matrix(self, tmp_path):
         report = self.report(tmp_path, "--n", "5")
@@ -288,6 +298,8 @@ class TestNtkReportIsStrictJson:
         ("--lambda", "1e-40", None),
         ("--lambda", "1e300", None),
         ("--lambda", "1e-30", None),
+        ("--lambda", "1e-320", None),
+        ("--lambda", "5e-324", None),
         ("--width", "1", "width must be a positive even integer, got 1"),
         ("--width", "0", "width must be a positive even integer, got 0"),
         ("--delta", "1e-320", None)])
@@ -687,6 +699,23 @@ class TestDegenerateUpdateMessage:
         assert err.rstrip().endswith("; raise --lambda")
         assert "--posterior" not in err
         assert "Traceback" not in err
+
+
+class TestSigmaOverflowMessage:
+    def test_neural_ts_exits_1_with_round_seed_and_remedy(self, tmp_path,
+                                                         capsys):
+        # at lambda 1e-320 the diagonal posterior's g^2 / lambda overflows
+        # in round 1
+        out = tmp_path / "out"
+        args = ["run", "--algo", "neural-ts", "--width", "8", "--lambda",
+                "1e-320", "--T", "5", "--repeats", "1", "--out", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("banditbench: error: neural-ts on "
+                              "synthetic-nonlinear, round 1 of 5, episode "
+                              "seed 0: posterior scale is not finite")
+        assert err.rstrip().endswith("; raise --lambda")
+        assert not list(out.glob("trace_*"))
 
 
 class TestThreadCap:

@@ -3,7 +3,7 @@ import pytest
 
 from banditbench import ntk
 from banditbench.data import duplicate_half
-from helpers import ntk_levels
+from helpers import effdim_truncation_bound, ntk_levels
 
 
 def random_unit(rng, d):
@@ -132,13 +132,13 @@ class TestEffectiveDimension:
 
 class TestTruncationBound:
     def test_identity_no_tail(self):
-        bound, ok = ntk.effdim_truncation_bound(np.eye(2), d_prime=2, budget=2)
+        bound, ok = effdim_truncation_bound(np.eye(2), d_prime=2, budget=2)
         assert bound == pytest.approx(2.0)
         assert ok  # vacuous: no tail eigenvalues
 
     def test_two_scale_example(self):
         H = np.diag([5.0, 1e-4])
-        bound, ok = ntk.effdim_truncation_bound(H, d_prime=1, budget=100)
+        bound, ok = effdim_truncation_bound(H, d_prime=1, budget=100)
         assert bound == pytest.approx(5.0001)
         assert ok
 
@@ -150,14 +150,14 @@ class TestTruncationBound:
             H = A @ A.T / n
             budget = int(rng.integers(2, 50))
             report = ntk.effective_dimension(H, reg=1.0, budget=budget)
-            bound, _ = ntk.effdim_truncation_bound(H, int(rng.integers(0, n + 1)),
-                                                   budget)
+            bound, _ = effdim_truncation_bound(H, int(rng.integers(0, n + 1)),
+                                               budget)
             # sum of eigenvalues >= sum log(1 + eigenvalues) = logdet
             assert bound >= report.logdet - 1e-9
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            ntk.effdim_truncation_bound(np.eye(2), d_prime=3, budget=2)
+            effdim_truncation_bound(np.eye(2), d_prime=3, budget=2)
 
 
 class TestTheoryParams:
@@ -183,14 +183,15 @@ class TestTheoryParams:
             assert ntk.theory_nu(B, R, d, T, K, reg, delta / 2) >= base
 
     def test_B_zero_rewards(self):
-        assert ntk.theory_B(np.zeros(3), np.eye(3)) == pytest.approx(
+        assert ntk.theory_B(np.zeros(3), np.eye(3), 1.0) == pytest.approx(
             1.0 / (22 * np.e * np.sqrt(np.pi)), abs=1e-12)
-        assert ntk.theory_B(np.zeros(3), np.eye(3)) == pytest.approx(0.0094352,
-                                                                     abs=1e-6)
+        assert ntk.theory_B(np.zeros(3), np.eye(3), 1.0) == pytest.approx(
+            0.0094352, abs=1e-6)
 
     def test_B_identity_basis(self):
         h = np.array([1.0, 0.0, 0.0])
-        assert ntk.theory_B(h, np.eye(3)) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        assert ntk.theory_B(h, np.eye(3), 1.0) == pytest.approx(np.sqrt(2.0),
+                                                                abs=1e-12)
 
     def test_B_dense_solve_oracle(self):
         rng = np.random.default_rng(8)
@@ -200,11 +201,12 @@ class TestTheoryParams:
             H = A @ A.T + n * np.eye(n)
             h = rng.standard_normal(n)
             expected = max(ntk.B_FLOOR, np.sqrt(2 * h @ np.linalg.inv(H) @ h))
-            assert ntk.theory_B(h, H) == pytest.approx(expected, abs=1e-10)
+            assert ntk.theory_B(h, H, np.linalg.eigvalsh(H)[0]) == \
+                pytest.approx(expected, abs=1e-10)
 
     def test_B_singular_rejected(self):
         with pytest.raises(np.linalg.LinAlgError):
-            ntk.theory_B(np.ones(2), np.zeros((2, 2)))
+            ntk.theory_B(np.ones(2), np.zeros((2, 2)), 0.0)
 
 
 class TestWidthCondition:
@@ -230,14 +232,25 @@ class TestWidthCondition:
     @pytest.mark.parametrize("args", [(100, 2000, 4, 2, 1.0, 0.13, 0.1),
                                       (32, 50, 10, 3, 0.01, 1e-12, 1e-6),
                                       (1000, 7, 2, 4, 40.0, 2.5, 0.9)])
-    def test_logarithms_match_the_terms(self, monkeypatch, args):
-        # the logarithms that stand in for a term a double cannot hold give
-        # the term itself where it can
-        direct = ntk.check_width_condition(*args)
-        monkeypatch.setattr(ntk, "_held",
-                            lambda value, log_value: float(np.exp(log_value)))
+    def test_logarithms_match_the_terms(self, args):
+        # the terms from their logarithms are the terms that double
+        # arithmetic gives where a double holds them
+        m, T, K, L, reg, lambda0, delta = args
+        term_a = np.sqrt(reg) * L ** -1.5 * np.log(T * K * L ** 2 / delta) ** 1.5
+        term_b = (T ** 6 * K ** 6 * L ** 6 * np.log(T * K * L / delta)
+                  * max(lambda0 ** -4, 1.0))
+        direct = {
+            "lower_bound_terms": {"sqrt_reg_term": term_a,
+                                  "horizon_term": term_b},
+            "lower_bound_rhs": max(term_a, term_b),
+            "log_cubed_lhs": m / np.log(m) ** 3,
+            "log_cubed_rhs": (
+                T * L ** 12 / reg
+                + T ** 7 * reg ** -8 * L ** 18 * (reg + L * T) ** 6
+                + L ** 21 * T ** 7 * reg ** -7 * (1.0 + np.sqrt(T / reg)) ** 6)}
         via_logs = ntk.check_width_condition(*args)
         for key in ("lower_bound_rhs", "log_cubed_lhs", "log_cubed_rhs"):
+            assert np.isfinite(direct[key])
             assert via_logs[key] == pytest.approx(direct[key], rel=1e-12)
         assert via_logs["lower_bound_terms"] == pytest.approx(
             direct["lower_bound_terms"], rel=1e-12)

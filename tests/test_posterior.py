@@ -44,6 +44,26 @@ class TestSigma:
         with pytest.raises(ValueError):
             design.update(np.array([np.inf, 0.0]))
 
+    def test_overflow_raises_naming_config_and_remedy(self):
+        # g^2 / reg overflows a double at reg 1e-310, though reg * g^2 / reg
+        # does not
+        design = DesignMatrix(3, reg=1e-310, width=8, mode="diagonal")
+        with pytest.raises(np.linalg.LinAlgError) as err:
+            design.sigma(np.ones((2, 3)))
+        message = str(err.value)
+        assert message.startswith("posterior scale is not finite")
+        for part in ("after 0 updates", "dim=3", "reg=1e-310", "width=8",
+                     "raise --lambda"):
+            assert part in message
+
+    def test_finite_sigma_is_the_formula(self):
+        design = DesignMatrix(3, reg=0.5, width=8, mode="diagonal")
+        design.update(np.array([0.3, -1.0, 2.0]))
+        F = np.array([[0.1, 0.2, 0.3], [1.0, -2.0, 0.5]])
+        expected = np.sqrt(np.maximum(
+            0.5 * np.sum(F * F / design._diag, axis=1) / 8, 0.0))
+        assert design.sigma(F).tobytes() == expected.tobytes()
+
     def test_length_mismatch(self):
         design = DesignMatrix(2, reg=1.0, width=1)
         with pytest.raises(ValueError):

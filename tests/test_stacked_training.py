@@ -237,7 +237,6 @@ class TestTraces:
         assert rows() == real
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestDivergence:
     def diverging(self, **kw):
         cfg = TrainConfig(**{"step_size": 0.2, "iterations": 200, "reg": 1.0,
