@@ -3,10 +3,11 @@
 Subcommands: `run` (one configuration), `grid` (hyperparameter sweep),
 `ntk` (kernel diagnostics report as JSON, over the contexts of the stream
 that run plays), `ingest` (dataset manifest).  Each option is declared once,
-in the flag group of the subcommands that take it.  run's and grid's
-defaults can come from a `key = value` config file whose keys are the long
-flag names; flags always win.  A flag value that a subcommand's inputs
-cannot be built from stops it with exit status 2 and the reason.
+in the flag group of the subcommands that take it, with the default of the
+config field it sets where that has one.  run's and grid's defaults can
+come from a `key = value` config file whose keys are the long flag names;
+flags always win.  A flag value that a subcommand's inputs cannot be built
+from stops it with exit status 2 and the reason.
 """
 
 from __future__ import annotations
@@ -59,31 +60,31 @@ def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_stream_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--T", type=int, dest="horizon", default=2000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--arms", type=int, default=4, help="synthetic streams only")
-    parser.add_argument("--raw-dim", type=int, default=8,
+    parser.add_argument("--seed", type=int, default=ExperimentConfig.base_seed)
+    parser.add_argument("--arms", type=int, default=ExperimentConfig.n_arms,
                         help="synthetic streams only")
-    parser.add_argument("--lambda", type=float, dest="reg", default=1.0)
-    parser.add_argument("--width", type=int, default=100)
-    parser.add_argument("--depth", type=int, default=2)
+    parser.add_argument("--raw-dim", type=int, default=ExperimentConfig.raw_dim,
+                        help="synthetic streams only")
+    parser.add_argument("--lambda", type=float, dest="reg",
+                        default=PolicyConfig.reg)
+    parser.add_argument("--width", type=int, default=PolicyConfig.width)
+    parser.add_argument("--depth", type=int, default=PolicyConfig.depth)
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value file of these flags' "
                         "values; flags override it")
     parser.add_argument("--algo", choices=ALGORITHMS, default="neural-ts")
-    parser.add_argument("--repeats", type=int, default=8)
-    parser.add_argument("--delay", type=int, default=0)
-    parser.add_argument("--nu", type=float, default=0.1)
-    parser.add_argument("--eps", type=float, default=0.05)
-    # Training defaults are the acceptance config's SGD x10 at lr 1e-4: the
-    # data term of the loss is a sum over the history, so the effective step
-    # grows with the round, and GD x100 at lr 1e-3 diverged before round 110.
-    parser.add_argument("--iters", type=int, default=10)
-    parser.add_argument("--lr", type=float, default=1e-4)
-    parser.add_argument("--train-mode", choices=("gd", "sgd"), default="sgd")
-    parser.add_argument("--batch-size", type=int, default=64)
-    parser.add_argument("--stop-train", type=int, default=1000)
+    parser.add_argument("--repeats", type=int, default=ExperimentConfig.repeats)
+    parser.add_argument("--delay", type=int, default=ExperimentConfig.delay)
+    parser.add_argument("--nu", type=float, default=PolicyConfig.nu)
+    parser.add_argument("--eps", type=float, default=PolicyConfig.eps)
+    parser.add_argument("--iters", type=int, default=TrainConfig.iterations)
+    parser.add_argument("--lr", type=float, default=TrainConfig.step_size)
+    parser.add_argument("--train-mode", choices=("gd", "sgd"),
+                        default=TrainConfig.mode)
+    parser.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    parser.add_argument("--stop-train", type=int, default=PolicyConfig.stop_train)
     parser.add_argument("--posterior", choices=("diag", "full"), default="diag")
     parser.add_argument("--out", default="out")
 

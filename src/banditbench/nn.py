@@ -71,12 +71,17 @@ class ParamVector:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Gradient-descent settings for the regularized square loss."""
+    """Gradient-descent settings for the regularized square loss.
 
-    step_size: float = 0.001
-    iterations: int = 100
+    The defaults are the acceptance config's SGD x10 at lr 1e-4: the data
+    term of the loss is a sum over the history, so the effective step grows
+    with the round, and GD x100 at lr 1e-3 diverged before round 110.
+    """
+
+    step_size: float = 1e-4
+    iterations: int = 10
     reg: float = 1.0
-    mode: str = "gd"  # "gd" (full batch) or "sgd"
+    mode: str = "sgd"  # "sgd" or "gd" (full batch)
     batch_size: int = 64
 
     def __post_init__(self):
@@ -225,8 +230,8 @@ class Batches:
     """What each network of a stack trains on, drawn before any step runs.
 
     X (n, d) and r (n,) are the history all networks share; network j trains
-    on n_rows[j] of its rows, and rows[j] (iterations, b_j) holds the history
-    rows of each iteration's batch (see draw_batches).
+    on n_rows[j] of its rows, and rows[j] (batches, b_j) holds the history
+    rows of each batch (see draw_batches).
     """
 
     X: np.ndarray
@@ -241,17 +246,16 @@ class Batches:
 
 def draw_batches(rows: np.ndarray, cfg: TrainConfig,
                  rng: np.random.Generator | None) -> np.ndarray:
-    """The history rows of each iteration's batch for a network that trains
-    on `rows`: (iterations, b).
-
-    GD uses all rows every iteration (a broadcast view, no draws).  SGD draws
-    min(batch_size, n) positions with replacement per iteration, in iteration
-    order.  One rng.integers call draws the same stream as one call per
-    iteration: the bit generator keeps its spare 32-bit half in its own state.
+    """The history rows of each batch for a network that trains on `rows`:
+    GD's one batch (1, n) holds every row in order (a view, no draws), and
+    SGD draws (iterations, b), min(batch_size, n) positions with replacement
+    per iteration, in iteration order.  One rng.integers call draws the same
+    stream as one call per iteration: the bit generator keeps its spare
+    32-bit half in its own state.
     """
     n = len(rows)
     if cfg.mode == "gd" or n == 0:
-        return np.broadcast_to(rows, (cfg.iterations, n))
+        return rows[None]
     return rows[rng.integers(0, n, size=(cfg.iterations, min(cfg.batch_size, n)))]
 
 
@@ -264,7 +268,8 @@ def train(theta0: ParamStack, theta: ParamStack, data: Batches,
     theta0 holds the original initializations (the regularization centers,
     never updated); theta is the starting point (a warm start in the bandit
     loop) and is trained in place, so ParamStack.member views follow it.
-    data's minibatches are already drawn.  Every fit, one network or an
+    data's batches are already drawn; each iteration steps on the next one,
+    or again on the last (GD's one batch).  Every fit, one network or an
     ensemble, is one call of policies.train, the function the benchmark's
     tracer times.
 
@@ -275,10 +280,7 @@ def train(theta0: ParamStack, theta: ParamStack, data: Batches,
     """
     m = theta.shape.width
     cfg.check_step(m)
-    if cfg.iterations == 0:
-        return
-    lengths = [rows.shape[1] if n else 0
-               for n, rows in zip(data.n_rows, data.rows)]
+    lengths = [rows.shape[1] for rows in data.rows]
     for b in dict.fromkeys(lengths):
         if b == 0:
             continue
@@ -286,15 +288,11 @@ def train(theta0: ParamStack, theta: ParamStack, data: Batches,
         whole = len(group) == len(theta)
         W = theta.layers if whole else [L[group] for L in theta.layers]
         W0 = theta0.layers if whole else [L[group] for L in theta0.layers]
-        if cfg.mode == "gd":
-            rows = np.stack([data.rows[j][0] for j in group])
-            Xb, rb = data.X[rows], data.r[rows]
-        else:
-            rows = np.stack([data.rows[j] for j in group], axis=1)
-            # rescale so each minibatch estimates its full-data loss gradient
-            scale = np.array([data.n_rows[j] / b for j in group])[:, None]
+        rows = np.stack([data.rows[j] for j in group], axis=1)
+        # rescale so each batch estimates its full-data loss gradient (GD: 1.0)
+        scale = np.array([data.n_rows[j] / b for j in group])[:, None]
         for it in range(cfg.iterations):
-            if cfg.mode == "sgd":
+            if it < len(rows):
                 Xb, rb = data.X[rows[it]], data.r[rows[it]]
             out, acts, pre = _forward_cached(W, Xb, m)
             resid = out - rb
@@ -302,8 +300,7 @@ def train(theta0: ParamStack, theta: ParamStack, data: Batches,
             if not finite.all():
                 bad = group[int(np.argmin(finite.all(axis=1)))]
                 raise TrainingDiverged(_diverged(cfg, m, bad, data.n_rows[bad], it))
-            if cfg.mode == "sgd":
-                resid *= scale
+            resid *= scale
             grads = [delta.swapaxes(-1, -2) @ act
                      for delta, act in zip(_deltas(W, pre, resid, m), acts)]
             # W <- W - step * (G + m*reg*(W - W0)), in place, in that order
@@ -326,8 +323,8 @@ def _diverged(cfg: TrainConfig, m: int, net: int, n_rows: int, it: int) -> str:
     return (
         f"training diverged: network {net} gave non-finite outputs at "
         f"iteration {it + 1} of {cfg.iterations} ({mode}) on {n_rows} "
-        f"history rows, with step_size="
-        f"{cfg.step_size:g}, width {m} and reg {cfg.reg:g}.  The data term of "
+        f"history rows, with step_size={float(cfg.step_size)!r}, width {m} "
+        f"and reg {float(cfg.reg)!r}.  The data term of "
         "the loss is a sum over the rows, so the effective step grows with "
         f"the history; {remedy}"
     )

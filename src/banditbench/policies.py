@@ -292,7 +292,7 @@ class KernelPolicy(Policy):
         if self.k_inv.add(self._kernel(x[None])[0], 1.0 + self.cfg.reg) <= 0.0:
             raise np.linalg.LinAlgError(
                 f"kernel matrix is numerically singular after {len(self.r)} "
-                f"observations (reg={self.cfg.reg:g}); raise --lambda")
+                f"observations (reg={float(self.cfg.reg)!r}); raise --lambda")
         self.X.append(x)
         self.sq_norms.append(float(x @ x))
         self.r.append(float(reward))

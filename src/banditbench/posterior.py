@@ -249,7 +249,7 @@ class DesignMatrix:
     def _failure(self, what: str) -> np.linalg.LinAlgError:
         return np.linalg.LinAlgError(
             f"{what} after {self.n_updates} updates (dim={self.dim}, "
-            f"reg={self.reg:g}, width={self.width}); raise --lambda")
+            f"reg={float(self.reg)!r}, width={self.width}); raise --lambda")
 
     def _primal_inverse(self) -> np.ndarray:
         """U^-1 = (I - W^T W) / reg with W = R G, from the dual form.  numpy

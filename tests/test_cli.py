@@ -1,6 +1,7 @@
 import csv
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from banditbench import cli, ntk
 from banditbench.cli import main, read_config_file
 from banditbench.harness import ExperimentConfig, build_rounds
+from banditbench.nn import TrainConfig
 from banditbench.policies import PolicyConfig
 
 # every CLI test plays its episodes in-process
@@ -293,7 +295,6 @@ class TestNtkReportIsStrictJson:
             raise ValueError(f"{constant} is not JSON")
         return json.loads(text, parse_constant=reject)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("flag,value,message", [
         ("--lambda", "1e-40", None),
         ("--lambda", "1e300", None),
@@ -592,6 +593,47 @@ class TestDefaultsTrainStably:
         assert "(T=450)" in capsys.readouterr().out
 
 
+class TestDefaultsComeFromTheConfigClasses:
+    """Each flag that sets a config field with a default parses to that
+    default, so run and the library train alike unless told otherwise."""
+
+    @pytest.mark.parametrize("dest,owner,name", [
+        ("seed", ExperimentConfig, "base_seed"),
+        ("arms", ExperimentConfig, "n_arms"),
+        ("raw_dim", ExperimentConfig, "raw_dim"),
+        ("repeats", ExperimentConfig, "repeats"),
+        ("delay", ExperimentConfig, "delay"),
+        ("reg", PolicyConfig, "reg"),
+        ("reg", TrainConfig, "reg"),
+        ("width", PolicyConfig, "width"),
+        ("depth", PolicyConfig, "depth"),
+        ("nu", PolicyConfig, "nu"),
+        ("eps", PolicyConfig, "eps"),
+        ("stop_train", PolicyConfig, "stop_train"),
+        ("iters", TrainConfig, "iterations"),
+        ("lr", TrainConfig, "step_size"),
+        ("train_mode", TrainConfig, "mode"),
+        ("batch_size", TrainConfig, "batch_size")])
+    def test_run_parses_the_class_default(self, monkeypatch, dest, owner,
+                                          name):
+        default, = [f.default for f in fields(owner) if f.name == name]
+        assert getattr(self.parsed(monkeypatch), dest) == default
+
+    def test_default_run_is_the_default_experiment(self, monkeypatch):
+        assert cli.build_experiment(self.parsed(monkeypatch)) == \
+            ExperimentConfig("synthetic-nonlinear", PolicyConfig("neural-ts"),
+                             horizon=2000)
+
+    @staticmethod
+    def parsed(monkeypatch):
+        """The namespace that `run` parses with no flags."""
+        seen = []
+        monkeypatch.setattr(cli, "_rejection", seen.append)
+        monkeypatch.setattr(cli, "cmd_run", lambda args: 0)
+        assert main(["run"]) == 0
+        return seen[0]
+
+
 class TestConfigKeysAreFlags:
     """Config-file keys are the long flag names and go through the same
     parser as the flags: a key takes effect or the run stops with exit 2."""
@@ -667,8 +709,8 @@ class TestIngestErrors:
 
 
 class TestDivergenceMessage:
-    # the overflow is reported by the error alone, not by numpy warnings
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    # the overflow is reported by the error alone, not by numpy warnings,
+    # which the test configuration turns into errors
     def test_diverging_run_exits_1_with_round_and_seed(self, tmp_path, capsys):
         args = ["run", "--train-mode", "gd", "--lr", "1e-3", "--T", "300",
                 "--repeats", "1", "--out", str(tmp_path / "out")]
@@ -677,6 +719,23 @@ class TestDivergenceMessage:
         assert err.startswith("banditbench: error: neural-ts on "
                               "synthetic-nonlinear, round ")
         assert "of 300, episode seed 0: training diverged" in err
+
+
+class TestFailureMessagesQuoteTheSettings:
+    """A failure message names a float setting by the shortest text that
+    reads back as the same double, the value as typed."""
+
+    @pytest.mark.parametrize("flags,quoted", [
+        (["--algo", "neural-ts", "--width", "8", "--lambda", "1e-320",
+          "--T", "5"], "reg=1e-320,"),
+        (["--algo", "kernel-ts", "--dataset", "mushroom-like", "--lambda",
+          "1.23456789e-300", "--T", "300"], "reg=1.23456789e-300)"),
+        (["--train-mode", "gd", "--iters", "100", "--lr", "1.2345678e-3",
+          "--T", "300"], "step_size=0.0012345678,")])
+    def test_exits_1_quoting_the_value(self, tmp_path, capsys, flags, quoted):
+        args = ["run", *flags, "--repeats", "1", "--out", str(tmp_path / "out")]
+        assert main(args) == 1
+        assert quoted in capsys.readouterr().err
 
 
 class TestDegenerateUpdateMessage:

@@ -20,7 +20,7 @@ from banditbench.policies import Policy, Decision, PolicyConfig
 # episodes play in-process unless a test sets BANDITBENCH_THREADS=2
 pytestmark = pytest.mark.usefixtures("in_process")
 
-FAST_TRAIN = TrainConfig(step_size=0.001, iterations=3)
+FAST_TRAIN = TrainConfig(step_size=0.001, iterations=3, mode="gd")
 
 
 def fast_config(algorithm="neural-ts", **kw):

@@ -190,7 +190,8 @@ class TestTrain:
     def test_empty_dataset_fixed_point(self):
         shape = NetShape(4, 4, 2)
         theta0 = init_params(shape, 0)
-        out = fit(theta0, theta0, [], TrainConfig(step_size=0.01, iterations=50))
+        out = fit(theta0, theta0, [], TrainConfig(step_size=0.01, iterations=50,
+                                                     mode="gd"))
         np.testing.assert_array_equal(flat(out), flat(theta0))
 
     def test_scalar_ridge_closed_form(self):
@@ -211,7 +212,7 @@ class TestTrain:
         rng = np.random.default_rng(6)
         data = [(rng.standard_normal(4), float(rng.standard_normal()))
                 for _ in range(5)]
-        cfg = TrainConfig(step_size=0.01, iterations=30)
+        cfg = TrainConfig(step_size=0.01, iterations=30, mode="gd")
         a = fit(theta0, theta0, data, cfg)
         b = fit(theta0, theta0, data, cfg)
         np.testing.assert_array_equal(flat(a), flat(b))
@@ -222,7 +223,7 @@ class TestTrain:
         rng = np.random.default_rng(7)
         data = [(rng.standard_normal(4), float(rng.uniform(-1, 1)))
                 for _ in range(8)]
-        cfg = TrainConfig(step_size=0.005, iterations=400, reg=0.01)
+        cfg = TrainConfig(step_size=0.005, iterations=400, reg=0.01, mode="gd")
         theta = fit(theta0, theta0, data, cfg)
         X = np.asarray([x for x, _ in data])
         r = np.asarray([v for _, v in data])
@@ -237,7 +238,7 @@ class TestTrain:
                     for _ in range(6)]
             X = np.asarray([x for x, _ in data])
             r = np.asarray([v for _, v in data])
-            cfg = TrainConfig(step_size=0.002, iterations=1, reg=0.1)
+            cfg = TrainConfig(step_size=0.002, iterations=1, reg=0.1, mode="gd")
             theta = theta0
             prev = loss(theta, theta0, X, r, cfg.reg)
             for _ in range(60):
@@ -249,7 +250,8 @@ class TestTrain:
     def test_step_size_invariant_enforced(self):
         shape = NetShape(4, 4, 2)
         theta0 = init_params(shape, 0)
-        cfg = TrainConfig(step_size=0.5, iterations=5, reg=1.0)  # eta*m*reg = 2
+        cfg = TrainConfig(step_size=0.5, iterations=5, reg=1.0,
+                          mode="gd")  # eta*m*reg = 2
         with pytest.raises(ValueError):
             fit(theta0, theta0, [(np.ones(4), 1.0)], cfg)
 

@@ -15,7 +15,7 @@ from banditbench.policies import (BootstrapNN, Decision, EpsGreedyNN,
                                   PolicyConfig, UniformRandom, make_policy,
                                   score)
 
-FAST_TRAIN = TrainConfig(step_size=0.001, iterations=5)
+FAST_TRAIN = TrainConfig(step_size=0.001, iterations=5, mode="gd")
 
 
 def neural_cfg(algorithm, **kw):
@@ -172,6 +172,15 @@ class TestNeuralBandit:
         monkeypatch.setattr(nn, "_forward_cached", counted)
         policy.select(random_contexts(rng, 3, 4))
         assert len(passes) == 1
+
+
+class TestDefaultTraining:
+    def test_default_neural_ts_completes_a_synthetic_episode(self):
+        # GD x100 at lr 1e-3 diverges in round 107 of this episode
+        config = ExperimentConfig("synthetic-nonlinear",
+                                  PolicyConfig("neural-ts"), horizon=300,
+                                  repeats=1)
+        assert len(run_episode(config, 0).rounds) == 300
 
 
 class TestNeuralUCB:
@@ -621,7 +630,8 @@ class TestBootstrap:
         # rows are included until the stop round; no training is needed
         cfg = neural_cfg("bootstrap-nn", n_networks=2, include_prob=0.8,
                          stop_train=500,
-                         train=TrainConfig(step_size=0.001, iterations=0))
+                         train=TrainConfig(step_size=0.001, iterations=0,
+                                           mode="gd"))
         boot = make_policy(cfg, 4, seed=22)
         rng = np.random.default_rng(21)
         for _ in range(500):

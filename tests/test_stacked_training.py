@@ -186,7 +186,8 @@ def test_one_draw_call_is_the_per_iteration_stream(n, batch):
 
 class TestSingleNetworkMatchesSeed:
     @pytest.mark.parametrize("cfg", [SGD8, GD, TrainConfig(step_size=0.002,
-                                                           iterations=0)])
+                                                           iterations=0,
+                                                           mode="gd")])
     def test_train_on_pairs(self, cfg):
         # one network trained on (context, reward) pairs as a stack of one
         shape = NetShape(6, 8, 3)
@@ -255,7 +256,7 @@ class TestDivergence:
             train(theta0, theta0.copy(), batches, cfg)
         msg = str(info.value)
         for part in ("network 0", "of 200 (gd)", "on 12 history rows",
-                     "step_size=0.2", "width 4", "reg 1",
+                     "step_size=0.2,", "width 4", "reg 1.0.",
                      "lower --lr or use --train-mode sgd"):
             assert part in msg
 
