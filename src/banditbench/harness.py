@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import os
@@ -23,6 +24,9 @@ from . import envs
 from .data import BanditRound
 from .nn import TrainingDiverged
 from .policies import PolicyConfig, make_policy
+
+# a JSONL record's fields, in file order
+FIELDS = ("t", "arm", "reward", "regret", "cum_regret", "sigma", "wall_us")
 
 
 @dataclass(frozen=True)
@@ -55,21 +59,36 @@ class ExperimentConfig:
             raise ValueError("raw_dim must be >= 1")
 
 
-@dataclass
+@dataclass(eq=False)
 class RegretTrace:
-    """Per-round log of one episode plus its terminal regret."""
+    """Per-round log of one episode, one typed column per field, plus its
+    terminal regret.  A round's regret is cum_regret[t] - cum_regret[t-1]."""
 
     algorithm: str
     seed: int
-    rounds: list[dict] = field(default_factory=list, repr=False)
+    arm: np.ndarray = field(repr=False)             # int64
+    reward: np.ndarray = field(repr=False)
+    cum_regret: np.ndarray = field(repr=False)
+    sigma: np.ndarray = field(repr=False)           # the chosen arm's
+    wall_us: np.ndarray = field(repr=False)         # int64
 
     @property
     def total_regret(self) -> float:
-        return self.rounds[-1]["cum_regret"] if self.rounds else 0.0
+        return float(self.cum_regret[-1]) if len(self.cum_regret) else 0.0
 
-    @property
-    def cum_regret(self) -> np.ndarray:
-        return np.array([r["cum_regret"] for r in self.rounds])
+    def rows(self):
+        """Yields each round as its JSONL record, fields in file order."""
+        regret = np.diff(self.cum_regret, prepend=0.0)
+        columns = (self.arm, self.reward, regret, self.cum_regret, self.sigma,
+                   self.wall_us)
+        for t, values in enumerate(zip(*(c.tolist() for c in columns)), start=1):
+            yield dict(zip(FIELDS, (t, *values)))
+
+    @functools.cached_property
+    def rounds(self) -> list[dict]:
+        """Every row, built on first access; later accesses return the same
+        list."""
+        return list(self.rows())
 
 
 def build_rounds(config: ExperimentConfig, seed) -> list[BanditRound]:
@@ -90,10 +109,11 @@ def run_episode(config: ExperimentConfig, repeat_index: int) -> RegretTrace:
     input_dim = rounds[0].contexts.shape[1]
     policy = make_policy(config.policy, input_dim, seed)
 
-    trace = RegretTrace(config.policy.algorithm, seed)
+    T = config.horizon
+    arms, walls = np.zeros(T, np.int64), np.zeros(T, np.int64)
+    rewards, cums, sigmas = np.zeros(T), np.zeros(T), np.zeros(T)
     buffer: list[tuple[np.ndarray, float]] = []
     cum = 0.0
-    T = config.horizon
     batch = max(config.delay, 1)
     try:
         for t, rnd in enumerate(rounds, start=1):
@@ -107,19 +127,16 @@ def run_episode(config: ExperimentConfig, repeat_index: int) -> RegretTrace:
                 for ctx, r in buffer:
                     policy.observe(ctx, r)
                 buffer.clear()
-            trace.rounds.append({
-                "t": t,
-                "arm": decision.arm,
-                "reward": reward,
-                "regret": cum - (trace.rounds[-1]["cum_regret"] if trace.rounds else 0.0),
-                "cum_regret": cum,
-                "sigma": float(decision.sigmas[decision.arm]),
-                "wall_us": (time.perf_counter_ns() - t_start) // 1000,
-            })
+            arms[t - 1] = decision.arm
+            rewards[t - 1] = reward
+            cums[t - 1] = cum
+            sigmas[t - 1] = decision.sigmas[decision.arm]
+            walls[t - 1] = (time.perf_counter_ns() - t_start) // 1000
     except (TrainingDiverged, np.linalg.LinAlgError) as err:
         raise type(err)(f"{config.policy.algorithm} on {config.dataset}, "
                         f"round {t} of {T}, episode seed {seed}: {err}") from err
-    return trace
+    return RegretTrace(config.policy.algorithm, seed, arms, rewards, cums,
+                       sigmas, walls)
 
 
 def pool_size() -> int:
@@ -219,7 +236,7 @@ def emit_outputs(traces: list[RegretTrace], stats: dict, out_dir: str) -> None:
     for i, tr in enumerate(traces):
         path = os.path.join(out_dir, f"trace_{tr.algorithm}_{i}.jsonl")
         with open(path, "w") as fh:
-            for row in tr.rounds:
+            for row in tr.rows():
                 fh.write(json.dumps(row) + "\n")
 
     with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
@@ -245,18 +262,3 @@ def emit_grid_summary(table: list[dict], out_dir: str) -> None:
         for row in table:
             writer.writerow([row["reg"], row["nu"], row["eps"],
                              row["mean"], row["std"], row["stderr"]])
-
-
-def read_traces(out_dir: str, algorithm: str) -> list[RegretTrace]:
-    """Round-trip loader for the JSONL traces written by emit_outputs."""
-    traces = []
-    i = 0
-    while True:
-        path = os.path.join(out_dir, f"trace_{algorithm}_{i}.jsonl")
-        if not os.path.exists(path):
-            break
-        with open(path) as fh:
-            rounds = [json.loads(line) for line in fh]
-        traces.append(RegretTrace(algorithm, -1, rounds))
-        i += 1
-    return traces

@@ -1,11 +1,17 @@
 """Views of the engine's state that only tests read: network weights as
 one flat vector, the dense inverse of a design matrix, every level of the
-NTK recursion, and the eigenvalue-truncation bound on the effective
-dimension."""
+NTK recursion, the eigenvalue-truncation bound on the effective
+dimension, and episode traces read back from JSONL or stripped of their
+wall-clock field."""
+
+import itertools
+import json
+import os
 
 import numpy as np
 
 from banditbench import ntk
+from banditbench.harness import RegretTrace
 from banditbench.nn import NetShape, ParamVector
 from banditbench.posterior import DesignMatrix
 
@@ -74,3 +80,27 @@ def effdim_truncation_bound(H: np.ndarray, d_prime: int, budget: int):
     tail = float(np.sum(evals[d_prime:]))
     tail_ok = bool(np.all(evals[d_prime:] <= 1.0 / budget + 1e-12))
     return head + tail, tail_ok
+
+
+def read_traces(out_dir: str, algorithm: str) -> list[RegretTrace]:
+    """The JSONL traces emit_outputs wrote for algorithm, in file order, as
+    columns; each row's regret is not read, as the trace derives it."""
+    traces = []
+    for i in itertools.count():
+        path = os.path.join(out_dir, f"trace_{algorithm}_{i}.jsonl")
+        if not os.path.exists(path):
+            return traces
+        with open(path) as fh:
+            rows = [json.loads(line) for line in fh]
+        columns = {key: np.array([row[key] for row in rows])
+                   for key in ("arm", "reward", "cum_regret", "sigma", "wall_us")}
+        traces.append(RegretTrace(algorithm, -1, **columns))
+
+
+def without_wall_clock(rows) -> list[str]:
+    """Each row, a trace's or one parsed from JSONL, as sorted-key JSON
+    without its wall_us field.  Equal lists are equal rows apart from
+    wall-clock, int against float included; a NaN raises, as it would never
+    compare equal."""
+    return [json.dumps({k: v for k, v in row.items() if k != "wall_us"},
+                       sort_keys=True, allow_nan=False) for row in rows]

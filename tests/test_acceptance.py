@@ -21,7 +21,7 @@ from banditbench.nn import (NetShape, TrainConfig, forward_batch, grad,
 from banditbench.policies import Policy, PolicyConfig, make_policy
 from banditbench.posterior import DesignMatrix
 from helpers import (effdim_truncation_bound, flat, from_flat, inverse,
-                     ntk_levels)
+                     ntk_levels, without_wall_clock)
 
 # every criterion's episodes play in-process
 pytestmark = pytest.mark.usefixtures("in_process")
@@ -310,12 +310,9 @@ def test_criterion_09_delay_protocol(capfd, monkeypatch):
                             repeats=1, delay=0, n_arms=4, raw_dim=8)
     import dataclasses
 
-    def strip(tr):
-        return [{k: v for k, v in row.items() if k != "wall_us"}
-                for row in tr.rounds]
-
-    same_01 = strip(run_episode(cfg0, 0)) == \
-        strip(run_episode(dataclasses.replace(cfg0, delay=1), 0))
+    same_01 = without_wall_clock(run_episode(cfg0, 0).rounds) == \
+        without_wall_clock(run_episode(dataclasses.replace(cfg0, delay=1),
+                                       0).rounds)
 
     slow = TrainConfig(step_size=1e-4, iterations=2, reg=1.0, mode="sgd",
                        batch_size=64)
@@ -362,11 +359,8 @@ def test_criterion_11_determinism(capfd, tmp_path):
         out = []
         for i in range(2):
             with open(tmp_path / sub / f"trace_neural-ts_{i}.jsonl") as fh:
-                for line in fh:
-                    row = json.loads(line)
-                    row.pop("wall_us")
-                    out.append(json.dumps(row, sort_keys=True))
-        return "\n".join(out).encode()
+                out += without_wall_clock(map(json.loads, fh))
+        return out
 
     ok = emitted("a") == emitted("b")
     _report(capfd, 11, ok,

@@ -1,19 +1,20 @@
 import json
 import os
+import pickle
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import flat
+from helpers import flat, read_traces, without_wall_clock
 from regret_equivalence import assert_regret_equivalent
 
 from banditbench import data, envs, harness
 from banditbench.data import BLOCK_ROWS, duplicate_half
 from banditbench.harness import (ExperimentConfig, RegretTrace, build_rounds,
                                  emit_grid_summary, emit_outputs, grid_cells,
-                                 read_traces, run_cells, run_episode, run_grid,
-                                 run_repeats, summarize)
+                                 run_cells, run_episode, run_grid, run_repeats,
+                                 summarize)
 from banditbench.nn import TrainConfig
 from banditbench.policies import Policy, Decision, PolicyConfig
 
@@ -209,9 +210,7 @@ class TestDelayProtocol:
     def test_delay_zero_equals_delay_one(self):
         t0 = run_episode(fast_config(delay=0), 0)
         t1 = run_episode(fast_config(delay=1), 0)
-        for a, b in zip(t0.rounds, t1.rounds):
-            assert {k: v for k, v in a.items() if k != "wall_us"} == \
-                {k: v for k, v in b.items() if k != "wall_us"}
+        assert without_wall_clock(t0.rounds) == without_wall_clock(t1.rounds)
 
     def test_frozen_between_flushes(self, monkeypatch):
         from banditbench.policies import make_policy as real_make_policy
@@ -287,18 +286,16 @@ class TestEpisode:
     def test_deterministic_repeat(self):
         a = run_episode(fast_config(), 1)
         b = run_episode(fast_config(), 1)
-        for ra, rb in zip(a.rounds, b.rounds):
-            assert {k: v for k, v in ra.items() if k != "wall_us"} == \
-                {k: v for k, v in rb.items() if k != "wall_us"}
+        assert without_wall_clock(a.rounds) == without_wall_clock(b.rounds)
 
 
 class TestSummarize:
     @staticmethod
     def _trace(total, T=4):
-        rounds = [{"t": t, "arm": 0, "reward": 0.0,
-                   "regret": 0.0, "cum_regret": total * t / T, "sigma": 0.0,
-                   "wall_us": 1} for t in range(1, T + 1)]
-        return RegretTrace("x", 0, rounds)
+        return RegretTrace("x", 0, arm=np.zeros(T, np.int64),
+                           reward=np.zeros(T),
+                           cum_regret=total * np.arange(1, T + 1) / T,
+                           sigma=np.zeros(T), wall_us=np.ones(T, np.int64))
 
     def test_single_trace_zero_std(self):
         stats = summarize([self._trace(100)])
@@ -417,6 +414,36 @@ class TestOutputs:
         for a, b in zip(traces, back):
             assert a.rounds == b.rounds
 
+    def test_jsonl_lines_are_the_rows(self, tmp_path):
+        traces = run_repeats(fast_config(repeats=1, horizon=30))
+        emit_outputs(traces, summarize(traces), str(tmp_path))
+        lines = (tmp_path / "trace_neural-ts_0.jsonl").read_text().splitlines()
+        rows = traces[0].rounds
+        assert list(rows[0]) == ["t", "arm", "reward", "regret", "cum_regret",
+                                 "sigma", "wall_us"]
+        assert lines == [json.dumps(row) for row in rows]
+        for line in lines:
+            row = json.loads(line)
+            assert [type(row[k]) for k in ("t", "arm", "wall_us")] == [int] * 3
+        cums = [row["cum_regret"] for row in rows]
+        diffs = [c - p for c, p in zip(cums, [0.0] + cums[:-1])]
+        assert [row["regret"].hex() for row in rows] == [d.hex() for d in diffs]
+
+    def test_columns_stay_small_and_the_run_path_builds_no_rows(
+            self, tmp_path, monkeypatch):
+        # as one dict of Python objects, a round cost about 430 bytes
+        T = 10_000
+        config = fast_config(algorithm="uniform", horizon=T, repeats=2)
+        trace = run_episode(config, 0)
+        columns = [v for v in vars(trace).values() if isinstance(v, np.ndarray)]
+        assert sum(c.nbytes for c in columns) <= 48 * T
+        assert len(pickle.dumps(trace)) < 64 * T
+        traces = [trace, *run_repeats(config)]
+        monkeypatch.setenv("BANDITBENCH_THREADS", "2")
+        traces += run_repeats(config)
+        emit_outputs(traces, summarize(traces), str(tmp_path))
+        assert ["rounds" in vars(tr) for tr in traces] == [False] * 5
+
     def test_plot_csv_rows(self, tmp_path):
         config = fast_config(algorithm="uniform", repeats=2, horizon=15)
         traces = run_repeats(config)
@@ -439,13 +466,8 @@ class TestOutputs:
             emit_outputs(traces, summarize(traces), str(tmp_path / sub))
 
         def strip(path):
-            out = []
             with open(path) as fh:
-                for line in fh:
-                    row = json.loads(line)
-                    row.pop("wall_us")
-                    out.append(json.dumps(row, sort_keys=True))
-            return "\n".join(out)
+                return without_wall_clock(map(json.loads, fh))
 
         name = "trace_neural-ts_0.jsonl"
         assert strip(tmp_path / "a" / name) == strip(tmp_path / "b" / name)
@@ -502,11 +524,15 @@ class TestPool:
             harness.pool_size()
 
     def test_parallel_matches_serial(self, monkeypatch):
-        config = fast_config(algorithm="uniform", repeats=2, horizon=20)
-        serial = [t.total_regret for t in run_repeats(config)]
+        # every column apart from wall-clock, sigma included
+        config = fast_config(repeats=2, horizon=20)
+
+        def rows():
+            return [without_wall_clock(t.rounds) for t in run_repeats(config)]
+
+        serial = rows()
         monkeypatch.setenv("BANDITBENCH_THREADS", "2")
-        parallel = [t.total_regret for t in run_repeats(config)]
-        assert serial == parallel
+        assert rows() == serial
 
     def test_import_does_not_load_the_pool(self):
         # the pool's modules cost every process about 1.2 MiB of RSS, and

@@ -14,7 +14,7 @@ from banditbench.harness import ExperimentConfig, run_episode
 from banditbench.nn import (Batches, NetShape, ParamStack, TrainConfig,
                             TrainingDiverged, draw_batches, init_params, train)
 from banditbench.policies import BootstrapNN, PolicyConfig, make_policy
-from helpers import copy_params, flat
+from helpers import copy_params, flat, without_wall_clock
 
 
 def _seed_forward_cached(theta, X):
@@ -228,8 +228,7 @@ class TestTraces:
             raw_dim=4, policy=boot_cfg(n_networks=4, width=6))
 
         def rows():
-            return [{k: v for k, v in row.items() if k != "wall_us"}
-                    for row in run_episode(config, 0).rounds]
+            return without_wall_clock(run_episode(config, 0).rounds)
 
         real = rows()
         monkeypatch.setattr(policies, "BootstrapNN", SeedBootstrapNN)
