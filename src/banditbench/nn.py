@@ -2,14 +2,13 @@
 
 The network is f(x) = sqrt(m) * W_L ReLU(W_{L-1} ... ReLU(W_1 x)), with the
 block-structured random initialization that makes the output exactly zero on
-duplicated-half inputs.  Parameters are per-layer matrices; grad_batch lays
-a gradient feature out layer-major, row-major within a layer, the order of the
-design matrix in the posterior module.
-
-Training runs one loop over a stack of N networks (ParamStack, layers held as
-(N, rows, cols) arrays): each iteration is one forward, backward and in-place
-update for the whole stack.  A single network is the stack of one, and every
-network of a stack gets the same bits as when trained alone.
+duplicated-half inputs.  Weights are a ParamStack, layer l of N networks held
+as one (N, rows, cols) array; one network is the stack of one, which
+init_params returns and forward_batch, grad_batch and grad take.  grad_batch
+lays a gradient feature out layer-major, row-major within a layer, the order
+of the design matrix in the posterior module.  Each training iteration is one
+forward, backward and in-place update for a whole stack, and every network of
+a stack gets the same bits as when trained alone.
 """
 
 from __future__ import annotations
@@ -56,17 +55,34 @@ class NetShape:
 
 
 @dataclass
-class ParamVector:
-    """Network weights as per-layer matrices."""
+class ParamStack:
+    """The weights of N networks of one shape, layer l held as one
+    (N, rows, cols) array, so that one step trains all N at once."""
 
     shape: NetShape
     layers: list[np.ndarray] = field(repr=False)
 
     def __post_init__(self):
-        expected = self.shape.layer_shapes()
+        expected = [(len(self), *s) for s in self.shape.layer_shapes()]
         got = [W.shape for W in self.layers]
         if got != expected:
             raise ValueError(f"layer shapes {got} do not match {expected}")
+
+    @classmethod
+    def of(cls, stacks: list["ParamStack"]) -> "ParamStack":
+        """The networks of stacks, in order, as one stack."""
+        return cls(stacks[0].shape, [np.concatenate(Ws) for Ws in
+                                     zip(*(s.layers for s in stacks))])
+
+    def __len__(self) -> int:
+        return len(self.layers[0])
+
+    def member(self, j: int) -> "ParamStack":
+        """Network j, a stack of one whose views follow in-place training."""
+        return ParamStack(self.shape, [W[j:j + 1] for W in self.layers])
+
+    def copy(self) -> "ParamStack":
+        return ParamStack(self.shape, [W.copy() for W in self.layers])
 
 
 @dataclass(frozen=True)
@@ -107,8 +123,8 @@ class TrainConfig:
             )
 
 
-def init_params(shape: NetShape, rng_seed: int) -> ParamVector:
-    """Block-structured random initialization.
+def init_params(shape: NetShape, rng_seed: int) -> ParamStack:
+    """Block-structured random initialization of one network (a stack of one).
 
     Hidden layers are (W, 0; 0, W) with both diagonal blocks the SAME draw of
     i.i.d. N(0, 4/m) entries; the output layer is (w^T, -w^T) with w i.i.d.
@@ -126,17 +142,14 @@ def init_params(shape: NetShape, rng_seed: int) -> ParamVector:
         layers.append(W)
     w = rng.normal(0.0, np.sqrt(2.0 / m), size=m // 2)
     layers.append(np.concatenate([w, -w])[None, :])
-    return ParamVector(shape, layers)
+    return ParamStack(shape, [W[None] for W in layers])
 
 
 def _forward_cached(layers: list[np.ndarray], X: np.ndarray, m: int):
-    """Outputs, the activations entering each layer, and the hidden
-    pre-activations.
-
-    Works on one network (2-D weights, X (n, d)) and on a stack (weights
-    (N, rows, cols), X (N, n, d)): np.matmul runs each slice of a stack through
-    the same BLAS call as the 2-D product of that network alone.
-    """
+    """Outputs (N, n), the activations entering each layer and the hidden
+    pre-activations of a stack (weights (N, rows, cols)) on X (N, n, d).
+    np.matmul runs each slice through the BLAS call of that network's 2-D
+    product, so a network's bits do not depend on the stack it is in."""
     acts, pre = [X], []
     for W in layers[:-1]:
         Z = acts[-1] @ W.swapaxes(-1, -2)
@@ -146,28 +159,30 @@ def _forward_cached(layers: list[np.ndarray], X: np.ndarray, m: int):
     return out, acts, pre
 
 
-def _inputs(theta: ParamVector, X: np.ndarray) -> np.ndarray:
+def _inputs(theta: ParamStack, X: np.ndarray) -> np.ndarray:
+    """X as the (1, n, d) batch of theta, a stack of one network."""
+    if len(theta) != 1:
+        raise ValueError(f"expected one network, got a stack of {len(theta)}")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != theta.shape.input_dim:
-        raise ValueError(
-            f"input dim {X.shape[1]} does not match network d={theta.shape.input_dim}"
-        )
-    return X
+        raise ValueError(f"input dim {X.shape[1]} does not match network "
+                         f"d={theta.shape.input_dim}")
+    return X[None]
 
 
-def forward_batch(theta: ParamVector, X: np.ndarray) -> np.ndarray:
+def forward_batch(theta: ParamStack, X: np.ndarray) -> np.ndarray:
     """Network outputs for a batch of inputs, shape (n,)."""
     out, _, _ = _forward_cached(theta.layers, _inputs(theta, X), theta.shape.width)
-    return out
+    return out[0]
 
 
 def _deltas(layers: list[np.ndarray], pre, seed: np.ndarray,
             m: int) -> list[np.ndarray]:
     """Sensitivity of sum_i seed_i * f(x_i) to each layer's outputs, per
-    sample: deltas[l] is (..., n, fan_out of layer l), from the
-    pre-activations of _forward_cached (per network for a stack, with seed
-    (N, n)).  Layer l's gradient for sample i is the outer product of
-    deltas[l][i] and the activations entering the layer.
+    sample: deltas[l] is (N, n, fan_out of layer l), from the
+    pre-activations of _forward_cached and seed (N, n).  Layer l's gradient
+    for sample i of network j is the outer product of deltas[l][j, i] and the
+    activations entering the layer.
 
     ReLU subgradient at exactly 0 is taken as 0.
     """
@@ -181,48 +196,24 @@ def _deltas(layers: list[np.ndarray], pre, seed: np.ndarray,
     return deltas
 
 
-def grad_batch(theta: ParamVector, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def grad_batch(theta: ParamStack, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Network outputs (n,), with forward_batch's bits, and their per-sample
     flat gradients (n, p), from one forward and one backward pass.
 
     The 1/sqrt(m) posterior scale is NOT folded in here.
     """
     X = _inputs(theta, X)
-    n = X.shape[0]
+    n = X.shape[1]
     out, acts, pre = _forward_cached(theta.layers, X, theta.shape.width)
-    deltas = _deltas(theta.layers, pre, np.ones(n), theta.shape.width)
-    return out, np.concatenate([np.einsum("ni,nj->nij", delta, act).reshape(n, -1)
-                                for delta, act in zip(deltas, acts)], axis=1)
+    deltas = _deltas(theta.layers, pre, np.ones((1, n)), theta.shape.width)
+    return out[0], np.concatenate([np.einsum("ni,nj->nij", d[0], a[0]).reshape(n, -1)
+                                   for d, a in zip(deltas, acts)], axis=1)
 
 
-def grad(theta: ParamVector, x: np.ndarray) -> np.ndarray:
+def grad(theta: ParamStack, x: np.ndarray) -> np.ndarray:
     """Flat gradient of the output at one input x w.r.t. all weights,
     length p."""
     return grad_batch(theta, np.asarray(x, dtype=np.float64)[None, :])[1][0]
-
-
-@dataclass
-class ParamStack:
-    """The weights of N networks of one shape, layer l held as one
-    (N, rows, cols) array, so that one step trains all N at once."""
-
-    shape: NetShape
-    layers: list[np.ndarray] = field(repr=False)
-
-    @classmethod
-    def of(cls, params: list[ParamVector]) -> "ParamStack":
-        return cls(params[0].shape, [np.stack(Ws) for Ws in
-                                     zip(*(p.layers for p in params))])
-
-    def __len__(self) -> int:
-        return len(self.layers[0])
-
-    def member(self, j: int) -> ParamVector:
-        """Network j's weights as views, which follow in-place training."""
-        return ParamVector(self.shape, [W[j] for W in self.layers])
-
-    def copy(self) -> "ParamStack":
-        return ParamStack(self.shape, [W.copy() for W in self.layers])
 
 
 @dataclass(frozen=True)

@@ -101,21 +101,13 @@ def _check_reward(reward: float) -> None:
         raise ValueError("reward must be finite")
 
 
-class _Net:
-    """One network of a stack: its weights as views into the stack, and the
-    indices of the history rows it trains on."""
-
-    def __init__(self, theta):
-        self.theta = theta
-        self.history = Rows(dtype=np.intp)
-
-
 class _NetworkPolicy(Policy):
     """Seeding, networks and stop-train gate of the network policies.
 
     SeedSequence(seed) spawns the selection stream, the observation stream
-    and one seed per network, in that order.  Each network includes each
-    observed row with probability include_prob (always when it is None).
+    and one seed per network, in that order.  nets[j] is network j (views
+    into theta) and histories[j] the history rows it includes, each with
+    probability include_prob (always when it is None).
     A step size that training would reject is rejected here, before round 1.
     """
 
@@ -129,8 +121,9 @@ class _NetworkPolicy(Policy):
         self.cfg = cfg
         self.theta0 = ParamStack.of([init_params(shape, s) for s in children[2:]])
         self.theta = self.theta0.copy()
-        self.nets = [_Net(self.theta.member(j)) for j in range(n_networks)]
+        self.nets = [self.theta.member(j) for j in range(n_networks)]
         self.net = self.nets[0]
+        self.histories = [Rows(dtype=np.intp) for _ in range(n_networks)]
         self.contexts = Rows((shape.input_dim,))
         self.rewards = Rows()
         self.include_prob = include_prob
@@ -150,14 +143,14 @@ class _NetworkPolicy(Policy):
         self.contexts.append(context)
         row = self.rewards.append(float(reward))
         batches = []
-        for net in self.nets:
+        for history in self.histories:
             if (self.include_prob is None
                     or self.observe_rng.random() < self.include_prob):
-                net.history.append(row)
-            batches.append(draw_batches(net.history.array, self.cfg.train,
+                history.append(row)
+            batches.append(draw_batches(history.array, self.cfg.train,
                                         self.observe_rng))
         data = Batches(self.contexts.array, self.rewards.array,
-                       [len(net.history) for net in self.nets], batches)
+                       [len(history) for history in self.histories], batches)
         train(self.theta0, self.theta, data, self.cfg.train)
 
 
@@ -172,16 +165,15 @@ class NeuralBandit(_NetworkPolicy):
                                    mode=cfg.posterior)
 
     def select(self, contexts: np.ndarray) -> Decision:
-        means, feats = grad_batch(self.net.theta, contexts)
+        means, feats = grad_batch(self.net, contexts)
         sigmas = self.design.sigma(feats)
         scores = score(means, sigmas, self.cfg.nu, self.thompson, self.select_rng)
         return Decision(int(np.argmax(scores)), scores, means, sigmas)
 
     def observe(self, context: np.ndarray, reward: float) -> None:
         super().observe(context, reward)
-        g = grad(self.net.theta, context)
         try:
-            self.design.update(g)
+            self.design.update(grad(self.net, context))
         except np.linalg.LinAlgError as err:
             # only a full-mode design can degenerate, and only the network
             # policies can choose the diagonal one
@@ -192,7 +184,7 @@ class EpsGreedyNN(_NetworkPolicy):
     """Greedy on the network output, uniform with probability eps."""
 
     def select(self, contexts: np.ndarray) -> Decision:
-        means = forward_batch(self.net.theta, contexts)
+        means = forward_batch(self.net, contexts)
         arm = int(np.argmax(means))
         if self.cfg.eps > 0.0 and self.select_rng.random() < self.cfg.eps:
             arm = int(self.select_rng.integers(len(means)))
@@ -207,7 +199,7 @@ class BootstrapNN(_NetworkPolicy):
 
     def select(self, contexts: np.ndarray) -> Decision:
         pick = int(self.select_rng.integers(len(self.nets)))
-        means = forward_batch(self.nets[pick].theta, contexts)
+        means = forward_batch(self.nets[pick], contexts)
         return Decision(int(np.argmax(means)), means.copy(), means,
                         np.zeros_like(means))
 

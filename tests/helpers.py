@@ -12,28 +12,25 @@ import numpy as np
 
 from banditbench import ntk
 from banditbench.harness import RegretTrace
-from banditbench.nn import NetShape, ParamVector
+from banditbench.nn import NetShape, ParamStack
 from banditbench.posterior import DesignMatrix
 
 
-def flat(theta: ParamVector) -> np.ndarray:
-    """theta's weights as one vector, layer-major and row-major within a
-    layer: the order of grad_batch's gradient features."""
+def flat(theta: ParamStack) -> np.ndarray:
+    """The weights of theta, a stack of one network, as one vector,
+    layer-major and row-major within a layer: the order of grad_batch's
+    gradient features."""
     return np.concatenate([W.ravel() for W in theta.layers])
 
 
-def from_flat(shape: NetShape, vector: np.ndarray) -> ParamVector:
-    """The network whose flat() is a copy of vector."""
+def from_flat(shape: NetShape, vector: np.ndarray) -> ParamStack:
+    """The stack of one network whose flat() is a copy of vector."""
     layers, offset = [], 0
     for rows, cols in shape.layer_shapes():
         n = rows * cols
-        layers.append(vector[offset:offset + n].reshape(rows, cols).copy())
+        layers.append(vector[offset:offset + n].reshape(1, rows, cols).copy())
         offset += n
-    return ParamVector(shape, layers)
-
-
-def copy_params(theta: ParamVector) -> ParamVector:
-    return ParamVector(theta.shape, [W.copy() for W in theta.layers])
+    return ParamStack(shape, layers)
 
 
 def inverse(design: DesignMatrix) -> np.ndarray:

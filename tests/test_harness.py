@@ -221,7 +221,7 @@ class TestDelayProtocol:
                 self.inner = inner
 
             def select(self, contexts):
-                states.append((flat(self.inner.net.theta).tobytes(),
+                states.append((flat(self.inner.net).tobytes(),
                                self.inner.design.logdet))
                 return self.inner.select(contexts)
 

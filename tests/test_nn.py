@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from banditbench.nn import (Batches, NetShape, ParamStack, ParamVector,
-                            TrainConfig, draw_batches, forward_batch, grad,
-                            grad_batch, init_params, train)
+from banditbench.nn import (Batches, NetShape, ParamStack, TrainConfig,
+                            draw_batches, forward_batch, grad, grad_batch,
+                            init_params, train)
 from banditbench.data import duplicate_half, normalize_unit
 from banditbench.harness import ExperimentConfig, build_rounds
 from banditbench.policies import PolicyConfig
@@ -13,12 +13,12 @@ from helpers import flat, from_flat
 def small_hand_net():
     # d=2, m=2, L=2 with identity first layer and all-ones output layer
     shape = NetShape(2, 2, 2)
-    return shape, ParamVector(shape, [np.eye(2), np.array([[1.0, 1.0]])])
+    return shape, ParamStack(shape, [np.eye(2)[None], np.array([[[1.0, 1.0]]])])
 
 
 def fit(theta0, theta, data, cfg, rng=None):
     """theta trained on (context, reward) pairs as a stack of one network,
-    as a new ParamVector; theta is left as it was."""
+    as a new stack of one; theta is left as it was."""
     n = len(data)
     X = np.array([x for x, _ in data], dtype=np.float64).reshape(
         n, theta0.shape.input_dim)
@@ -65,14 +65,14 @@ class TestShape:
 class TestInit:
     def test_block_structure(self):
         theta = init_params(NetShape(4, 4, 2), seed_val := 5)
-        W1 = theta.layers[0]
+        W1 = theta.layers[0][0]
         np.testing.assert_array_equal(W1[:2, 2:], 0.0)
         np.testing.assert_array_equal(W1[2:, :2], 0.0)
         np.testing.assert_array_equal(W1[:2, :2], W1[2:, 2:])
 
     def test_output_layer_mirrored(self):
         theta = init_params(NetShape(4, 8, 2), 9)
-        w = theta.layers[-1][0]
+        w = theta.layers[-1][0, 0]
         np.testing.assert_array_equal(w[:4], -w[4:])
 
     def test_deterministic(self):
@@ -265,3 +265,68 @@ class TestTrain:
         a = fit(theta0, theta0, data, cfg, np.random.default_rng(42))
         b = fit(theta0, theta0, data, cfg, np.random.default_rng(42))
         np.testing.assert_array_equal(flat(a), flat(b))
+
+
+def reference_grad_batch(layers, X, m):
+    """Outputs and per-sample flat gradients of one network from its 2-D
+    layers, written out layer by layer."""
+    n = X.shape[0]
+    acts, pre = [X], []
+    for W in layers[:-1]:
+        pre.append(acts[-1] @ W.T)
+        acts.append(np.maximum(pre[-1], 0.0))
+    out = np.sqrt(m) * (acts[-1] @ layers[-1].T)[:, 0]
+    delta = np.sqrt(m) * np.ones((n, 1))
+    grads = [np.einsum("ni,nj->nij", delta, acts[-1]).reshape(n, -1)]
+    for l in range(len(layers) - 2, -1, -1):
+        delta = (delta @ layers[l + 1]) * (pre[l] > 0.0)
+        grads.insert(0, np.einsum("ni,nj->nij", delta, acts[l]).reshape(n, -1))
+    return out, np.concatenate(grads, axis=1)
+
+
+class TestParamStack:
+    def test_layer_shapes_checked(self):
+        shape = NetShape(4, 6, 3)
+        stack = ParamStack.of([init_params(shape, s) for s in (1, 2)])
+        with pytest.raises(ValueError, match="do not match"):
+            ParamStack(shape, [W[0] for W in stack.layers])
+        with pytest.raises(ValueError, match="do not match"):
+            ParamStack(shape, [stack.layers[0], *(W[:1] for W in stack.layers[1:])])
+        with pytest.raises(ValueError, match="do not match"):
+            ParamStack(NetShape(4, 6, 2), stack.layers)
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_member_is_a_stack_of_one_network(self, depth):
+        shape = NetShape(6, 8, depth)
+        theta0 = ParamStack.of([init_params(shape, s) for s in (4, 5, 6)])
+        theta = theta0.copy()
+        nets = [theta.member(j) for j in range(3)]
+        for j, net in enumerate(nets):
+            assert isinstance(net, ParamStack) and len(net) == 1
+            for W, Wj in zip(theta.layers, net.layers):
+                assert np.shares_memory(W, Wj)
+        rng = np.random.default_rng(depth)
+        X, r = rng.standard_normal((12, 6)), rng.uniform(-1, 1, 12)
+        cfg = TrainConfig(step_size=0.002, iterations=5, mode="sgd",
+                          batch_size=4)
+        batches = Batches(X, r, [12] * 3, [draw_batches(np.arange(12), cfg, rng)
+                                           for _ in range(3)])
+        before = [flat(net) for net in nets]
+        train(theta0, theta, batches, cfg)
+        for j, net in enumerate(nets):
+            trained = np.concatenate([W[j].ravel() for W in theta.layers])
+            assert flat(net).tobytes() == trained.tobytes()
+            assert not np.array_equal(flat(net), before[j])
+            layers = [W[j].copy() for W in theta.layers]
+            out, feats = reference_grad_batch(layers, X, shape.width)
+            assert forward_batch(net, X).tobytes() == out.tobytes()
+            got_out, got_feats = grad_batch(net, X)
+            assert got_out.tobytes() == out.tobytes()
+            assert got_feats.tobytes() == feats.tobytes()
+            one = reference_grad_batch(layers, X[:1], shape.width)[1][0]
+            assert grad(net, X[0]).tobytes() == one.tobytes()
+
+    def test_forward_takes_one_network(self):
+        stack = ParamStack.of([init_params(NetShape(4, 6, 2), s) for s in (1, 2)])
+        with pytest.raises(ValueError, match="one network"):
+            forward_batch(stack, np.ones((3, 4)))

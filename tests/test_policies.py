@@ -75,11 +75,11 @@ class TestNeuralTS:
     def test_select_does_not_mutate_state(self):
         policy = make_policy(neural_cfg("neural-ts"), 4, seed=4)
         contexts = random_contexts(np.random.default_rng(3), 2, 4)
-        theta_before = flat(policy.net.theta)
+        theta_before = flat(policy.net)
         logdet_before = policy.design.logdet
         for _ in range(10):
             policy.select(contexts)
-        np.testing.assert_array_equal(flat(policy.net.theta), theta_before)
+        np.testing.assert_array_equal(flat(policy.net), theta_before)
         assert policy.design.logdet == logdet_before
 
     def test_stop_train_zero_freezes_parameters(self):
@@ -89,7 +89,7 @@ class TestNeuralTS:
         logdet_before = policy.design.logdet
         for k in range(4):
             policy.observe(contexts[k % 2], 1.0)
-        np.testing.assert_array_equal(flat(policy.net.theta), theta0)
+        np.testing.assert_array_equal(flat(policy.net), theta0)
         assert policy.design.logdet > logdet_before  # U still accumulates
 
     def test_observe_is_stateful_no_dedup(self):
@@ -113,7 +113,7 @@ class TestNeuralTS:
             inv_before = inverse(policy.design)
             # theta after this observe is what enters the update feature
             policy.observe(ctx, float(rng.uniform()))
-            g = grad(policy.net.theta, ctx)
+            g = grad(policy.net, ctx)
             expected += np.log(1.0 + float(g @ inv_before @ g) / policy.design.width)
         assert policy.design.logdet == pytest.approx(expected, abs=1e-8)
 
@@ -579,7 +579,7 @@ class TestEpsGreedy:
     def test_eps_zero_greedy(self):
         policy = make_policy(neural_cfg("eps-greedy", eps=0.0), 4, seed=17)
         contexts = random_contexts(np.random.default_rng(17), 3, 4)
-        means = forward_batch(policy.net.theta, contexts)
+        means = forward_batch(policy.net, contexts)
         assert policy.select(contexts).arm == int(np.argmax(means))
 
     def test_non_greedy_frequency(self):
@@ -588,7 +588,7 @@ class TestEpsGreedy:
         policy = make_policy(neural_cfg("eps-greedy", eps=0.1, stop_train=0), 4,
                              seed=18)
         contexts = random_contexts(np.random.default_rng(18), 10, 4)
-        greedy = int(np.argmax(forward_batch(policy.net.theta, contexts)))
+        greedy = int(np.argmax(forward_batch(policy.net, contexts)))
         n = 20_000
         counts = np.zeros(10)
         for _ in range(n):
@@ -622,9 +622,9 @@ class TestBootstrap:
         rng = np.random.default_rng(20)
         for _ in range(5):
             boot.observe(random_contexts(rng, 1, 4)[0], 1.0)
-        for net, theta0 in zip(boot.nets, init):
-            assert not net.history
-            np.testing.assert_array_equal(flat(net.theta), theta0)
+        for net, history, theta0 in zip(boot.nets, boot.histories, init):
+            assert not history
+            np.testing.assert_array_equal(flat(net), theta0)
 
     def test_inclusion_frequency(self):
         # rows are included until the stop round; no training is needed
@@ -637,7 +637,7 @@ class TestBootstrap:
         for _ in range(500):
             boot.observe(random_contexts(rng, 1, 4)[0], 1.0)
         offered = 500 * len(boot.nets)
-        frac = sum(len(net.history) for net in boot.nets) / offered
+        frac = sum(len(history) for history in boot.histories) / offered
         se = np.sqrt(0.8 * 0.2 / offered)
         assert frac == pytest.approx(0.8, abs=3 * se)
 
@@ -651,7 +651,7 @@ class TestStopTrain:
         for _ in range(20):
             policy.observe(random_contexts(rng, 1, 4)[0], float(rng.uniform()))
         assert len(policy.contexts) == len(policy.rewards) == 5
-        assert all(len(net.history) <= 5 for net in policy.nets)
+        assert all(len(history) <= 5 for history in policy.histories)
         if algorithm in ("neural-ts", "neural-ucb"):
             # select reads the posterior, which takes every observation
             assert policy.design.n_updates == 20

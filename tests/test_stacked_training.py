@@ -12,9 +12,11 @@ import pytest
 from banditbench import harness, policies
 from banditbench.harness import ExperimentConfig, run_episode
 from banditbench.nn import (Batches, NetShape, ParamStack, TrainConfig,
-                            TrainingDiverged, draw_batches, init_params, train)
-from banditbench.policies import BootstrapNN, PolicyConfig, make_policy
-from helpers import copy_params, flat, without_wall_clock
+                            TrainingDiverged, draw_batches, forward_batch,
+                            init_params, train)
+from banditbench.policies import (BootstrapNN, Decision, PolicyConfig,
+                                  make_policy)
+from helpers import flat, without_wall_clock
 
 
 def _seed_forward_cached(theta, X):
@@ -22,10 +24,10 @@ def _seed_forward_cached(theta, X):
     pre = []
     A = X
     for W in theta.layers[:-1]:
-        Z = A @ W.T
+        Z = A @ W[0].T
         pre.append(Z)
         A = np.maximum(Z, 0.0)
-    out = np.sqrt(m) * (A @ theta.layers[-1].T)[:, 0]
+    out = np.sqrt(m) * (A @ theta.layers[-1][0].T)[:, 0]
     return out, pre
 
 
@@ -35,12 +37,12 @@ def _seed_backward_weighted(theta, X, pre, seed):
     grads = [None] * len(theta.layers)
     delta = np.sqrt(m) * seed[:, None] * np.ones((X.shape[0], 1))
     grads[-1] = delta.T @ acts[-1]
-    back = delta @ theta.layers[-1]
+    back = delta @ theta.layers[-1][0]
     for l in range(len(theta.layers) - 2, -1, -1):
         delta = back * (pre[l] > 0.0)
         grads[l] = delta.T @ acts[l]
         if l > 0:
-            back = delta @ theta.layers[l]
+            back = delta @ theta.layers[l][0]
     return grads
 
 
@@ -49,13 +51,13 @@ def seed_train(theta0, theta_init, dataset, cfg, rng=None):
     if cfg.step_size * m * cfg.reg >= 1.0:
         raise ValueError("the regularization contraction diverges")
     if not dataset:
-        return copy_params(theta_init)
+        return theta_init.copy()
     if cfg.mode == "sgd" and rng is None:
         rng = np.random.default_rng(0)
     X = np.asarray([x for x, _ in dataset], dtype=np.float64)
     r = np.asarray([rw for _, rw in dataset], dtype=np.float64)
     n = len(dataset)
-    theta = copy_params(theta_init)
+    theta = theta_init.copy()
     for _ in range(cfg.iterations):
         if cfg.mode == "gd":
             Xb, rb = X, r
@@ -78,7 +80,7 @@ class SeedNeuralNet:
     def __init__(self, shape, seed, cfg):
         self.cfg = cfg
         self.theta0 = init_params(shape, seed)
-        self.theta = copy_params(self.theta0)
+        self.theta = self.theta0.copy()
         self.history = []
 
     def add(self, x, r):
@@ -108,6 +110,12 @@ class SeedBootstrapNN(BootstrapNN):
                 net.add(context, reward)
             if do_train:
                 net.fit(self.observe_rng)
+
+    def select(self, contexts):
+        pick = int(self.select_rng.integers(len(self.nets)))
+        means = forward_batch(self.nets[pick].theta, contexts)
+        return Decision(int(np.argmax(means)), means.copy(), means,
+                        np.zeros_like(means))
 
 
 SGD8 = TrainConfig(step_size=0.002, iterations=6, reg=0.37, mode="sgd",
@@ -139,13 +147,13 @@ def assert_same_ensembles(cfg, rounds=24, dim=6, seed=5):
         new.observe(x, reward)
         old.observe(x, reward)
         for a, b in zip(new.nets, old.nets):
-            assert flat(a.theta).tobytes() == flat(b.theta).tobytes()
+            assert flat(a).tobytes() == flat(b.theta).tobytes()
         # past the stop round the seed ensemble still includes rows and
         # draws from the observation stream; no fit reads either
         if t <= cfg.stop_train:
-            lengths.add(tuple(len(net.history) for net in new.nets))
-            for a, b in zip(new.nets, old.nets):
-                assert len(a.history) == len(b.history)
+            lengths.add(tuple(len(history) for history in new.histories))
+            for a, b in zip(new.histories, old.nets):
+                assert len(a) == len(b.history)
             assert new.observe_rng.random() == old.observe_rng.random()
     return lengths
 
@@ -218,7 +226,7 @@ class TestSingleNetworkMatchesSeed:
             ref.add(x, reward)
             if t <= 15:
                 ref.fit(rng)
-            assert flat(policy.net.theta).tobytes() == flat(ref.theta).tobytes()
+            assert flat(policy.net).tobytes() == flat(ref.theta).tobytes()
 
 
 class TestTraces:
@@ -271,5 +279,5 @@ class TestDivergence:
         assert "--train-mode" not in msg
         net = int(msg.split("network ")[1].split()[0])
         rows = int(msg.split(" history rows")[0].rsplit(" ", 1)[1])
-        assert 0 <= net < 3 and rows == len(boot.nets[net].history)
+        assert 0 <= net < 3 and rows == len(boot.histories[net])
 
