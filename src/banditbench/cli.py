@@ -188,9 +188,9 @@ def _ntk_report(stream: ExperimentConfig, args: argparse.Namespace) -> dict:
 def _inputs(args: argparse.Namespace):
     """What the subcommand runs on, built from its flags: the dataset for
     ingest, the report for ntk, the experiment for run and its cells for
-    grid.  For run's config or every grid cell, the first episode's rounds
-    and policy are built too, and the worker pool sized, so that what only
-    they check is reported before any episode runs.  Raises the ValueError
+    grid.  For run's config or every grid cell, the first episode's first
+    round and policy are built too, and the worker pool sized, so that what
+    only they check is reported before any episode runs.  Raises the ValueError
     or OSError of a value that cannot be run, such as an --out or --out-file
     that cannot be created or written."""
     if args.command in ("ntk", "ingest") and args.out_file:
@@ -220,9 +220,9 @@ def _inputs(args: argparse.Namespace):
     cells = [experiment]
     if args.command == "grid":
         cells = grid_cells(experiment, **_sweeps(experiment.policy.algorithm))
-    rounds = build_rounds(experiment, experiment.base_seed)  # cells share them
+    first, = build_rounds(experiment, experiment.base_seed, first=1)
     for cell in cells:
-        make_policy(cell.policy, rounds[0].contexts.shape[1], cell.base_seed)
+        make_policy(cell.policy, first.contexts.shape[1], cell.base_seed)
     # checked, not created: main reruns this to blame a config line
     head = os.path.abspath(args.out)
     while not os.path.exists(head):

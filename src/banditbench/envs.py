@@ -105,12 +105,14 @@ def load_dataset(spec: str, schema: str | None = None) -> LabeledDataset:
 
 
 def dataset_rounds(dataset: LabeledDataset, seed, horizon: int,
-                   duplicate: bool = True) -> list[BanditRound]:
-    """The bandit rounds of the first `horizon` rows in the seed's row order;
-    only those rows are built."""
+                   duplicate: bool = True,
+                   first: int | None = None) -> list[BanditRound]:
+    """The bandit rounds of the first `horizon` rows in the seed's row order,
+    or of only the `first` of them; only those rows are built."""
     if horizon > len(dataset):
         raise ValueError(f"horizon {horizon} exceeds dataset size {len(dataset)}")
-    rows = np.random.default_rng(seed).permutation(len(dataset))[:horizon]
+    rows = np.random.default_rng(seed).permutation(len(dataset))
+    rows = rows[:first or horizon]
     played = LabeledDataset(dataset.features[rows], dataset.labels[rows],
                             dataset.n_classes)
     return classification_rounds(played, duplicate=duplicate)

@@ -91,15 +91,18 @@ class RegretTrace:
         return list(self.rows())
 
 
-def build_rounds(config: ExperimentConfig, seed) -> list[BanditRound]:
-    """The `horizon` rounds one episode seed plays, and no others."""
+def build_rounds(config: ExperimentConfig, seed,
+                 first: int | None = None) -> list[BanditRound]:
+    """The `horizon` rounds one episode seed plays, or only the `first` of
+    them; a dataset's size is checked against the horizon either way."""
     name = config.dataset
     if name in envs.SYNTHETIC:
         return envs.synthetic_rounds(name, config.n_arms, config.raw_dim,
-                                     config.horizon, seed, config.noise_sd,
-                                     config.duplicate)
+                                     first or config.horizon, seed,
+                                     config.noise_sd, config.duplicate)
     dataset = envs.load_dataset(name, config.schema)
-    return envs.dataset_rounds(dataset, seed, config.horizon, config.duplicate)
+    return envs.dataset_rounds(dataset, seed, config.horizon, config.duplicate,
+                               first)
 
 
 def run_episode(config: ExperimentConfig, repeat_index: int) -> RegretTrace:

@@ -235,10 +235,10 @@ class KernelPolicy(Policy):
     """RBF-kernel ridge baseline; Thompson sampling or UCB scoring.
 
     The kernel matrix A = Gram + reg*I is held as the factor R of its inverse
-    (A^-1 = R^T R), which grows by one row per observation, and w = R r by one
-    entry.  With V the arms' (K, t) kernel block times R^T, the means are V w
-    and the variances 1 - |v|^2.  Both are frozen once the stop-training round
-    passes (the history stops growing).
+    (A^-1 = R^T R), about t^2/2 doubles in panels that are never copied.  R
+    grows by one row per observation, and w = R r by one entry.  With V the
+    arms' (K, t) kernel block times R^T, the means are V w and the variances
+    1 - |v|^2, both frozen once the stop-training round passes.
     """
 
     def __init__(self, dim: int, cfg: PolicyConfig, seed, thompson: bool):
@@ -288,7 +288,7 @@ class KernelPolicy(Policy):
         self.X.append(x)
         self.sq_norms.append(float(x @ x))
         self.r.append(float(reward))
-        self.w.append(float(self.k_inv.factor[-1] @ self.r.array))
+        self.w.append(float(self.k_inv.row(len(self.r) - 1) @ self.r.array))
 
 
 class UniformRandom(Policy):

@@ -3,13 +3,13 @@
 Full mode keeps the gradient features G (one row per update) and starts in
 dual form: by Woodbury, U^-1 = (I - G^T A^-1 G) / reg with A = reg*m*I + G G^T,
 so it holds only a t x t factor of A^-1, which a BorderedInverse grows by one
-row per update without rewriting the rows it already holds.  A sigma is then
-one product with G and one with that factor, and memory grows with t.  Once t
-is a large enough share of dim, the p x p inverse of U costs less per round;
-full mode then builds it once from the dual form, drops G and the factor, and
-keeps the inverse up to date by rank-one Sherman-Morrison updates, applied in
-place one block of rows at a time, so that an update reads the inverse once
-and rewrites it once without a full-size temporary.  The primal inverse stays
+row per update in panels that it never copies.  A sigma is then one product
+with G and one with that factor, and memory grows with t.  Once t is a large
+enough share of dim, the p x p inverse of U costs less per round; full mode
+then forms W = R G, drops G and the factor, builds the inverse from W, and
+keeps it up to date by rank-one Sherman-Morrison updates, applied in place
+one block of rows at a time, so that an update reads the inverse once and
+rewrites it once without a full-size temporary.  The primal inverse stays
 exactly symmetric, since u_i u_j == u_j u_i in IEEE arithmetic.  U itself is
 never stored, so the primal form holds one p x p array however long the run.
 In exact arithmetic an update's Schur complement is at least reg*m and its
@@ -33,17 +33,17 @@ _ROW_BLOCK = 32
 # p x p inverse.  With K=4 arms and one BLAS thread on a 2-vCPU host, a dual
 # round cost 0.21-0.24, 0.26-0.33, 0.35-0.40 and 0.48-0.56 of a primal one at
 # t = 0.5, 0.6, 0.8 and 1.0 dim (dim 1700 and dim 850), and 0.76-0.94 at 1.4
-# dim.  The switch stays at 0.6 for memory: G and the factor grow by capacity
-# doubling, and the switch holds them, W = R G and the p x p inverse at once.
-# At dim 1700 that is 56.6 MiB, against the 22.5 MiB held after it, and
-# `--posterior full --T 5000` took 44.2 s and peaked at 105.4 MiB (one BLAS
-# thread).  With 1.0, and U stored beside its inverse, that run took 49.1 s
-# and peaked at 143.2 MiB, against 56.2 s and 114.6 MiB with 0.6.
+# dim.  The switch stays at 0.6 for memory: it holds G, the factor, a dense
+# copy of the factor and W = R G, then W and the p x p inverse: 39.0 MiB at
+# dim 1700, against 22.5 MiB after it, and `--posterior full --T 5000` took
+# 46.5 s and peaked at 87.9 MiB (one BLAS thread).  With U stored beside its
+# inverse, that run took 49.1 s and peaked at 143.2 MiB with 1.0, against
+# 56.2 s and 114.6 MiB with 0.6.
 _DUAL_FRACTION = 0.6
-# Rows of the triangular factor per block of a product with it.  A product
-# then reads the lower triangle only, one 128-row panel at a time; at t=1000
-# a (2, t) stack times R^T took 0.23 ms this way and 0.89 ms as one matmul
-# over the square, one BLAS thread.
+# Rows of the triangular factor per stored panel, and per block of a product
+# with it.  A product reads the lower triangle only, one panel at a time; at
+# t=1000 a (2, t) stack times R^T took 0.23 ms this way and 0.89 ms as one
+# matmul over the square, one BLAS thread.
 _PANEL = 128
 
 
@@ -91,25 +91,32 @@ class BorderedInverse:
     such as a Gram matrix plus a ridge, bordered by one row and column per
     add.  It is held as R = L^-1, where A = L L^T, so A^-1 = R^T R.  R is
     lower triangular and bordering A only appends a row to it: an add
-    rewrites no stored entry.  R lives in a zero-initialised buffer whose
-    capacity doubles, so the entries above its diagonal stay exactly zero
-    and an add allocates no n x n array."""
+    rewrites no stored entry.  R lives in zeroed panels of _PANEL rows, each
+    with the columns up to its last row's diagonal; a panel is allocated
+    with its first row and never copied, so R takes about n^2/2 doubles."""
 
     def __init__(self):
-        self._data = np.zeros((0, 0))
+        self._blocks: list[np.ndarray] = []
         self.n = 0
 
     @property
     def factor(self) -> np.ndarray:
-        """R = L^-1 (a view)."""
-        return self._data[:self.n, :self.n]
+        """R = L^-1, assembled as a dense copy."""
+        R = np.zeros((self.n, self.n))
+        for i, j, P in self._panels():
+            R[i:j, :j] = P
+        return R
+
+    def row(self, i: int) -> np.ndarray:
+        """Row i of R up to its diagonal entry (a view)."""
+        return self._blocks[i // _PANEL][i % _PANEL, :i + 1]
 
     def _panels(self):
-        """(i, j, R[i:j, :j]) for each block of _PANEL rows of R: its lower
-        triangle and diagonal, without the zeros to the right of row j."""
-        for i in range(0, self.n, _PANEL):
+        """(i, j, R[i:j, :j]) for each panel of R, a view of its rows
+        [i, j) up to column j."""
+        for i, P in zip(range(0, self.n, _PANEL), self._blocks):
             j = min(i + _PANEL, self.n)
-            yield i, j, self._data[i:j, :j]
+            yield i, j, P[:j - i, :j]
 
     def _apply(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """l = R k and u = R^T l = A^-1 k, in one pass over the panels of R:
@@ -133,14 +140,12 @@ class BorderedInverse:
         s = d - float(l @ l)
         if s <= 0.0:
             return s
-        if n == len(self._data):
-            grown = np.zeros((max(16, 2 * n),) * 2)
-            grown[:n, :n] = self.factor
-            self._data = grown
+        if n % _PANEL == 0:
+            self._blocks.append(np.zeros((_PANEL, n + _PANEL)))
         # L gains the row (l^T, sqrt(s)), so R gains (-l^T R, 1) / sqrt(s)
-        root = np.sqrt(s)
-        np.divide(u, -root, out=self._data[n, :n])
-        self._data[n, n] = 1.0 / root
+        root, new = np.sqrt(s), self.row(n)
+        np.divide(u, -root, out=new[:n])
+        new[n] = 1.0 / root
         self.n = n + 1
         return s
 
@@ -233,8 +238,9 @@ class DesignMatrix:
             self._G.append(g)
             self._logdet += float(np.log(s / (self.reg * m)))
             if len(self._G) >= _DUAL_FRACTION * self.dim:
-                self._inv = self._primal_inverse()
-                self._G = self._dual = None
+                W = self._dual.factor @ self._G.array
+                self._G = self._dual = None  # freed before W^T W is formed
+                self._inv = self._primal_inverse(W)
                 self._scratch = np.empty((_ROW_BLOCK, self.dim))
         else:
             u = self._inv @ g
@@ -251,11 +257,10 @@ class DesignMatrix:
             f"{what} after {self.n_updates} updates (dim={self.dim}, "
             f"reg={float(self.reg)!r}, width={self.width}); raise --lambda")
 
-    def _primal_inverse(self) -> np.ndarray:
-        """U^-1 = (I - W^T W) / reg with W = R G, from the dual form.  numpy
-        forms W^T W by one symmetric rank-k product, so it is exactly
-        symmetric."""
-        W = self._dual.factor @ self._G.array
+    def _primal_inverse(self, W: np.ndarray) -> np.ndarray:
+        """U^-1 = (I - W^T W) / reg from W = R G, the dual form's features
+        whitened.  numpy forms W^T W by one symmetric rank-k product, so it
+        is exactly symmetric."""
         inv = W.T @ W
         inv *= -1.0 / self.reg
         inv.flat[::self.dim + 1] += 1.0 / self.reg

@@ -1,12 +1,13 @@
 """Views of the engine's state that only tests read: network weights as
 one flat vector, the dense inverse of a design matrix, every level of the
 NTK recursion, the eigenvalue-truncation bound on the effective
-dimension, and episode traces read back from JSONL or stripped of their
-wall-clock field."""
+dimension, episode traces read back from JSONL or stripped of their
+wall-clock field, and the traced memory peak of a call."""
 
 import itertools
 import json
 import os
+import tracemalloc
 
 import numpy as np
 
@@ -39,7 +40,7 @@ def inverse(design: DesignMatrix) -> np.ndarray:
     if design.mode == "diagonal":
         return np.diag(1.0 / design._diag)
     if design._inv is None:
-        return design._primal_inverse()
+        return design._primal_inverse(design._dual.factor @ design._G.array)
     return design._inv.copy()
 
 
@@ -101,3 +102,15 @@ def without_wall_clock(rows) -> list[str]:
     compare equal."""
     return [json.dumps({k: v for k, v in row.items() if k != "wall_us"},
                        sort_keys=True, allow_nan=False) for row in rows]
+
+
+def traced_peak(fn) -> int:
+    """The peak bytes that tracemalloc traces while fn() runs, counted from
+    a fresh start."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -11,6 +11,7 @@ from banditbench.cli import main, read_config_file
 from banditbench.harness import ExperimentConfig, build_rounds
 from banditbench.nn import TrainConfig
 from banditbench.policies import PolicyConfig
+from helpers import traced_peak
 
 # every CLI test plays its episodes in-process
 pytestmark = pytest.mark.usefixtures("in_process")
@@ -95,6 +96,20 @@ class TestRejectedStreamAndPolicyValues:
         err = capsys.readouterr().err
         assert err.splitlines()[-1] == f"banditbench run: error: {message}"
         assert not (tmp_path / "out").exists()
+
+
+class TestPreRunChecksBuildOneRound:
+    def test_a_long_run_is_checked_in_little_memory(self, tmp_path,
+                                                    monkeypatch):
+        # 50000 rounds of the default stream take about 50 MiB; the width
+        # and the policy checks need one
+        seen = []
+        monkeypatch.setattr(cli, "_rejection", seen.append)
+        monkeypatch.setattr(cli, "cmd_run", lambda args: 0)
+        main(run_args(tmp_path, "--T", "50000"))
+        args, = seen
+        assert args.horizon == 50000
+        assert traced_peak(lambda: cli._inputs(args)) < 5 * 2**20
 
 
 class TestGrid:

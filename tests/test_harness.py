@@ -87,6 +87,19 @@ class TestRounds:
         config = fast_config(dataset="mushroom-like", horizon=9000)
         with pytest.raises(ValueError):
             build_rounds(config, 0)
+        with pytest.raises(ValueError, match="horizon 9000 exceeds"):
+            build_rounds(config, 0, first=1)
+
+    @pytest.mark.parametrize("dataset", ["synthetic-nonlinear",
+                                         "mushroom-like"])
+    def test_first_rounds_are_the_episodes_first(self, dataset):
+        config = fast_config(dataset=dataset, horizon=300)
+        got, want = build_rounds(config, 4, first=2), build_rounds(config, 4)
+        assert len(got) == 2
+        for g, w in zip(got, want):
+            for name in ("contexts", "expected_rewards", "rewards"):
+                a, b = getattr(g, name), getattr(w, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("field,value", [("n_arms", 0), ("n_arms", -2),
                                              ("raw_dim", 0)])

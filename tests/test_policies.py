@@ -1,9 +1,8 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import flat, inverse
+from helpers import flat, inverse, traced_peak
 from regret_equivalence import assert_regret_equivalent
 
 from banditbench import nn
@@ -304,17 +303,15 @@ class TestLinear:
         # t x dim features and a t x t inverse, not a dim x dim inverse
         dim = 2000
         rng = np.random.default_rng(32)
-        tracemalloc.start()
-        try:
+
+        def fifty_rounds():
             policy = LinearPolicy(dim, neural_cfg("lin-ts"), 32, thompson=True)
             for _ in range(50):
                 contexts = rng.standard_normal((4, dim))
                 decision = policy.select(contexts)
                 policy.observe(contexts[decision.arm], float(rng.uniform()))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < dim * dim * 8
+
+        assert traced_peak(fifty_rounds) < dim * dim * 8
 
     def test_regret_matches_outer_product_policy(self, monkeypatch):
         # 16 fixed episode seeds on synthetic-linear (dim 16, so the posterior
@@ -437,6 +434,30 @@ class TestKernel:
             np.testing.assert_allclose(R.T @ R, ref.k_inv, rtol=1e-9)
         assert len(policy.r) == len(ref.r) == min(stop_train, 50)
 
+    @pytest.mark.parametrize("algorithm", ["kernel-ts", "kernel-ucb"])
+    def test_decisions_match_reallocating_inverse_across_panels(self,
+                                                                algorithm):
+        # 300 observations cross the factor's panel boundaries at 128 and 256
+        cfg = neural_cfg(algorithm, bandwidth=0.7, reg=0.4, nu=0.3)
+        policy = KernelPolicy(5, cfg, 23, thompson=algorithm == "kernel-ts")
+        ref = ReallocatingKernelPolicy(cfg, 23,
+                                       thompson=algorithm == "kernel-ts")
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            contexts = rng.standard_normal((4, 5))
+            got, want = policy.select(contexts), ref.select(contexts)
+            assert got.arm == want.arm
+            for name in ("scores", "means", "sigmas"):
+                np.testing.assert_allclose(getattr(got, name),
+                                           getattr(want, name), rtol=1e-9)
+            reward = float(rng.uniform())
+            policy.observe(contexts[got.arm], reward)
+            ref.observe(contexts[got.arm], reward)
+        np.testing.assert_allclose(policy.w.array,
+                                   policy.k_inv.factor @ policy.r.array,
+                                   rtol=1e-12, atol=1e-15)
+        assert len(policy.r) == len(ref.r) == 300
+
     def test_regret_matches_reallocating_policy(self, monkeypatch):
         # 16 fixed episode seeds per dataset, once scoring the arms through
         # the grown factor of the inverse and once arm by arm on a
@@ -482,12 +503,7 @@ class TestKernel:
         for h in H:
             policy.observe(h, float(rng.uniform()))
         contexts = H[:n_arms] + 0.1 * rng.standard_normal((n_arms, d))
-        tracemalloc.start()
-        try:
-            policy.select(contexts)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: policy.select(contexts))
         assert peak < n_arms * t * d * 8
 
     def test_nonpositive_bandwidth_rejected(self):

@@ -1,11 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from banditbench.posterior import (_DUAL_FRACTION, _ROW_BLOCK, BorderedInverse,
-                                  DesignMatrix)
-from helpers import inverse
+from banditbench.posterior import (_DUAL_FRACTION, _PANEL, _ROW_BLOCK,
+                                  BorderedInverse, DesignMatrix)
+from helpers import inverse, traced_peak
 
 
 def _switch_round(p):
@@ -234,14 +232,7 @@ class TestInPlaceUpdate:
         for g in G[:-1]:
             design.update(g)
         assert design._inv is not None  # a primal Sherman-Morrison update
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            design.update(G[-1])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < p * p * 8
+        assert traced_peak(lambda: design.update(G[-1])) < p * p * 8
 
     def test_switch_allocates_less_than_two_matrices(self):
         # W = R G and the inverse built from it, not U beside them
@@ -250,15 +241,25 @@ class TestInPlaceUpdate:
         G = _features(_switch_round(p), p)
         for g in G[:-1]:
             design.update(g)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            design.update(G[-1])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: design.update(G[-1]))
         assert design._inv is not None
         assert peak < 2 * p * p * 8
+
+    def test_switch_frees_features_and_factor_before_the_inverse(self):
+        # from an empty design through the switch at t updates: G, R, its
+        # assembled copy and W = R G are held together, then only W and the
+        # p x p inverse, never G, R, W and the inverse at once
+        p = 400
+        G = _features(_switch_round(p), p)
+        t = len(G)
+
+        def through_switch():
+            design = DesignMatrix(p, reg=1.0, width=2, mode="full")
+            for g in G:
+                design.update(g)
+            assert design._inv is not None and design._G is None
+
+        assert traced_peak(through_switch) < 8 * (p * p + 2 * t * p)
 
     def test_primal_form_holds_one_matrix(self):
         p = 400
@@ -370,23 +371,20 @@ class TestDualForm:
         # until t reaches the switch, where the parent allocated two at once
         p = 4000
         G = _features(5, p)
-        tracemalloc.start()
-        try:
+
+        def few_updates():
             design = DesignMatrix(p, reg=1.0, width=2, mode="full")
             for g in G:
                 design.update(g)
             design.sigma(G[:4])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < p * p * 8
-        assert design._inv is None
+            assert design._inv is None
+
+        assert traced_peak(few_updates) < p * p * 8
 
 
 class TestBorderedInverse:
     def test_growth_matches_dense_inverse(self):
-        # 300 adds cross the 16 -> 32 -> 64 -> ... capacity doublings and the
-        # 128-row panels that products with the factor read
+        # 300 adds cross the 128-row panels that hold the factor
         rng = np.random.default_rng(15)
         X = rng.standard_normal((300, 6))
         A = X @ X.T + 0.3 * np.eye(300)
@@ -417,3 +415,92 @@ class TestBorderedInverse:
         assert bordered.add(np.array([2.0]), 1.0) <= 0.0
         assert bordered.n == 1
         np.testing.assert_array_equal(bordered.factor, before)
+
+    def test_panels_match_the_doubling_square_bit_for_bit(self):
+        # 600 adds cross the panel boundaries at 128, 256, 384 and 512
+        rng = np.random.default_rng(16)
+        X = rng.standard_normal((600, 6))
+        A = X @ X.T + 0.3 * np.eye(600)
+        K = rng.standard_normal((3, 600))
+        got, want = BorderedInverse(), DoublingBorderedInverse()
+        for n in range(600):
+            s = got.add(A[n, :n], A[n, n])
+            assert np.float64(s).tobytes() == \
+                np.float64(want.add(A[n, :n], A[n, n])).tobytes()
+            Kn = K[:, :n + 1]
+            for a, b in ((got.factor, want.factor),
+                         (got.row(n), want.factor[n]),
+                         (got.solve(Kn[0]), want.solve(Kn[0])),
+                         (got.whiten(Kn), want.whiten(Kn)),
+                         (got.quad(Kn), want.quad(Kn))):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert len(got._blocks) == 5
+
+    def test_thousand_adds_hold_about_half_a_square(self):
+        # the panels of R take 36 * 128^2 doubles at n=1000 and are never
+        # copied; a doubling square holds 1024^2 and copies 512^2 on the way
+        n = 1000
+        X = np.random.default_rng(17).standard_normal((n, 6))
+        A = X @ X.T + 0.3 * np.eye(n)
+
+        def adds():
+            bordered = BorderedInverse()
+            for t in range(n):
+                bordered.add(A[t, :t], A[t, t])
+
+        assert traced_peak(adds) < 0.65 * n * n * 8
+
+
+class DoublingBorderedInverse:
+    """BorderedInverse as it was before its factor lived in fixed panels: R
+    in one zero-initialised square buffer whose capacity doubles, read one
+    _PANEL-row block at a time."""
+
+    def __init__(self):
+        self._data = np.zeros((0, 0))
+        self.n = 0
+
+    @property
+    def factor(self):
+        return self._data[:self.n, :self.n]
+
+    def _panels(self):
+        for i in range(0, self.n, _PANEL):
+            j = min(i + _PANEL, self.n)
+            yield i, j, self._data[i:j, :j]
+
+    def _apply(self, k):
+        l, u = np.empty(self.n), np.zeros(self.n)
+        for i, j, P in self._panels():
+            np.matmul(P, k[:j], out=l[i:j])
+            u[:j] += l[i:j] @ P
+        return l, u
+
+    def solve(self, k):
+        return self._apply(k)[1]
+
+    def add(self, k, d):
+        n = self.n
+        l, u = self._apply(k)
+        s = d - float(l @ l)
+        if s <= 0.0:
+            return s
+        if n == len(self._data):
+            grown = np.zeros((max(16, 2 * n),) * 2)
+            grown[:n, :n] = self.factor
+            self._data = grown
+        root = np.sqrt(s)
+        np.divide(u, -root, out=self._data[n, :n])
+        self._data[n, n] = 1.0 / root
+        self.n = n + 1
+        return s
+
+    def whiten(self, K):
+        V = np.empty((len(K), self.n))
+        for i, j, P in self._panels():
+            np.matmul(K[:, :j], P.T, out=V[:, i:j])
+        return V
+
+    def quad(self, K):
+        V = self.whiten(K)
+        return np.einsum("kt,kt->k", V, V)
