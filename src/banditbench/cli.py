@@ -154,7 +154,7 @@ def _ntk_report(stream: ExperimentConfig, args: argparse.Namespace) -> dict:
     the budget T*K of a horizon-T episode on its K arms, the rounds' expected
     rewards as h and the stream's noise as R (0 for indicator rewards).  Its
     ValueErrors are all about flags (--lambda, --depth, --T, --delta)."""
-    rounds = build_rounds(stream, args.seed)
+    rounds = list(build_rounds(stream, args.seed))
     contexts = np.concatenate([r.contexts for r in rounds])
     h = np.concatenate([r.expected_rewards for r in rounds])
     R = stream.noise_sd if stream.dataset in envs.SYNTHETIC else 0.0
@@ -220,7 +220,7 @@ def _inputs(args: argparse.Namespace):
     cells = [experiment]
     if args.command == "grid":
         cells = grid_cells(experiment, **_sweeps(experiment.policy.algorithm))
-    first, = build_rounds(experiment, experiment.base_seed, first=1)
+    first = build_rounds(experiment, experiment.base_seed)[0]
     for cell in cells:
         make_policy(cell.policy, first.contexts.shape[1], cell.base_seed)
     # checked, not created: main reruns this to blame a config line

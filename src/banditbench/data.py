@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import gzip
 import hashlib
+import itertools
 import json
 import logging
 import struct
@@ -51,8 +52,10 @@ class LabeledDataset:
     @property
     def n_zero_rows(self) -> int:
         """Rows of zero norm, which normalize_unit maps to the unit basis
-        vector (a row of tiny values counts: its squares underflow)."""
-        sq_norms = np.einsum("ij,ij->i", self.features, self.features)
+        vector (a row of tiny values counts: its squares underflow).  The
+        squares are summed in float64, so an integer table cannot wrap."""
+        sq_norms = np.einsum("ij,ij->i", self.features, self.features,
+                             dtype=np.float64)
         return int(np.count_nonzero(sq_norms == 0.0))
 
 
@@ -91,9 +94,10 @@ def ingest_csv(path: str, label_column: str,
                schema: dict[str, str]) -> LabeledDataset:
     """Load a CSV into a numeric dataset.
 
-    Categorical columns are one-hot expanded (level order = first appearance);
-    rows with missing values are dropped and counted.  Row order follows the
-    file.
+    Categorical columns are one-hot expanded (level order = first appearance)
+    into uint8 blocks, so an all-categorical table stays uint8 and a numeric
+    column makes it float64; rows with missing values are dropped and
+    counted.  Row order follows the file.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -143,8 +147,8 @@ def ingest_csv(path: str, label_column: str,
         else:
             levels: dict[str, int] = {}
             idx = np.asarray([levels.setdefault(v, len(levels)) for v in vals])
-            onehot = np.zeros((len(vals), len(levels)))
-            onehot[np.arange(len(vals)), idx] = 1.0
+            onehot = np.zeros((len(vals), len(levels)), np.uint8)
+            onehot[np.arange(len(vals)), idx] = 1
             blocks.append(onehot)
 
     return LabeledDataset(
@@ -187,9 +191,33 @@ def ingest_idx(images_path: str, labels_path: str) -> LabeledDataset:
 
 
 # Rows per block when a stream is built: large enough that each array op
-# covers many rounds, small enough that a block's temporaries stay far below
-# what the stream itself holds.
+# covers many rounds, small enough that a block and its temporaries stay
+# far below what a policy holds.
 BLOCK_ROWS = 256
+
+
+class RoundStream:
+    """The rounds of one episode, built BLOCK_ROWS at a time as iteration
+    reaches them.  `blocks()` starts the build over (a seeded build replays
+    its draws) and yields an iterator over each block's rounds, so every
+    iter() plays the same rounds and holds about one block at a time.
+    `stream[i]` builds the blocks up to the one holding round i."""
+
+    def __init__(self, blocks, length: int):
+        self._blocks = blocks
+        self._length = length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(self._blocks())
+
+    def __getitem__(self, i: int) -> BanditRound:
+        if not 0 <= i < self._length:
+            raise IndexError(f"round {i} of a {self._length}-round stream")
+        block = next(itertools.islice(self._blocks(), i // BLOCK_ROWS, None))
+        return next(itertools.islice(block, i % BLOCK_ROWS, None))
 
 
 def normalize_unit(x: np.ndarray) -> np.ndarray:
@@ -233,24 +261,26 @@ def disjoint_encode(x: np.ndarray, n_arms: int) -> np.ndarray:
 
 
 def classification_rounds(dataset: LabeledDataset,
-                          duplicate: bool = True) -> list[BanditRound]:
-    """Transform every row into a bandit round with 0/1 indicator rewards,
-    BLOCK_ROWS rows at a time; each round holds views into its block."""
-    rounds = []
-    for start in range(0, len(dataset), BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
-        z = normalize_unit(dataset.features[block])
-        if duplicate:
-            z = duplicate_half(z)
-        contexts = disjoint_encode(z, dataset.n_classes)
-        labels = dataset.labels[block]
-        expected = np.zeros((len(labels), dataset.n_classes))
-        expected[np.arange(len(labels)), labels] = 1.0
-        rounds.extend(map(BanditRound, contexts, expected, expected.copy()))
+                          duplicate: bool = True) -> RoundStream:
+    """Every row as a bandit round with 0/1 indicator rewards, built
+    BLOCK_ROWS rows at a time; each round holds views into its block.  The
+    zero-feature rows are counted, and warned about, once, here."""
+    def blocks():
+        for start in range(0, len(dataset), BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            z = normalize_unit(dataset.features[block])
+            if duplicate:
+                z = duplicate_half(z)
+            contexts = disjoint_encode(z, dataset.n_classes)
+            labels = dataset.labels[block]
+            expected = np.zeros((len(labels), dataset.n_classes))
+            expected[np.arange(len(labels)), labels] = 1.0
+            yield map(BanditRound, contexts, expected, expected.copy())
+
     n_zero = dataset.n_zero_rows
     if n_zero:
         log.warning("%d zero-feature rows replaced by the unit basis vector", n_zero)
-    return rounds
+    return RoundStream(blocks, len(dataset))
 
 
 def _sha256(path: str) -> str:

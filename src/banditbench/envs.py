@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import (BLOCK_ROWS, BanditRound, LabeledDataset,
+from .data import (BLOCK_ROWS, BanditRound, LabeledDataset, RoundStream,
                    classification_rounds, duplicate_half, ingest_csv,
                    ingest_idx, parse_schema)
 
@@ -28,31 +28,34 @@ SYNTHETIC = {
 
 def synthetic_rounds(name: str, n_arms: int, raw_dim: int, horizon: int, seed,
                      noise_sd: float = 0.1,
-                     duplicate: bool = True) -> list[BanditRound]:
+                     duplicate: bool = True) -> RoundStream:
     """Per-arm random unit contexts with Gaussian noise on the stream's
     reward: cos(3 x.a) for synthetic-nonlinear, x.w for synthetic-linear.
     With duplicate, each context x is played as [x/sqrt(2); x/sqrt(2)].
 
-    Built BLOCK_ROWS rounds at a time: one normal draw per block holds each
-    round's (K, raw_dim) contexts followed by its K noise terms, the numbers
-    that drawing one round at a time gives.  Each round holds views into its
-    block's arrays."""
+    Built BLOCK_ROWS rounds at a time as iteration reaches them, each
+    iteration replaying the seed's draws: one normal draw per block holds
+    each round's (K, raw_dim) contexts followed by its K noise terms, the
+    numbers that drawing one round at a time gives.  Each round holds views
+    into its block's arrays."""
     task_seed, reward = SYNTHETIC[name]
     direction = np.random.default_rng(task_seed).standard_normal(raw_dim)
     direction /= np.linalg.norm(direction)
-    rng = np.random.default_rng(seed)
     K, d = n_arms, raw_dim
-    rounds = []
-    for start in range(0, horizon, BLOCK_ROWS):
-        n = min(BLOCK_ROWS, horizon - start)
-        draws = rng.standard_normal((n, K * d + K))
-        raw = draws[:, :K * d].reshape(n, K, d)
-        raw = raw / np.linalg.norm(raw, axis=2, keepdims=True)
-        expected = reward(raw, direction)
-        rewards = expected + noise_sd * draws[:, K * d:]
-        contexts = duplicate_half(raw) if duplicate else raw
-        rounds.extend(map(BanditRound, contexts, expected, rewards))
-    return rounds
+
+    def blocks():
+        rng = np.random.default_rng(seed)
+        for start in range(0, horizon, BLOCK_ROWS):
+            n = min(BLOCK_ROWS, horizon - start)
+            draws = rng.standard_normal((n, K * d + K))
+            raw = draws[:, :K * d].reshape(n, K, d)
+            raw = raw / np.linalg.norm(raw, axis=2, keepdims=True)
+            expected = reward(raw, direction)
+            rewards = expected + noise_sd * draws[:, K * d:]
+            contexts = duplicate_half(raw) if duplicate else raw
+            yield map(BanditRound, contexts, expected, rewards)
+
+    return RoundStream(blocks, horizon)
 
 
 def mushroom_like() -> LabeledDataset:
@@ -63,7 +66,8 @@ def mushroom_like() -> LabeledDataset:
     the label is their XOR.  Every single column is uncorrelated with the
     label, so a linear model on the one-hot encoding stays at chance, while
     the factors dominate the context geometry and a network can learn the
-    interaction.  The one-hot columns are written straight into one table.
+    interaction.  The one-hot columns are written straight into one uint8
+    table, which each block of a stream casts to float64.
     """
     n = 8124
     rng = np.random.default_rng(_TASK_SEED + 2)
@@ -74,14 +78,14 @@ def mushroom_like() -> LabeledDataset:
     flips = [rng.random(n) < 0.1 for _ in range(20)]
     n_levels = [int(k) for k in rng.integers(4, 9, size=2)]
 
-    table = np.zeros((n, 40 + sum(n_levels)))
+    table = np.zeros((n, 40 + sum(n_levels)), np.uint8)
     rows = np.arange(n)
     for j in range(20):
         echo = (u if j < 10 else v) ^ flips[j]
-        table[rows, 2 * j + echo] = 1.0
+        table[rows, 2 * j + echo] = 1
     offset = 40
     for k in n_levels:
-        table[rows, offset + rng.integers(0, k, size=n)] = 1.0
+        table[rows, offset + rng.integers(0, k, size=n)] = 1
         offset += k
     return LabeledDataset(table, labels, n_classes=2,
                           provenance="synthetic mushroom-like")
@@ -105,14 +109,12 @@ def load_dataset(spec: str, schema: str | None = None) -> LabeledDataset:
 
 
 def dataset_rounds(dataset: LabeledDataset, seed, horizon: int,
-                   duplicate: bool = True,
-                   first: int | None = None) -> list[BanditRound]:
-    """The bandit rounds of the first `horizon` rows in the seed's row order,
-    or of only the `first` of them; only those rows are built."""
+                   duplicate: bool = True) -> RoundStream:
+    """The bandit rounds of the first `horizon` rows in the seed's row order;
+    the stream keeps those rows, not the dataset."""
     if horizon > len(dataset):
         raise ValueError(f"horizon {horizon} exceeds dataset size {len(dataset)}")
-    rows = np.random.default_rng(seed).permutation(len(dataset))
-    rows = rows[:first or horizon]
+    rows = np.random.default_rng(seed).permutation(len(dataset))[:horizon]
     played = LabeledDataset(dataset.features[rows], dataset.labels[rows],
                             dataset.n_classes)
     return classification_rounds(played, duplicate=duplicate)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import envs
-from .data import BanditRound
+from .data import RoundStream
 from .nn import TrainingDiverged
 from .policies import PolicyConfig, make_policy
 
@@ -91,26 +91,25 @@ class RegretTrace:
         return list(self.rows())
 
 
-def build_rounds(config: ExperimentConfig, seed,
-                 first: int | None = None) -> list[BanditRound]:
-    """The `horizon` rounds one episode seed plays, or only the `first` of
-    them; a dataset's size is checked against the horizon either way."""
+def build_rounds(config: ExperimentConfig, seed) -> RoundStream:
+    """The `horizon` rounds one episode seed plays, as a stream that builds
+    each block when iteration reaches it; a dataset's size is checked
+    against the horizon here."""
     name = config.dataset
     if name in envs.SYNTHETIC:
         return envs.synthetic_rounds(name, config.n_arms, config.raw_dim,
-                                     first or config.horizon, seed,
-                                     config.noise_sd, config.duplicate)
+                                     config.horizon, seed, config.noise_sd,
+                                     config.duplicate)
     dataset = envs.load_dataset(name, config.schema)
-    return envs.dataset_rounds(dataset, seed, config.horizon, config.duplicate,
-                               first)
+    return envs.dataset_rounds(dataset, seed, config.horizon, config.duplicate)
 
 
 def run_episode(config: ExperimentConfig, repeat_index: int) -> RegretTrace:
     """One fully seeded pass; deterministic given (config, repeat_index)."""
     seed = config.base_seed ^ repeat_index
-    rounds = build_rounds(config, seed)
-    input_dim = rounds[0].contexts.shape[1]
-    policy = make_policy(config.policy, input_dim, seed)
+    rounds = iter(build_rounds(config, seed))
+    rnd = next(rounds)  # round 1, whose context width sizes the policy
+    policy = make_policy(config.policy, rnd.contexts.shape[1], seed)
 
     T = config.horizon
     arms, walls = np.zeros(T, np.int64), np.zeros(T, np.int64)
@@ -119,7 +118,9 @@ def run_episode(config: ExperimentConfig, repeat_index: int) -> RegretTrace:
     cum = 0.0
     batch = max(config.delay, 1)
     try:
-        for t, rnd in enumerate(rounds, start=1):
+        # an exhausted list iterator drops its list, so round 1, and with it
+        # the first block, is freed once played
+        for t, rnd in enumerate(itertools.chain(iter([rnd]), rounds), start=1):
             t_start = time.perf_counter_ns()
             decision = policy.select(rnd.contexts)
             reward = float(rnd.rewards[decision.arm])

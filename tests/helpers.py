@@ -2,8 +2,10 @@
 one flat vector, the dense inverse of a design matrix, every level of the
 NTK recursion, the eigenvalue-truncation bound on the effective
 dimension, episode traces read back from JSONL or stripped of their
-wall-clock field, and the traced memory peak of a call."""
+wall-clock field, the traced memory peak of a call, and the count of
+rounds a stream builds."""
 
+import contextlib
 import itertools
 import json
 import os
@@ -11,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 
-from banditbench import ntk
+from banditbench import data, envs, ntk
 from banditbench.harness import RegretTrace
 from banditbench.nn import NetShape, ParamStack
 from banditbench.posterior import DesignMatrix
@@ -114,3 +116,26 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@contextlib.contextmanager
+def rounds_built():
+    """Counts the rounds built inside the with block, as the benchmark's
+    tracer does: through the BanditRound name of each module that builds
+    streams.  Yields a list that gains one entry per round."""
+    built = []
+
+    class CountedRound(data.BanditRound):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(None)
+
+    modules = (data, envs)
+    originals = [module.BanditRound for module in modules]
+    for module in modules:
+        module.BanditRound = CountedRound
+    try:
+        yield built
+    finally:
+        for module, original in zip(modules, originals):
+            module.BanditRound = original

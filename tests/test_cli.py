@@ -6,12 +6,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from banditbench import cli, ntk
+from banditbench import cli, harness, ntk
 from banditbench.cli import main, read_config_file
+from banditbench.data import BLOCK_ROWS
 from banditbench.harness import ExperimentConfig, build_rounds
 from banditbench.nn import TrainConfig
-from banditbench.policies import PolicyConfig
-from helpers import traced_peak
+from banditbench.policies import ALGORITHMS, PolicyConfig
+from helpers import rounds_built, traced_peak, without_wall_clock
 
 # every CLI test plays its episodes in-process
 pytestmark = pytest.mark.usefixtures("in_process")
@@ -110,6 +111,59 @@ class TestPreRunChecksBuildOneRound:
         args, = seen
         assert args.horizon == 50000
         assert traced_peak(lambda: cli._inputs(args)) < 5 * 2**20
+
+    @pytest.mark.parametrize("dataset", ["synthetic-nonlinear",
+                                         "mushroom-like"])
+    def test_builds_at_most_one_block(self, tmp_path, monkeypatch, dataset):
+        seen = []
+        monkeypatch.setattr(cli, "_rejection", seen.append)
+        monkeypatch.setattr(cli, "cmd_run", lambda args: 0)
+        main(run_args(tmp_path, "--dataset", dataset, "--T", "2000"))
+        args, = seen
+        with rounds_built() as built:
+            cli._inputs(args)
+        assert 1 <= len(built) <= BLOCK_ROWS
+
+
+def _categorical_csv(tmp_path, n):
+    """An all-categorical CSV of n rows and its schema file."""
+    rng = np.random.default_rng(2)
+    table = tmp_path / "cats.csv"
+    table.write_text("cap,odor,kind\n" + "".join(
+        f"{'xbf'[i]},{'anlp'[j]},{'ep'[(i + j) % 2]}\n"
+        for i, j in rng.integers(0, 3, (n, 2))))
+    schema = tmp_path / "schema.txt"
+    schema.write_text("cap: categorical\nodor: categorical\nlabel: kind\n")
+    return [f"csv:{table}", "--schema", str(schema)]
+
+
+class TestLazyStreamTraces:
+    """An episode played from the lazy stream writes the JSONL that the same
+    rounds, built into a list before round 1, give."""
+
+    @pytest.mark.parametrize("flag", [["--no-duplicate"], ["--delay", "32"]],
+                             ids=["no-duplicate", "delay32"])
+    @pytest.mark.parametrize("dataset", ["synthetic-nonlinear",
+                                         "synthetic-linear", "mushroom-like",
+                                         "csv"])
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_match_a_list_built_stream(self, tmp_path, monkeypatch, algo,
+                                       dataset, flag):
+        horizon = BLOCK_ROWS + 44   # two blocks
+        spec = (_categorical_csv(tmp_path, horizon) if dataset == "csv"
+                else [dataset])
+        lazy = harness.build_rounds
+        traces = []
+        for name, build in (("lazy", lazy), ("list", lambda *a: list(lazy(*a)))):
+            monkeypatch.setattr(harness, "build_rounds", build)
+            out = tmp_path / name
+            assert main(["run", "--dataset", *spec, "--algo", algo,
+                         "--T", str(horizon), "--repeats", "1",
+                         "--width", "4", "--iters", "1", "--stop-train", "40",
+                         "--out", str(out), *flag]) == 0
+            with open(out / f"trace_{algo}_0.jsonl") as fh:
+                traces.append(without_wall_clock(map(json.loads, fh)))
+        assert traces[0] == traces[1]
 
 
 class TestGrid:

@@ -224,6 +224,16 @@ class TestRowOrder:
         assert "2 zero-feature rows replaced" in caplog.text
 
 
+class TestZeroRows:
+    def test_a_uint8_row_of_256_ones_is_not_a_zero_row(self):
+        # its squared norm, 256, wraps to 0 in uint8
+        X = np.zeros((3, 256), np.uint8)
+        X[0] = 1
+        X[2, 5] = 1
+        ds = bd.LabeledDataset(X, np.array([0, 1, 0]), 2)
+        assert ds.n_zero_rows == 1
+
+
 class TestPipeline:
     def test_rounds_are_unit_norm_block_sparse_duplicated(self):
         rng = np.random.default_rng(4)
@@ -354,6 +364,28 @@ class TestClassificationReference:
                                 want)
 
 
+    @pytest.mark.parametrize("duplicate", [True, False])
+    def test_all_categorical_csv_stays_uint8(self, tmp_path, duplicate):
+        # more rows than one block; a numeric column makes the table float64
+        rng = np.random.default_rng(5)
+        n = bd.BLOCK_ROWS + 20
+        path = tmp_path / "cats.csv"
+        path.write_text("cap,odor,size,kind\n" + "".join(
+            f"{'xbf'[i]},{'anlp'[j]},{k:.2f},{'ep'[c]}\n" for i, j, k, c in zip(
+                rng.integers(0, 3, n), rng.integers(0, 4, n),
+                rng.uniform(1, 9, n), rng.integers(0, 2, n))))
+        types = {"cap": "categorical", "odor": "categorical"}
+        mixed = bd.ingest_csv(str(path), "kind", {**types, "size": "numeric"})
+        assert mixed.features.dtype == np.float64
+        ds = bd.ingest_csv(str(path), "kind", {**types, "size": "categorical"})
+        assert ds.features.dtype == np.uint8
+        assert ds.features.shape[0] == n and set(np.unique(ds.features)) == {0, 1}
+        as_float = bd.LabeledDataset(ds.features.astype(np.float64), ds.labels,
+                                     ds.n_classes)
+        want = reference_classification_rounds(as_float, duplicate)
+        assert_rounds_identical(bd.classification_rounds(ds, duplicate), want)
+
+
 def reference_mushroom_like():
     """The mushroom-like table as 22 one-hot blocks joined by hstack."""
     n = 8124
@@ -382,5 +414,6 @@ def test_mushroom_like_matches_reference():
     ds = envs.mushroom_like()
     features, labels = reference_mushroom_like()
     assert ds.features.shape == features.shape == (8124, 51)
-    assert ds.features.tobytes() == features.tobytes()
+    assert ds.features.dtype == np.uint8
+    assert ds.features.astype(np.float64).tobytes() == features.tobytes()
     assert ds.labels.tobytes() == labels.tobytes()

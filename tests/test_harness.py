@@ -1,15 +1,18 @@
+import collections
 import json
 import os
 import pickle
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import flat, read_traces, without_wall_clock
+from helpers import (flat, read_traces, rounds_built, traced_peak,
+                     without_wall_clock)
 from regret_equivalence import assert_regret_equivalent
 
-from banditbench import data, envs, harness
+from banditbench import data, harness
 from banditbench.data import BLOCK_ROWS, duplicate_half
 from banditbench.harness import (ExperimentConfig, RegretTrace, build_rounds,
                                  emit_grid_summary, emit_outputs, grid_cells,
@@ -84,22 +87,50 @@ class TestRounds:
             np.testing.assert_array_equal(narrow.rewards, w.rewards)
 
     def test_horizon_exceeding_dataset(self):
+        # when the stream is made, before any round is built
         config = fast_config(dataset="mushroom-like", horizon=9000)
-        with pytest.raises(ValueError):
-            build_rounds(config, 0)
         with pytest.raises(ValueError, match="horizon 9000 exceeds"):
-            build_rounds(config, 0, first=1)
+            build_rounds(config, 0)
 
     @pytest.mark.parametrize("dataset", ["synthetic-nonlinear",
                                          "mushroom-like"])
     def test_first_rounds_are_the_episodes_first(self, dataset):
+        # indexing gives the rounds iteration gives, in any block, and a
+        # second iteration replays the first
         config = fast_config(dataset=dataset, horizon=300)
-        got, want = build_rounds(config, 4, first=2), build_rounds(config, 4)
-        assert len(got) == 2
-        for g, w in zip(got, want):
+        stream = build_rounds(config, 4)
+        want = list(stream)
+        picks = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, 299]
+        for got, w in zip([stream[i] for i in picks] + list(stream),
+                          [want[i] for i in picks] + want):
             for name in ("contexts", "expected_rewards", "rewards"):
-                a, b = getattr(g, name), getattr(w, name)
+                a, b = getattr(got, name), getattr(w, name)
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        for i in (300, -1):
+            with pytest.raises(IndexError):
+                stream[i]
+
+    @pytest.mark.parametrize("dataset", ["synthetic-nonlinear",
+                                         "mushroom-like"])
+    def test_indexing_builds_at_most_one_block(self, dataset):
+        config = fast_config(dataset=dataset, horizon=2000)
+        with rounds_built() as built:
+            build_rounds(config, 3)[0]
+        assert 1 <= len(built) <= BLOCK_ROWS
+
+    @pytest.mark.parametrize("dataset,horizons", [
+        ("synthetic-nonlinear", (2000, 8000)), ("mushroom-like", (500, 8000))])
+    def test_stream_memory_is_flat_in_the_horizon(self, dataset, horizons):
+        # making and playing a stream holds about one block, whatever the
+        # horizon; a list of every round would hold the horizon's rounds
+        config = fast_config(dataset=dataset, n_arms=4, raw_dim=8)
+        first = build_rounds(replace(config, horizon=1), 0)[0]
+        block = BLOCK_ROWS * sum(a.nbytes for a in vars(first).values())
+        peaks = [traced_peak(lambda: collections.deque(
+                     build_rounds(replace(config, horizon=T), 0), maxlen=0))
+                 for T in horizons]
+        assert abs(peaks[1] - peaks[0]) < block
+        assert max(peaks) < 4 * block
 
     @pytest.mark.parametrize("field,value", [("n_arms", 0), ("n_arms", -2),
                                              ("raw_dim", 0)])
@@ -110,8 +141,7 @@ class TestRounds:
 
     @pytest.mark.parametrize("dataset", ["mushroom-like", "csv",
                                          "synthetic-nonlinear"])
-    def test_builds_only_the_rounds_played(self, tmp_path, monkeypatch,
-                                           dataset):
+    def test_builds_only_the_rounds_played(self, tmp_path, dataset):
         if dataset == "csv":
             rng = np.random.default_rng(1)
             table = tmp_path / "t.csv"
@@ -124,18 +154,8 @@ class TestRounds:
                                  horizon=25)
         else:
             config = fast_config(dataset=dataset, horizon=BLOCK_ROWS + 44)
-        built = []
-
-        class CountedRound(data.BanditRound):
-            def __init__(self, *args):
-                super().__init__(*args)
-                built.append(self)
-
-        # rounds are constructed through each module's BanditRound name,
-        # which is what the benchmark's tracer counts
-        for module in (data, envs):
-            monkeypatch.setattr(module, "BanditRound", CountedRound)
-        rounds = build_rounds(config, 3)
+        with rounds_built() as built:
+            rounds = list(build_rounds(config, 3))
         assert len(built) == len(rounds) == config.horizon
 
     @pytest.mark.parametrize("dataset,seed,horizon,n_arms,raw_dim", [
@@ -162,11 +182,11 @@ class TestRounds:
 
     def test_synthetic_build_peaks_near_what_it_holds(self):
         # a block's temporaries, not a whole-horizon array, on top of the
-        # rounds the stream keeps
+        # rounds a list of the stream keeps
         config = fast_config(horizon=20_000, n_arms=4, raw_dim=8)
         tracemalloc.start()
         try:
-            rounds = build_rounds(config, 1)
+            rounds = list(build_rounds(config, 1))
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -257,6 +277,27 @@ class TestDelayProtocol:
 
 
 class TestEpisode:
+    @pytest.mark.parametrize("dataset", ["synthetic-nonlinear",
+                                         "mushroom-like"])
+    def test_a_played_block_is_freed(self, monkeypatch, dataset):
+        # round 1, which sizes the policy, does not keep the first block
+        # alive once the episode has moved on to the second
+        class Watcher(SpyPolicy):
+            def __init__(self):
+                super().__init__()
+                self.first_block, self.alive = None, []
+
+            def select(self, contexts):
+                if self.first_block is None:
+                    self.first_block = weakref.ref(contexts.base)
+                self.alive.append(self.first_block() is not None)
+                return super().select(contexts)
+
+        watcher = Watcher()
+        monkeypatch.setattr(harness, "make_policy", lambda *a, **k: watcher)
+        run_episode(fast_config(dataset=dataset, horizon=BLOCK_ROWS + 2), 0)
+        assert watcher.alive == [True] * (BLOCK_ROWS + 1) + [False]
+
     def test_uniform_regret_binomial(self):
         config = fast_config(algorithm="uniform", dataset="mushroom-like",
                              horizon=2000, repeats=1)
