@@ -9,6 +9,7 @@ then disjoint-encode into one block-sparse context per class.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import gzip
 import hashlib
@@ -143,7 +144,10 @@ def ingest_csv(path: str, label_column: str,
     for c in feat_cols:
         vals = [row[col_index[c]].strip() for row in kept_rows]
         if schema[c] == "numeric":
-            blocks.append(np.asarray([float(v) for v in vals])[:, None])
+            try:
+                blocks.append(np.asarray([float(v) for v in vals])[:, None])
+            except ValueError as err:
+                raise ValueError(f"{path}: numeric column {c!r}: {err}") from None
         else:
             levels: dict[str, int] = {}
             idx = np.asarray([levels.setdefault(v, len(levels)) for v in vals])
@@ -168,20 +172,36 @@ def _open_maybe_gzip(path: str):
     return open(path, "rb")
 
 
+def _read_exact(fh, count: int, path: str, what: str) -> bytearray:
+    """count bytes of fh, or a ValueError naming path and both counts.  A
+    gzip stream cut short raises EOFError once read1 has returned it all."""
+    data = bytearray()
+    with contextlib.suppress(EOFError):
+        while len(data) < count and (chunk := fh.read1(count - len(data))):
+            data += chunk
+    if len(data) != count:
+        raise ValueError(f"{path}: truncated: expected {count} {what}, "
+                         f"found {len(data)}")
+    return data
+
+
 def ingest_idx(images_path: str, labels_path: str) -> LabeledDataset:
     """Load an IDX image/label pair; pixel bytes are scaled to [0, 1]."""
     with _open_maybe_gzip(images_path) as fh:
-        magic, n, rows, cols = struct.unpack(">IIII", fh.read(16))
+        magic, n, rows, cols = struct.unpack(
+            ">IIII", _read_exact(fh, 16, images_path, "header bytes"))
         if magic != IDX_MAGIC_IMAGES:
             raise ValueError(f"{images_path}: bad image magic 0x{magic:08x}")
-        raw = fh.read(n * rows * cols)
+        raw = _read_exact(fh, n * rows * cols, images_path, "pixel bytes")
     images = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols) / 255.0
 
     with _open_maybe_gzip(labels_path) as fh:
-        magic, n_lab = struct.unpack(">II", fh.read(8))
+        magic, n_lab = struct.unpack(
+            ">II", _read_exact(fh, 8, labels_path, "header bytes"))
         if magic != IDX_MAGIC_LABELS:
             raise ValueError(f"{labels_path}: bad label magic 0x{magic:08x}")
-        labels = np.frombuffer(fh.read(n_lab), dtype=np.uint8).astype(np.int64)
+        labels = np.frombuffer(_read_exact(fh, n_lab, labels_path, "labels"),
+                               dtype=np.uint8).astype(np.int64)
     if n != n_lab:
         raise ValueError(f"image count {n} != label count {n_lab}")
 

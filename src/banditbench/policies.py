@@ -14,13 +14,14 @@ touches the selection RNG, so (seed, config, data order) fixes the decisions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .nn import (Batches, NetShape, ParamStack, TrainConfig, draw_batches,
                  forward_batch, grad, grad_batch, init_params, train)
-from .posterior import BorderedInverse, DesignMatrix, Rows
+from .posterior import DesignMatrix, Rows
 
 
 @dataclass
@@ -97,7 +98,7 @@ def score(means: np.ndarray, widths: np.ndarray, nu: float, thompson: bool,
 
 
 def _check_reward(reward: float) -> None:
-    if not np.isfinite(reward):
+    if not math.isfinite(reward):
         raise ValueError("reward must be finite")
 
 
@@ -205,90 +206,40 @@ class BootstrapNN(_NetworkPolicy):
 
 
 class LinearPolicy(Policy):
-    """Shared-ridge linear baseline; Thompson sampling or UCB scoring.  Its
-    posterior is the design matrix U over the contexts themselves (width 1):
-    mean x^T U^-1 b, width sqrt(x^T U^-1 x), the design's sigma / sqrt(reg)."""
+    """Ridge baseline on a design matrix of width 1 over the contexts;
+    Thompson sampling or UCB scoring on its means.  Under the dot product
+    (LinTS/UCB) the width is sqrt(x^T U^-1 x), the design's sigma / sqrt(reg).
+    Under an RBF Gram (KernelTS/UCB) it is the sigma, and the posterior takes
+    no rows past the stop-train round."""
 
-    def __init__(self, dim: int, cfg: PolicyConfig, seed, thompson: bool):
+    def __init__(self, dim: int, cfg: PolicyConfig, seed, thompson: bool,
+                 bandwidth: float | None = None):
         children = np.random.SeedSequence(seed).spawn(2)
         self.select_rng = np.random.default_rng(children[0])
         self.cfg = cfg
         self.thompson = thompson
-        self.design = DesignMatrix(dim, cfg.reg, 1, "full")
-        self.b = np.zeros(dim)
-
-    def select(self, contexts: np.ndarray) -> Decision:
-        X = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
-        means = X @ self.design.solve(self.b)
-        widths = self.design.sigma(X) / np.sqrt(self.cfg.reg)
-        scores = score(means, widths, self.cfg.nu, self.thompson, self.select_rng)
-        return Decision(int(np.argmax(scores)), scores, means, widths)
-
-    def observe(self, context: np.ndarray, reward: float) -> None:
-        _check_reward(reward)
-        x = np.asarray(context, dtype=np.float64)
-        self.design.update(x)
-        self.b += reward * x
-
-
-class KernelPolicy(Policy):
-    """RBF-kernel ridge baseline; Thompson sampling or UCB scoring.
-
-    The kernel matrix A = Gram + reg*I is held as the factor R of its inverse
-    (A^-1 = R^T R), about t^2/2 doubles in panels that are never copied.  R
-    grows by one row per observation, and w = R r by one entry.  With V the
-    arms' (K, t) kernel block times R^T, the means are V w and the variances
-    1 - |v|^2, both frozen once the stop-training round passes.
-    """
-
-    def __init__(self, dim: int, cfg: PolicyConfig, seed, thompson: bool):
-        children = np.random.SeedSequence(seed).spawn(2)
-        self.select_rng = np.random.default_rng(children[0])
-        self.cfg = cfg
-        self.thompson = thompson
-        self.X = Rows((dim,))
-        self.sq_norms = Rows()
-        self.r = Rows()
-        self.w = Rows()
-        self.k_inv = BorderedInverse()
+        self.design = DesignMatrix(dim, cfg.reg, 1, "full", bandwidth)
         self.t = 0
 
-    def _kernel(self, X: np.ndarray) -> np.ndarray:
-        """k(x, h) for each row x of X and each history row h: (rows, t).
-        The squared distances are expanded as |x|^2 - 2 x.h + |h|^2 and
-        clamped at 0, which rounding can cross for a repeated row."""
-        D = X @ self.X.array.T
-        D *= -2.0
-        D += np.einsum("kd,kd->k", X, X)[:, None]
-        D += self.sq_norms.array
-        np.maximum(D, 0.0, out=D)
-        D *= -self.cfg.bandwidth
-        return np.exp(D, out=D)
-
     def select(self, contexts: np.ndarray) -> Decision:
-        X = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
-        # with no history the products are empty: means 0.0, widths 1.0
-        V = self.k_inv.whiten(self._kernel(X))
-        means = V @ self.w.array
-        widths = np.sqrt(np.maximum(1.0 - np.einsum("kt,kt->k", V, V), 0.0))
+        means, widths = self.design.posterior(contexts)
+        if self.design.bandwidth is None:
+            widths = widths / np.sqrt(self.cfg.reg)
         scores = score(means, widths, self.cfg.nu, self.thompson, self.select_rng)
         return Decision(int(np.argmax(scores)), scores, means, widths)
 
     def observe(self, context: np.ndarray, reward: float) -> None:
         _check_reward(reward)
         self.t += 1
-        if self.t > self.cfg.stop_train:
-            return
-        x = np.asarray(context, dtype=np.float64)
-        # k(x, x) = 1, so the new diagonal entry is 1 + reg
-        if self.k_inv.add(self._kernel(x[None])[0], 1.0 + self.cfg.reg) <= 0.0:
-            raise np.linalg.LinAlgError(
-                f"kernel matrix is numerically singular after {len(self.r)} "
-                f"observations (reg={float(self.cfg.reg)!r}); raise --lambda")
-        self.X.append(x)
-        self.sq_norms.append(float(x @ x))
-        self.r.append(float(reward))
-        self.w.append(float(self.k_inv.row(len(self.r) - 1) @ self.r.array))
+        if self.design.bandwidth is None or self.t <= self.cfg.stop_train:
+            self.design.observe(context, reward)
+
+
+class KernelPolicy(LinearPolicy):
+    """The ridge baseline under k(x, h) = exp(-bandwidth |x - h|^2)."""
+
+    def __init__(self, dim: int, cfg: PolicyConfig, seed, thompson: bool):
+        super().__init__(dim, cfg, seed, thompson, cfg.bandwidth)
 
 
 class UniformRandom(Policy):

@@ -15,11 +15,15 @@ never stored, so the primal form holds one p x p array however long the run.
 In exact arithmetic an update's Schur complement is at least reg*m and its
 Sherman-Morrison denominator at least 1; if rounding takes either to zero or
 below, the update raises LinAlgError and leaves the design as it was.
-Diagonal mode keeps only diag(U), matching the diagonal approximation used
-for wide networks.
+With a bandwidth, an RBF Gram matrix replaces G G^T: the kernel ridge
+posterior, which never leaves dual form.  Diagonal mode keeps only diag(U),
+matching the diagonal approximation used for wide networks.
 """
 
 from __future__ import annotations
+
+import contextlib
+import math
 
 import numpy as np
 
@@ -97,13 +101,16 @@ class BorderedInverse:
 
     def __init__(self):
         self._blocks: list[np.ndarray] = []
+        # (i, j, R[i:j, :j]) for each panel: a view of its rows [i, j) up
+        # to column j, kept rather than sliced anew by every product
+        self._panels: list[tuple[int, int, np.ndarray]] = []
         self.n = 0
 
     @property
     def factor(self) -> np.ndarray:
         """R = L^-1, assembled as a dense copy."""
         R = np.zeros((self.n, self.n))
-        for i, j, P in self._panels():
+        for i, j, P in self._panels:
             R[i:j, :j] = P
         return R
 
@@ -111,62 +118,50 @@ class BorderedInverse:
         """Row i of R up to its diagonal entry (a view)."""
         return self._blocks[i // _PANEL][i % _PANEL, :i + 1]
 
-    def _panels(self):
-        """(i, j, R[i:j, :j]) for each panel of R, a view of its rows
-        [i, j) up to column j."""
-        for i, P in zip(range(0, self.n, _PANEL), self._blocks):
-            j = min(i + _PANEL, self.n)
-            yield i, j, P[:j - i, :j]
-
-    def _apply(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """l = R k and u = R^T l = A^-1 k, in one pass over the panels of R:
-        u gains a panel's share as soon as its rows of l are known."""
-        l, u = np.empty(self.n), np.zeros(self.n)
-        for i, j, P in self._panels():
-            np.matmul(P, k[:j], out=l[i:j])
-            u[:j] += l[i:j] @ P
-        return l, u
-
-    def solve(self, k: np.ndarray) -> np.ndarray:
-        """A^-1 k."""
-        return self._apply(k)[1]
-
     def add(self, k: np.ndarray, d: float) -> float:
         """Borders A with the column k and the diagonal entry d, and returns
         the Schur complement s = d - k^T A^-1 k.  If s <= 0 the bordered
         matrix is not positive definite and R is left as it was."""
         n = self.n
-        l, u = self._apply(k)
+        # l = R k and u = R^T l = A^-1 k, in one pass over the panels of R:
+        # u gains a panel's share as soon as its rows of l are known
+        l, u = np.empty(n), np.zeros(n)
+        for i, j, P in self._panels:
+            np.matmul(P, k[:j], out=l[i:j])
+            u[:j] += l[i:j] @ P
         s = d - float(l @ l)
         if s <= 0.0:
             return s
-        if n % _PANEL == 0:
+        i = n - n % _PANEL
+        if i == n:
             self._blocks.append(np.zeros((_PANEL, n + _PANEL)))
+            self._panels.append(None)
         # L gains the row (l^T, sqrt(s)), so R gains (-l^T R, 1) / sqrt(s)
-        root, new = np.sqrt(s), self.row(n)
+        root, new = math.sqrt(s), self.row(n)
         np.divide(u, -root, out=new[:n])
         new[n] = 1.0 / root
         self.n = n + 1
+        self._panels[-1] = (i, n + 1, self._blocks[-1][:n + 1 - i, :n + 1])
         return s
 
     def whiten(self, K: np.ndarray) -> np.ndarray:
         """K R^T for a (rows, n) stack K: each row k becomes R k, whose
         squared norm is k^T A^-1 k."""
         V = np.empty((len(K), self.n))
-        for i, j, P in self._panels():
+        for i, j, P in self._panels:
             np.matmul(K[:, :j], P.T, out=V[:, i:j])
         return V
 
-    def quad(self, K: np.ndarray) -> np.ndarray:
-        """k^T A^-1 k for each row k of the (rows, n) stack K."""
-        V = self.whiten(K)
-        return np.einsum("kt,kt->k", V, V)
-
 
 class DesignMatrix:
-    """Incrementally updated design matrix over gradient features."""
+    """Incrementally updated design matrix over features g: a network's
+    gradients or a baseline's contexts, under g^T h or, with a bandwidth
+    (full mode only), the RBF Gram k(g, h) = exp(-bandwidth |g - h|^2).  Rows added by observe
+    also give the ridge mean g^T U^-1 b, b = sum reward g / m: V w in dual
+    form, with w = R r grown by one entry per row, or g^T (U^-1 b)."""
 
-    def __init__(self, dim: int, reg: float, width: int, mode: str = "full"):
+    def __init__(self, dim: int, reg: float, width: int, mode: str = "full",
+                 bandwidth: float | None = None):
         if not 0.0 < reg < np.inf:
             raise ValueError(f"reg must be positive and finite, got {reg}")
         if width <= 0:
@@ -177,12 +172,16 @@ class DesignMatrix:
         self.reg = reg
         self.width = width
         self.mode = mode
+        self.bandwidth = bandwidth
         self.n_updates = 0
         if mode == "full":
             self._logdet = dim * np.log(reg)
             self._G = Rows((dim,))
             self._dual: BorderedInverse | None = BorderedInverse()
             self._inv: np.ndarray | None = None
+            # |g|^2 of each row, for the RBF Gram; b, once out of dual form
+            self._r, self._w, self._sq_norms = Rows(), Rows(), Rows()
+            self._b = np.zeros(dim) if bandwidth is None else None
         else:
             self._diag = np.full(dim, reg)
 
@@ -190,37 +189,61 @@ class DesignMatrix:
         g = np.asarray(g, dtype=np.float64)
         if g.shape[-1:] != (self.dim,) or g.ndim > (2 if stack else 1):
             raise ValueError(f"feature length {g.shape} does not match dim {self.dim}")
-        if not np.all(np.isfinite(g)):
+        if np.count_nonzero(np.isfinite(g)) != g.size:  # faster than .all()
             raise ValueError("non-finite entries in gradient feature")
         return g
+
+    def _gram(self, F: np.ndarray) -> np.ndarray:
+        """k(f, h) for each row f of F and each stored row h.  RBF squared
+        distances are expanded as |f|^2 - 2 f.h + |h|^2 and clamped at 0,
+        which rounding can cross for a repeated row."""
+        D = F @ self._G.array.T
+        if self.bandwidth is None:
+            return D
+        D *= -2.0
+        D += np.einsum("kd,kd->k", F, F)[:, None]
+        D += self._sq_norms.array
+        np.maximum(D, 0.0, out=D)
+        D *= -self.bandwidth
+        return np.exp(D, out=D)
 
     def sigma(self, g):
         """Posterior scale sqrt(reg * g^T U^{-1} g / m): a float for one
         feature, an array for a (K, dim) stack of them.  Raises LinAlgError
         if a sigma is not finite."""
         g = self._check(g, stack=True)
-        F = np.atleast_2d(g)
-        # a tiny reg can overflow sigma; that raises below, not as a warning
-        with np.errstate(over="ignore", invalid="ignore"):
+        sigmas = self._scan(g.reshape(-1, self.dim))[1]
+        return float(sigmas[0]) if g.ndim == 1 else sigmas
+
+    def posterior(self, F) -> tuple[np.ndarray, np.ndarray]:
+        """The ridge means and the sigmas of a (K, dim) stack F, from one
+        whitening (full mode, every row added by observe)."""
+        F = self._check(F, stack=True).reshape(-1, self.dim)
+        V, sigmas = self._scan(F)
+        return (F @ (self._inv @ self._b) if V is None
+                else V @ self._w.array), sigmas
+
+    def _scan(self, F: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+        """The sigmas of the stack F and, in dual form, its whitened Gram
+        rows V.  A tiny reg can overflow a sigma, which then raises rather
+        than warns.  An RBF sigma is sqrt(1 - |v|^2) with |v|^2 <= k(g, g) =
+        1 in exact arithmetic, so it is neither guarded nor checked."""
+        V, dot = None, self.bandwidth is None
+        with (np.errstate(over="ignore", invalid="ignore") if dot
+              else contextlib.nullcontext()):
             if self.mode == "diagonal":
                 scaled = self.reg * np.sum(F * F / self._diag, axis=1)
             elif self._inv is not None:
                 scaled = self.reg * np.einsum("kp,kp->k", F @ self._inv, F)
             else:
-                # reg * g^T U^-1 g = g^T g - k^T A^-1 k with k = G g
-                K = F @ self._G.array.T
-                scaled = np.einsum("kp,kp->k", F, F) - self._dual.quad(K)
+                # reg * g^T U^-1 g = k(g, g) - k^T A^-1 k with k the Gram row
+                V = self._dual.whiten(self._gram(F))
+                own = np.einsum("kp,kp->k", F, F) if dot else 1.0
+                scaled = own - np.einsum("kt,kt->k", V, V)
             sigmas = np.sqrt(np.maximum(scaled / self.width, 0.0))
-        if not np.all(np.isfinite(sigmas)):
+        if dot and not np.isfinite(sigmas).all():
             raise self._failure("posterior scale is not finite")
-        return float(sigmas[0]) if g.ndim == 1 else sigmas
-
-    def solve(self, v: np.ndarray) -> np.ndarray:
-        """U^{-1} v (full mode)."""
-        if self._inv is not None:
-            return self._inv @ v
-        G = self._G.array
-        return (v - G.T @ self._dual.solve(G @ v)) / self.reg
+        return V, sigmas
 
     def update(self, g: np.ndarray) -> None:
         """Rank-one update U += g g^T / m.  Raises LinAlgError, and changes
@@ -230,14 +253,19 @@ class DesignMatrix:
         if self.mode == "diagonal":
             self._diag += g * g / m
         elif self._inv is None:
-            # A gains the row G g and the diagonal entry reg*m + g^T g, and
-            # det U grows by the factor s / (reg*m)
-            s = self._dual.add(self._G.array @ g, self.reg * m + float(g @ g))
+            # A gains the Gram row of g and the diagonal entry
+            # reg*m + k(g, g), and det U grows by the factor s / (reg*m)
+            sq = float(g @ g)
+            s = self._dual.add(self._gram(g[None])[0], self.reg * m
+                               + (sq if self.bandwidth is None else 1.0))
             if s <= 0.0:
                 raise self._failure("design matrix lost positive definiteness")
             self._G.append(g)
-            self._logdet += float(np.log(s / (self.reg * m)))
-            if len(self._G) >= _DUAL_FRACTION * self.dim:
+            if self.bandwidth is not None:
+                self._sq_norms.append(sq)
+            self._logdet += math.log(s / (self.reg * m))
+            if (self.bandwidth is None
+                    and len(self._G) >= _DUAL_FRACTION * self.dim):
                 W = self._dual.factor @ self._G.array
                 self._G = self._dual = None  # freed before W^T W is formed
                 self._inv = self._primal_inverse(W)
@@ -249,8 +277,19 @@ class DesignMatrix:
                 raise self._failure("design matrix lost positive definiteness")
             # inv -= u u^T / (m * denom)
             _add_outer(self._inv, u, -(m * denom), self._scratch)
-            self._logdet += float(np.log(denom))
+            self._logdet += math.log(denom)
         self.n_updates += 1
+
+    def observe(self, g: np.ndarray, reward: float) -> None:
+        """update(g) for a row with its reward (full mode): b gains
+        reward g / m and, in dual form, w the entry of the new row of R."""
+        g = np.asarray(g, dtype=np.float64)
+        self.update(g)
+        if self._b is not None:
+            self._b += (reward / self.width) * g
+        if self._dual is not None:
+            self._r.append(float(reward))
+            self._w.append(self._dual.row(self._dual.n - 1) @ self._r.array)
 
     def _failure(self, what: str) -> np.linalg.LinAlgError:
         return np.linalg.LinAlgError(

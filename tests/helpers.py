@@ -1,8 +1,8 @@
 """Views of the engine's state that only tests read: network weights as
-one flat vector, the dense inverse of a design matrix, every level of the
-NTK recursion, the eigenvalue-truncation bound on the effective
-dimension, episode traces read back from JSONL or stripped of their
-wall-clock field, the traced memory peak of a call, and the count of
+one flat vector, the dense inverse of a design matrix and its dual-form
+state, every level of the NTK recursion, the eigenvalue-truncation bound on
+the effective dimension, episode traces read back from JSONL or stripped of
+their wall-clock field, the traced memory peak of a call, and the count of
 rounds a stream builds."""
 
 import contextlib
@@ -10,6 +10,7 @@ import itertools
 import json
 import os
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +45,19 @@ def inverse(design: DesignMatrix) -> np.ndarray:
     if design._inv is None:
         return design._primal_inverse(design._dual.factor @ design._G.array)
     return design._inv.copy()
+
+
+class DualState(NamedTuple):
+    R: np.ndarray      # R = L^-1 of A = L L^T, dense
+    rows: np.ndarray   # the stored rows, one per update
+    r: np.ndarray      # their rewards
+    w: np.ndarray      # R r
+
+
+def dual_state(design: DesignMatrix) -> DualState:
+    """The dual form of a full-mode design, before it switches to primal."""
+    return DualState(design._dual.factor, design._G.array, design._r.array,
+                     design._w.array)
 
 
 def ntk_levels(contexts: np.ndarray, depth: int):

@@ -1,4 +1,5 @@
 import csv
+import gzip
 import json
 import struct
 from dataclasses import fields
@@ -776,6 +777,69 @@ class TestIngestErrors:
         assert info.value.code == 2
         assert "schema" in capsys.readouterr().err
 
+    @staticmethod
+    def _rejection(argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err.splitlines()[-1]
+
+    @staticmethod
+    def _idx_pair(n_labels=10, cut=0):
+        """The bytes of an IDX pair whose headers promise ten random 4x4
+        images and ten labels; the labels file holds n_labels of them, and
+        the images file loses cut bytes off its end."""
+        pixels = np.random.default_rng(0).integers(0, 256, 160, np.uint8)
+        images = struct.pack(">IIII", 0x803, 10, 4, 4) + pixels.tobytes()
+        labels = struct.pack(">II", 0x801, 10) + bytes(n_labels)
+        return images[:len(images) - cut], labels
+
+    def test_gzip_images_cut_short(self, tmp_path, capsys):
+        images, labels = self._idx_pair()
+        packed = gzip.compress(images)
+        (tmp_path / "i.gz").write_bytes(packed[:-30])
+        (tmp_path / "l").write_bytes(labels)
+        last = self._rejection(
+            ["ingest", "--dataset", f"idx:{tmp_path / 'i.gz'},{tmp_path / 'l'}",
+             "--out-file", str(tmp_path / "m.json")], capsys)
+        assert f"{tmp_path / 'i.gz'}: truncated: expected 160 pixel bytes" \
+            in last
+
+    @pytest.mark.parametrize("command", ["ingest", "run", "ntk"])
+    def test_plain_images_cut_short(self, tmp_path, capsys, command):
+        images, labels = self._idx_pair(cut=20)
+        (tmp_path / "i").write_bytes(images)
+        (tmp_path / "l").write_bytes(labels)
+        argv = [command, "--dataset", f"idx:{tmp_path / 'i'},{tmp_path / 'l'}"]
+        if command == "ingest":
+            argv += ["--out-file", str(tmp_path / "m.json")]
+        last = self._rejection(argv, capsys)
+        assert last.endswith(f"{tmp_path / 'i'}: truncated: expected 160 "
+                             "pixel bytes, found 140")
+
+    def test_labels_cut_short(self, tmp_path, capsys):
+        images, labels = self._idx_pair(n_labels=7)
+        (tmp_path / "i").write_bytes(images)
+        (tmp_path / "l").write_bytes(labels)
+        last = self._rejection(
+            ["ingest", "--dataset", f"idx:{tmp_path / 'i'},{tmp_path / 'l'}",
+             "--out-file", str(tmp_path / "m.json")], capsys)
+        assert last.endswith(f"{tmp_path / 'l'}: truncated: expected 10 "
+                             "labels, found 7")
+
+    def test_non_numeric_cell_names_file_and_column(self, tmp_path, capsys):
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text("a,kind\n1.0,x\nabc,y\n")
+        schema = tmp_path / "schema.txt"
+        schema.write_text("a: numeric\nlabel: kind\n")
+        last = self._rejection(
+            ["ingest", "--dataset", f"csv:{csv_path}", "--schema", str(schema),
+             "--out-file", str(tmp_path / "m.json")], capsys)
+        assert last.endswith(f"{csv_path}: numeric column 'a': could not "
+                             "convert string to float: 'abc'")
+
 
 class TestDivergenceMessage:
     # the overflow is reported by the error alone, not by numpy warnings,
@@ -798,7 +862,7 @@ class TestFailureMessagesQuoteTheSettings:
         (["--algo", "neural-ts", "--width", "8", "--lambda", "1e-320",
           "--T", "5"], "reg=1e-320,"),
         (["--algo", "kernel-ts", "--dataset", "mushroom-like", "--lambda",
-          "1.23456789e-300", "--T", "300"], "reg=1.23456789e-300)"),
+          "1.23456789e-300", "--T", "300"], "reg=1.23456789e-300,"),
         (["--train-mode", "gd", "--iters", "100", "--lr", "1.2345678e-3",
           "--T", "300"], "step_size=0.0012345678,")])
     def test_exits_1_quoting_the_value(self, tmp_path, capsys, flags, quoted):

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import flat, inverse, traced_peak
+from helpers import dual_state, flat, inverse, traced_peak
 from regret_equivalence import assert_regret_equivalent
 
 from banditbench import nn
@@ -258,7 +258,7 @@ class TestLinear:
             b += r * x
         np.testing.assert_allclose(inverse(policy.design), np.linalg.inv(A),
                                    atol=1e-8)
-        np.testing.assert_allclose(policy.b, b, atol=1e-12)
+        np.testing.assert_allclose(policy.design._b, b, atol=1e-12)
 
     def test_inverse_exactly_symmetric_without_resymmetrising(self):
         rng = np.random.default_rng(14)
@@ -408,7 +408,7 @@ class TestKernel:
         rng = np.random.default_rng(15)
         for _ in range(5):
             policy.observe(rng.standard_normal(3), float(rng.uniform()))
-        assert len(policy.r) == 2
+        assert len(dual_state(policy.design).r) == 2
 
     @pytest.mark.parametrize("algorithm,stop_train", [("kernel-ts", 60),
                                                       ("kernel-ucb", 37)])
@@ -430,9 +430,10 @@ class TestKernel:
             reward = float(rng.uniform())
             policy.observe(contexts[got.arm], reward)
             ref.observe(contexts[got.arm], reward)
-            R = policy.k_inv.factor
-            np.testing.assert_allclose(R.T @ R, ref.k_inv, rtol=1e-9)
-        assert len(policy.r) == len(ref.r) == min(stop_train, 50)
+            state = dual_state(policy.design)
+            np.testing.assert_allclose(state.R.T @ state.R, ref.k_inv,
+                                       rtol=1e-9)
+        assert len(state.r) == len(ref.r) == min(stop_train, 50)
 
     @pytest.mark.parametrize("algorithm", ["kernel-ts", "kernel-ucb"])
     def test_decisions_match_reallocating_inverse_across_panels(self,
@@ -453,10 +454,10 @@ class TestKernel:
             reward = float(rng.uniform())
             policy.observe(contexts[got.arm], reward)
             ref.observe(contexts[got.arm], reward)
-        np.testing.assert_allclose(policy.w.array,
-                                   policy.k_inv.factor @ policy.r.array,
+        state = dual_state(policy.design)
+        np.testing.assert_allclose(state.w, state.R @ state.r,
                                    rtol=1e-12, atol=1e-15)
-        assert len(policy.r) == len(ref.r) == 300
+        assert len(state.r) == len(ref.r) == 300
 
     def test_regret_matches_reallocating_policy(self, monkeypatch):
         # 16 fixed episode seeds per dataset, once scoring the arms through
@@ -486,9 +487,10 @@ class TestKernel:
         for h in H:
             policy.observe(h, float(rng.uniform()))
         X = np.vstack([H, rng.standard_normal((4, 204))])
-        diff = X[:, None, :] - H[None, :, :]
+        rows = dual_state(policy.design).rows
+        diff = X[:, None, :] - rows[None, :, :]
         want = np.exp(-cfg.bandwidth * np.sum(diff * diff, axis=2))
-        got = policy._kernel(X)
+        got = policy.design._gram(X)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         assert np.all(np.diag(got) <= 1.0)
 
@@ -519,7 +521,7 @@ class TestKernel:
         policy.observe(x, 0.5)
         with pytest.raises(np.linalg.LinAlgError, match="raise --lambda"):
             policy.observe(x, 0.5)
-        assert len(policy.r) == 1
+        assert len(dual_state(policy.design).r) == 1
 
 
 class ReallocatingKernelPolicy:

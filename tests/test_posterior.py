@@ -3,7 +3,7 @@ import pytest
 
 from banditbench.posterior import (_DUAL_FRACTION, _PANEL, _ROW_BLOCK,
                                   BorderedInverse, DesignMatrix)
-from helpers import inverse, traced_peak
+from helpers import dual_state, inverse, traced_peak
 
 
 def _switch_round(p):
@@ -312,10 +312,11 @@ class TestDualForm:
         switch = _switch_round(p)
         design = DesignMatrix(p, reg=reg, width=m, mode="full")
         G = _features(switch + _ROW_BLOCK + 5, p, seed=11)
+        r = np.random.default_rng(11).uniform(size=len(G))
         probes = _features(4, p, seed=12)
         checked = set()
         for t, g in enumerate(G, start=1):
-            design.update(g)
+            design.observe(g, r[t - 1])
             assert (design._inv is None) == (t < switch)
             if t not in (1, switch - 1, switch, switch + 1,
                          switch + _ROW_BLOCK, len(G)):
@@ -328,9 +329,13 @@ class TestDualForm:
             assert design.sigma(probes[0]) == pytest.approx(want[0], rel=1e-9)
             assert design.logdet == pytest.approx(np.linalg.slogdet(U)[1],
                                                   rel=1e-9)
-            np.testing.assert_allclose(design.solve(probes[0]),
-                                       np.linalg.solve(U, probes[0]),
-                                       rtol=1e-9, atol=1e-12)
+            # the ridge mean x^T U^-1 b with b = G^T r / m, which is
+            # x^T (reg*m*I + G^T G)^-1 G^T r: at m = 1, LinTS's mean
+            means, sigmas = design.posterior(probes)
+            np.testing.assert_allclose(
+                means, probes @ np.linalg.solve(U, G[:t].T @ r[:t] / m),
+                rtol=1e-9)
+            np.testing.assert_array_equal(sigmas, design.sigma(probes))
             inv = inverse(design)
             np.testing.assert_array_equal(inv, inv.T)
             np.testing.assert_allclose(inv, np.linalg.inv(U), rtol=1e-9,
@@ -382,6 +387,53 @@ class TestDualForm:
         assert traced_peak(few_updates) < p * p * 8
 
 
+class TestRBF:
+    @staticmethod
+    def _gram(A, B, gamma):
+        diff = A[:, None, :] - B[None, :, :]
+        return np.exp(-gamma * np.sum(diff * diff, axis=2))
+
+    def test_stays_dual_and_matches_kernel_ridge(self):
+        # 3 * dim rows: a dot-product design would have left dual form
+        dim, reg, gamma = 6, 0.3, 0.8
+        rng = np.random.default_rng(18)
+        X = rng.standard_normal((3 * dim, dim))
+        r = rng.uniform(size=len(X))
+        probes = rng.standard_normal((4, dim))
+        design = DesignMatrix(dim, reg, 1, "full", bandwidth=gamma)
+        for x, reward in zip(X, r):
+            design.observe(x, reward)
+        assert design._inv is None
+        assert len(dual_state(design).rows) == 3 * dim
+        k = self._gram(probes, X, gamma)
+        A = self._gram(X, X, gamma) + reg * np.eye(len(X))
+        means, sigmas = design.posterior(probes)
+        np.testing.assert_allclose(means, k @ np.linalg.solve(A, r),
+                                   rtol=1e-9)
+        np.testing.assert_allclose(sigmas ** 2, 1.0 - np.einsum(
+            "kt,kt->k", k, np.linalg.solve(A, k.T).T), rtol=1e-9)
+        np.testing.assert_array_equal(design.sigma(probes), sigmas)
+
+    def test_singular_gram_raises_and_leaves_design(self):
+        # 1 + reg rounds to 1, so a repeated row's Schur complement is 0
+        design = DesignMatrix(2, 1e-20, 1, "full", bandwidth=1.0)
+        x = np.array([0.3, -0.2])
+        design.observe(x, 0.5)
+        before = dual_state(design)
+        probes = np.array([[0.1, 0.2], [-1.0, 0.5]])
+        means, sigmas = design.posterior(probes)
+        with pytest.raises(np.linalg.LinAlgError, match=(
+                r"^design matrix lost positive definiteness after 1 updates "
+                r"\(dim=2, reg=1e-20, width=1\); raise --lambda$")):
+            design.observe(x, 0.5)
+        after = dual_state(design)
+        for a, b in zip(before, after):
+            np.testing.assert_array_equal(a, b)
+        assert design.n_updates == 1
+        for a, b in zip(design.posterior(probes), (means, sigmas)):
+            np.testing.assert_array_equal(a, b)
+
+
 class TestBorderedInverse:
     def test_growth_matches_dense_inverse(self):
         # 300 adds cross the 128-row panels that hold the factor
@@ -402,11 +454,9 @@ class TestBorderedInverse:
             np.testing.assert_allclose(R.T @ R, np.linalg.inv(An), rtol=1e-9,
                                        atol=1e-12)
             K = rng.standard_normal((3, n + 1))
-            np.testing.assert_allclose(bordered.quad(K), np.einsum(
+            V = bordered.whiten(K)
+            np.testing.assert_allclose(np.einsum("kt,kt->k", V, V), np.einsum(
                 "kt,kt->k", K, np.linalg.solve(An, K.T).T), rtol=1e-9)
-            np.testing.assert_allclose(bordered.solve(K[0]),
-                                       np.linalg.solve(An, K[0]), rtol=1e-9,
-                                       atol=1e-12)
 
     def test_nonpositive_schur_complement_leaves_inverse(self):
         bordered = BorderedInverse()
@@ -430,9 +480,7 @@ class TestBorderedInverse:
             Kn = K[:, :n + 1]
             for a, b in ((got.factor, want.factor),
                          (got.row(n), want.factor[n]),
-                         (got.solve(Kn[0]), want.solve(Kn[0])),
-                         (got.whiten(Kn), want.whiten(Kn)),
-                         (got.quad(Kn), want.quad(Kn))):
+                         (got.whiten(Kn), want.whiten(Kn))):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert len(got._blocks) == 5
 
@@ -476,9 +524,6 @@ class DoublingBorderedInverse:
             u[:j] += l[i:j] @ P
         return l, u
 
-    def solve(self, k):
-        return self._apply(k)[1]
-
     def add(self, k, d):
         n = self.n
         l, u = self._apply(k)
@@ -500,7 +545,3 @@ class DoublingBorderedInverse:
         for i, j, P in self._panels():
             np.matmul(K[:, :j], P.T, out=V[:, i:j])
         return V
-
-    def quad(self, K):
-        V = self.whiten(K)
-        return np.einsum("kt,kt->k", V, V)
