@@ -24,7 +24,7 @@ from .data import write_manifest
 from .harness import (ExperimentConfig, build_rounds, emit_grid_summary,
                       emit_outputs, grid_cells, pool_size, run_grid,
                       run_repeats, summarize)
-from .nn import TrainConfig, TrainingDiverged
+from .nn import NetShape, TrainConfig, TrainingDiverged
 from .policies import ALGORITHMS, PolicyConfig, make_policy
 
 # default sweeps for the grid subcommand, per algorithm family
@@ -206,9 +206,7 @@ def _inputs(args: argparse.Namespace):
         return envs.load_dataset(args.dataset, args.schema)
     if args.command == "ntk":
         # the width condition is about a network that run could build
-        if args.width <= 0 or args.width % 2:
-            raise ValueError("width must be a positive even integer, "
-                             f"got {args.width}")
+        NetShape(2, args.width, args.depth)
         # the policy checks --lambda before any kernel is built
         stream = ExperimentConfig(
             dataset=args.dataset, policy=PolicyConfig("neural-ts", reg=args.reg),

@@ -51,6 +51,11 @@ class LabeledDataset:
         return len(self.labels)
 
     @property
+    def origin(self) -> str:
+        """The files it was read from, or where it came from."""
+        return ";".join(self.sources) or self.provenance
+
+    @property
     def n_zero_rows(self) -> int:
         """Rows of zero norm, which normalize_unit maps to the unit basis
         vector (a row of tiny values counts: its squares underflow).  The
@@ -192,6 +197,8 @@ def ingest_idx(images_path: str, labels_path: str) -> LabeledDataset:
             ">IIII", _read_exact(fh, 16, images_path, "header bytes"))
         if magic != IDX_MAGIC_IMAGES:
             raise ValueError(f"{images_path}: bad image magic 0x{magic:08x}")
+        if n == 0:
+            raise ValueError(f"{images_path}: the header says 0 images")
         raw = _read_exact(fh, n * rows * cols, images_path, "pixel bytes")
     images = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols) / 255.0
 
@@ -321,7 +328,7 @@ def write_manifest(dataset: LabeledDataset, path: str,
         "raw_dim": int(dataset.features.shape[1]),
         "dropped_rows": dataset.n_dropped,
         "zero_rows": dataset.n_zero_rows,
-        "provenance": ";".join(dataset.sources) or dataset.provenance,
+        "provenance": dataset.origin,
         "duplicate_half": duplicate,
     }
     if dataset.sources:

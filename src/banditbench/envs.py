@@ -98,12 +98,18 @@ def load_dataset(spec: str, schema: str | None = None) -> LabeledDataset:
     if spec == "mushroom-like":
         return mushroom_like()
     if spec.startswith("csv:"):
+        if not spec[4:]:
+            raise ValueError(f"dataset {spec!r} names no file; the form is "
+                             "csv:<path>")
         if schema is None:
             raise ValueError("csv datasets need a schema file (--schema)")
         types, label = parse_schema(schema)
         return ingest_csv(spec[4:], label, types)
     if spec.startswith("idx:"):
         images, _, labels = spec[4:].partition(",")
+        if not (images and labels):
+            raise ValueError(f"dataset {spec!r} names no images or no labels "
+                             "file; the form is idx:<images>,<labels>")
         return ingest_idx(images, labels)
     raise ValueError(f"unknown dataset {spec!r}")
 
@@ -112,6 +118,9 @@ def dataset_rounds(dataset: LabeledDataset, seed, horizon: int,
                    duplicate: bool = True) -> RoundStream:
     """The bandit rounds of the first `horizon` rows in the seed's row order;
     the stream keeps those rows, not the dataset."""
+    if dataset.n_classes < 2:
+        raise ValueError(f"{dataset.origin}: {dataset.n_classes} class; a "
+                         "bandit needs at least 2, one arm each")
     if horizon > len(dataset):
         raise ValueError(f"horizon {horizon} exceeds dataset size {len(dataset)}")
     rows = np.random.default_rng(seed).permutation(len(dataset))[:horizon]

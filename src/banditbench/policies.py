@@ -82,19 +82,22 @@ class Policy:
         raise NotImplementedError
 
 
-def score(means: np.ndarray, widths: np.ndarray, nu: float, thompson: bool,
-          rng: np.random.Generator) -> np.ndarray:
-    """Per-arm scores, whose argmax (ties to the lowest index) is the pick.
+def decide(means: np.ndarray, widths: np.ndarray, nu: float, thompson: bool,
+           rng: np.random.Generator | None) -> Decision:
+    """The pick rule of every scoring policy: the arm of the largest score,
+    ties to the lowest index.
 
     UCB adds nu * widths to the means.  Thompson sampling adds nu * widths
     times one standard normal draw per arm from rng, and draws nothing when
-    nu is 0.
+    nu is 0, so a greedy pick is decide(means, zeros, 0.0, True, None).
     """
     if not thompson:
-        return means + nu * widths
-    if nu == 0.0:
-        return means.copy()
-    return means + nu * widths * rng.standard_normal(len(means))
+        scores = means + nu * widths
+    elif nu == 0.0:
+        scores = means.copy()
+    else:
+        scores = means + nu * widths * rng.standard_normal(len(means))
+    return Decision(int(np.argmax(scores)), scores, means, widths)
 
 
 def _check_reward(reward: float) -> None:
@@ -167,9 +170,8 @@ class NeuralBandit(_NetworkPolicy):
 
     def select(self, contexts: np.ndarray) -> Decision:
         means, feats = grad_batch(self.net, contexts)
-        sigmas = self.design.sigma(feats)
-        scores = score(means, sigmas, self.cfg.nu, self.thompson, self.select_rng)
-        return Decision(int(np.argmax(scores)), scores, means, sigmas)
+        return decide(means, self.design.sigma(feats), self.cfg.nu,
+                      self.thompson, self.select_rng)
 
     def observe(self, context: np.ndarray, reward: float) -> None:
         super().observe(context, reward)
@@ -186,10 +188,10 @@ class EpsGreedyNN(_NetworkPolicy):
 
     def select(self, contexts: np.ndarray) -> Decision:
         means = forward_batch(self.net, contexts)
-        arm = int(np.argmax(means))
+        decision = decide(means, np.zeros_like(means), 0.0, True, None)
         if self.cfg.eps > 0.0 and self.select_rng.random() < self.cfg.eps:
-            arm = int(self.select_rng.integers(len(means)))
-        return Decision(arm, means.copy(), means, np.zeros_like(means))
+            decision.arm = int(self.select_rng.integers(len(means)))
+        return decision
 
 
 class BootstrapNN(_NetworkPolicy):
@@ -201,21 +203,20 @@ class BootstrapNN(_NetworkPolicy):
     def select(self, contexts: np.ndarray) -> Decision:
         pick = int(self.select_rng.integers(len(self.nets)))
         means = forward_batch(self.nets[pick], contexts)
-        return Decision(int(np.argmax(means)), means.copy(), means,
-                        np.zeros_like(means))
+        return decide(means, np.zeros_like(means), 0.0, True, None)
 
 
 class LinearPolicy(Policy):
     """Ridge baseline on a design matrix of width 1 over the contexts;
     Thompson sampling or UCB scoring on its means.  Under the dot product
     (LinTS/UCB) the width is sqrt(x^T U^-1 x), the design's sigma / sqrt(reg).
-    Under an RBF Gram (KernelTS/UCB) it is the sigma, and the posterior takes
-    no rows past the stop-train round."""
+    Under the RBF Gram of a bandwidth (KernelTS/UCB) it is the sigma, and the
+    posterior takes no rows past the stop-train round."""
 
     def __init__(self, dim: int, cfg: PolicyConfig, seed, thompson: bool,
                  bandwidth: float | None = None):
-        children = np.random.SeedSequence(seed).spawn(2)
-        self.select_rng = np.random.default_rng(children[0])
+        child = np.random.SeedSequence(seed).spawn(1)[0]
+        self.select_rng = np.random.default_rng(child)
         self.cfg = cfg
         self.thompson = thompson
         self.design = DesignMatrix(dim, cfg.reg, 1, "full", bandwidth)
@@ -225,21 +226,14 @@ class LinearPolicy(Policy):
         means, widths = self.design.posterior(contexts)
         if self.design.bandwidth is None:
             widths = widths / np.sqrt(self.cfg.reg)
-        scores = score(means, widths, self.cfg.nu, self.thompson, self.select_rng)
-        return Decision(int(np.argmax(scores)), scores, means, widths)
+        return decide(means, widths, self.cfg.nu, self.thompson,
+                      self.select_rng)
 
     def observe(self, context: np.ndarray, reward: float) -> None:
         _check_reward(reward)
         self.t += 1
         if self.design.bandwidth is None or self.t <= self.cfg.stop_train:
             self.design.observe(context, reward)
-
-
-class KernelPolicy(LinearPolicy):
-    """The ridge baseline under k(x, h) = exp(-bandwidth |x - h|^2)."""
-
-    def __init__(self, dim: int, cfg: PolicyConfig, seed, thompson: bool):
-        super().__init__(dim, cfg, seed, thompson, cfg.bandwidth)
 
 
 class UniformRandom(Policy):
@@ -272,10 +266,9 @@ def make_policy(cfg: PolicyConfig, input_dim: int, seed) -> Policy:
         if algo == "eps-greedy":
             return EpsGreedyNN(shape, cfg, seed)
         return BootstrapNN(shape, cfg, seed)
-    if algo in ("lin-ts", "lin-ucb"):
-        return LinearPolicy(input_dim, cfg, seed, thompson)
-    if algo in ("kernel-ts", "kernel-ucb"):
-        return KernelPolicy(input_dim, cfg, seed, thompson)
+    if algo in ("lin-ts", "lin-ucb", "kernel-ts", "kernel-ucb"):
+        bandwidth = cfg.bandwidth if algo.startswith("kernel") else None
+        return LinearPolicy(input_dim, cfg, seed, thompson, bandwidth)
     if algo == "uniform":
         return UniformRandom(seed)
     raise ValueError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")

@@ -840,6 +840,46 @@ class TestIngestErrors:
         assert last.endswith(f"{csv_path}: numeric column 'a': could not "
                              "convert string to float: 'abc'")
 
+    @pytest.mark.parametrize("spec,form", [("idx:images.idx",
+                                            "idx:<images>,<labels>"),
+                                           ("csv:", "csv:<path>")])
+    def test_spec_without_a_path_names_the_form(self, tmp_path, monkeypatch,
+                                                capsys, spec, form):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "schema.txt").write_text("a: numeric\nlabel: kind\n")
+        last = self._rejection(["ingest", "--dataset", spec, "--schema",
+                                "schema.txt"], capsys)
+        assert last.endswith(f"the form is {form}")
+        assert repr(spec) in last
+
+    @pytest.mark.parametrize("command", ["ingest", "run", "ntk"])
+    def test_idx_of_zero_images_names_the_file(self, tmp_path, capsys,
+                                               command):
+        (tmp_path / "i").write_bytes(struct.pack(">IIII", 0x803, 0, 4, 4))
+        (tmp_path / "l").write_bytes(struct.pack(">II", 0x801, 0))
+        argv = [command, "--dataset", f"idx:{tmp_path / 'i'},{tmp_path / 'l'}"]
+        if command == "ingest":
+            argv += ["--out-file", str(tmp_path / "m.json")]
+        last = self._rejection(argv, capsys)
+        assert last.endswith(f"{tmp_path / 'i'}: the header says 0 images")
+
+    def test_one_class_csv_is_no_bandit(self, tmp_path, capsys):
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text("a,kind\n1.0,x\n2.0,x\n0.5,x\n")
+        schema = tmp_path / "schema.txt"
+        schema.write_text("a: numeric\nlabel: kind\n")
+        dataset = ["--dataset", f"csv:{csv_path}", "--schema", str(schema)]
+        last = self._rejection(["run", "--algo", "lin-ts", "--T", "3",
+                                "--out", str(tmp_path / "out"), *dataset],
+                               capsys)
+        assert last.endswith(f"{csv_path}: 1 class; a bandit needs at least "
+                             "2, one arm each")
+        assert not (tmp_path / "out").exists()
+        # the manifest describes the file, bandit or not
+        assert main(["ingest", *dataset,
+                     "--out-file", str(tmp_path / "m.json")]) == 0
+        assert json.loads((tmp_path / "m.json").read_text())["n_classes"] == 1
+
 
 class TestDivergenceMessage:
     # the overflow is reported by the error alone, not by numpy warnings,

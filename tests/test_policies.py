@@ -10,9 +10,8 @@ from banditbench.data import duplicate_half, normalize_unit
 from banditbench.harness import ExperimentConfig, run_episode
 from banditbench.nn import NetShape, TrainConfig, forward_batch
 from banditbench.policies import (BootstrapNN, Decision, EpsGreedyNN,
-                                  KernelPolicy, LinearPolicy, NeuralBandit,
-                                  PolicyConfig, UniformRandom, make_policy,
-                                  score)
+                                  LinearPolicy, NeuralBandit, PolicyConfig,
+                                  UniformRandom, decide, make_policy)
 
 FAST_TRAIN = TrainConfig(step_size=0.001, iterations=5, mode="gd")
 
@@ -198,14 +197,15 @@ class TestNeuralUCB:
     def test_equal_sigma_greedy(self):
         policy = make_policy(neural_cfg("neural-ucb", nu=0.5), 4, seed=13)
         means = np.array([0.3, -0.1, 0.7])
-        scores = score(means, np.ones(3), policy.cfg.nu, policy.thompson,
-                       policy.select_rng)
+        scores = decide(means, np.ones(3), policy.cfg.nu, policy.thompson,
+                        policy.select_rng).scores
         assert int(np.argmax(scores)) == int(np.argmax(means))
 
     def test_larger_bonus_wins(self):
         policy = make_policy(neural_cfg("neural-ucb", nu=0.1), 4, seed=14)
-        scores = score(np.array([0.0, 0.0]), np.array([1.0, 2.0]),
-                       policy.cfg.nu, policy.thompson, policy.select_rng)
+        scores = decide(np.array([0.0, 0.0]), np.array([1.0, 2.0]),
+                        policy.cfg.nu, policy.thompson,
+                        policy.select_rng).scores
         assert int(np.argmax(scores)) == 1
 
     def test_deterministic_given_state(self):
@@ -339,7 +339,8 @@ class OuterProductLinearPolicy:
     inverse of A = reg*I + sum x x^T, with one np.outer temporary per
     observation."""
 
-    def __init__(self, dim, cfg, seed, thompson):
+    def __init__(self, dim, cfg, seed, thompson, bandwidth=None):
+        assert bandwidth is None
         children = np.random.SeedSequence(seed).spawn(2)
         self.select_rng = np.random.default_rng(children[0])
         self.cfg = cfg
@@ -352,8 +353,8 @@ class OuterProductLinearPolicy:
         mu = self.a_inv @ self.b
         means = X @ mu
         widths = np.sqrt(np.maximum(np.einsum("ki,ij,kj->k", X, self.a_inv, X), 0.0))
-        scores = score(means, widths, self.cfg.nu, self.thompson, self.select_rng)
-        return Decision(int(np.argmax(scores)), scores, means, widths)
+        return decide(means, widths, self.cfg.nu, self.thompson,
+                      self.select_rng)
 
     def observe(self, context, reward):
         x = np.asarray(context, dtype=np.float64)
@@ -364,15 +365,16 @@ class OuterProductLinearPolicy:
 
 class TestKernel:
     def test_fresh_variance_one(self):
-        policy = KernelPolicy(3, neural_cfg("kernel-ts", bandwidth=1.0), 0,
-                              thompson=True)
+        cfg = neural_cfg("kernel-ts", bandwidth=1.0)
+        policy = LinearPolicy(3, cfg, 0, thompson=True, bandwidth=cfg.bandwidth)
         decision = policy.select(np.ones((2, 3)))
         np.testing.assert_allclose(decision.sigmas, 1.0)
         np.testing.assert_allclose(decision.means, 0.0)
 
     def test_interpolation_limit(self):
         cfg = neural_cfg("kernel-ucb", bandwidth=1.0, reg=1e-10, nu=0.0)
-        policy = KernelPolicy(2, cfg, 0, thompson=False)
+        policy = LinearPolicy(2, cfg, 0, thompson=False,
+                              bandwidth=cfg.bandwidth)
         x = np.array([0.3, -0.2])
         policy.observe(x, 0.7)
         decision = policy.select(x[None, :])
@@ -383,7 +385,8 @@ class TestKernel:
         rng = np.random.default_rng(14)
         gamma, reg = 1.0, 1.0
         cfg = neural_cfg("kernel-ucb", bandwidth=gamma, reg=reg, nu=0.0)
-        policy = KernelPolicy(2, cfg, 0, thompson=False)
+        policy = LinearPolicy(2, cfg, 0, thompson=False,
+                              bandwidth=cfg.bandwidth)
         n = 45  # crosses the 16 -> 32 -> 64 capacity doublings
         X = rng.standard_normal((n, 2))
         r = rng.uniform(size=n)
@@ -404,7 +407,7 @@ class TestKernel:
 
     def test_frozen_after_stop_round(self):
         cfg = neural_cfg("kernel-ts", stop_train=2)
-        policy = KernelPolicy(3, cfg, 0, thompson=True)
+        policy = LinearPolicy(3, cfg, 0, thompson=True, bandwidth=cfg.bandwidth)
         rng = np.random.default_rng(15)
         for _ in range(5):
             policy.observe(rng.standard_normal(3), float(rng.uniform()))
@@ -416,7 +419,8 @@ class TestKernel:
         # 50 observations cross the 16 -> 32 -> 64 capacity doublings
         cfg = neural_cfg(algorithm, bandwidth=0.7, reg=0.4, nu=0.3,
                          stop_train=stop_train)
-        policy = KernelPolicy(5, cfg, 21, thompson=algorithm == "kernel-ts")
+        policy = LinearPolicy(5, cfg, 21, thompson=algorithm == "kernel-ts",
+                              bandwidth=cfg.bandwidth)
         ref = ReallocatingKernelPolicy(cfg, 21,
                                        thompson=algorithm == "kernel-ts")
         rng = np.random.default_rng(21)
@@ -440,7 +444,8 @@ class TestKernel:
                                                                 algorithm):
         # 300 observations cross the factor's panel boundaries at 128 and 256
         cfg = neural_cfg(algorithm, bandwidth=0.7, reg=0.4, nu=0.3)
-        policy = KernelPolicy(5, cfg, 23, thompson=algorithm == "kernel-ts")
+        policy = LinearPolicy(5, cfg, 23, thompson=algorithm == "kernel-ts",
+                              bandwidth=cfg.bandwidth)
         ref = ReallocatingKernelPolicy(cfg, 23,
                                        thompson=algorithm == "kernel-ts")
         rng = np.random.default_rng(23)
@@ -469,9 +474,9 @@ class TestKernel:
                    for dataset in ("synthetic-nonlinear", "mushroom-like")]
         real = [episodes(config) for config in configs]
         monkeypatch.setattr(
-            policies, "KernelPolicy",
-            lambda dim, cfg, seed, thompson: ReallocatingKernelPolicy(
-                cfg, seed, thompson))
+            policies, "LinearPolicy",
+            lambda dim, cfg, seed, thompson, bandwidth:
+                ReallocatingKernelPolicy(cfg, seed, thompson))
         for got, config in zip(real, configs):
             assert_regret_equivalent(got, episodes(config))
 
@@ -483,7 +488,8 @@ class TestKernel:
         cfg = neural_cfg("kernel-ts", bandwidth=0.7)
         H = rng.standard_normal((200, 204))
         H /= np.linalg.norm(H, axis=1, keepdims=True)
-        policy = KernelPolicy(204, cfg, 0, thompson=True)
+        policy = LinearPolicy(204, cfg, 0, thompson=True,
+                              bandwidth=cfg.bandwidth)
         for h in H:
             policy.observe(h, float(rng.uniform()))
         X = np.vstack([H, rng.standard_normal((4, 204))])
@@ -499,7 +505,8 @@ class TestKernel:
         # (K, t, d) float64 difference array alone would take 3.3 MB
         t, d, n_arms = 1000, 204, 2
         rng = np.random.default_rng(24)
-        policy = KernelPolicy(d, neural_cfg("kernel-ts"), 24, thompson=True)
+        cfg = neural_cfg("kernel-ts")
+        policy = LinearPolicy(d, cfg, 24, thompson=True, bandwidth=cfg.bandwidth)
         H = rng.standard_normal((t, d))
         H /= np.linalg.norm(H, axis=1, keepdims=True)
         for h in H:
@@ -516,7 +523,8 @@ class TestKernel:
     def test_singular_kernel_matrix_raises(self):
         # 1 + reg rounds to 1, so a repeated row's Schur complement is 0
         cfg = neural_cfg("kernel-ucb", reg=1e-20)
-        policy = KernelPolicy(2, cfg, 0, thompson=False)
+        policy = LinearPolicy(2, cfg, 0, thompson=False,
+                              bandwidth=cfg.bandwidth)
         x = np.array([0.3, -0.2])
         policy.observe(x, 0.5)
         with pytest.raises(np.linalg.LinAlgError, match="raise --lambda"):
@@ -556,8 +564,8 @@ class ReallocatingKernelPolicy:
                 kv = self._kvec(X[k])
                 means[k] = float(kv @ alpha)
                 widths[k] = np.sqrt(max(1.0 - float(kv @ self.k_inv @ kv), 0.0))
-        scores = score(means, widths, self.cfg.nu, self.thompson, self.select_rng)
-        return Decision(int(np.argmax(scores)), scores, means, widths)
+        return decide(means, widths, self.cfg.nu, self.thompson,
+                      self.select_rng)
 
     def observe(self, context, reward):
         self.t += 1
@@ -720,3 +728,58 @@ def test_nan_reward_rejected(algorithm):
     with pytest.raises(ValueError, match="reward must be finite"):
         policy.observe(contexts[1], np.nan)
     assert np.all(np.isfinite(policy.select(contexts).scores))
+
+
+TIES = [("neural-ts", dict(nu=0.0)), ("lin-ts", dict(nu=0.0)),
+        ("kernel-ts", dict(nu=0.0)), ("neural-ucb", {}), ("lin-ucb", {}),
+        ("kernel-ucb", {}), ("eps-greedy", dict(eps=0.0)),
+        ("bootstrap-nn", {})]
+
+
+@pytest.mark.parametrize("algorithm,kw", TIES, ids=[a for a, _ in TIES])
+def test_every_policy_breaks_a_tie_to_arm_0(algorithm, kw):
+    # one duplicated-half unit context for every arm: a fresh policy gives
+    # every arm the same mean and width, so every score ties.  Four arms: a
+    # network's rows past a multiple of four can round differently in BLAS,
+    # and then the means are not bitwise equal
+    context = random_contexts(np.random.default_rng(25), 1, 4)
+    policy = make_policy(neural_cfg(algorithm, **kw), 4, seed=25)
+    decision = policy.select(np.tile(context, (4, 1)))
+    for values in (decision.means, decision.sigmas):
+        assert values.tobytes() == np.full(4, values[0]).tobytes()
+    assert decision.arm == 0
+
+
+class TestDecide:
+    def test_ties_go_to_the_lowest_index(self):
+        means, widths = np.array([0.2, 0.5, 0.5]), np.array([0.1, 0.3, 0.3])
+        assert decide(means, widths, 1.0, False, None).arm == 1
+        assert decide(means, widths, 0.0, True, None).arm == 1
+
+    def test_greedy_scores_are_a_copy_of_the_means_and_draw_nothing(self):
+        means = np.array([0.1, 0.4])
+        rng = np.random.default_rng(26)
+        state = rng.bit_generator.state
+        decision = decide(means, np.ones(2), 0.0, True, rng)
+        np.testing.assert_array_equal(decision.scores, means)
+        assert decision.scores is not means
+        assert rng.bit_generator.state == state
+
+    def test_thompson_draws_one_normal_per_arm(self):
+        means, widths = np.array([0.1, 0.4, 0.0]), np.array([1.0, 2.0, 0.5])
+        decision = decide(means, widths, 0.3, True, np.random.default_rng(27))
+        z = np.random.default_rng(27).standard_normal(3)
+        np.testing.assert_array_equal(decision.scores, means + 0.3 * widths * z)
+        assert decision.arm == int(np.argmax(decision.scores))
+        assert decision.sigmas is widths
+
+
+@pytest.mark.parametrize("algorithm", ["lin-ts", "lin-ucb", "kernel-ts",
+                                       "kernel-ucb"])
+def test_kernel_baselines_are_linear_policies_with_the_bandwidth(algorithm):
+    cfg = neural_cfg(algorithm, bandwidth=0.7)
+    policy = make_policy(cfg, 4, seed=28)
+    assert type(policy) is LinearPolicy
+    want = 0.7 if algorithm.startswith("kernel") else None
+    assert policy.design.bandwidth == want
+    assert policy.thompson == algorithm.endswith("-ts")

@@ -58,3 +58,19 @@ def test_command_works(tmp_path, monkeypatch, capsys, argv):
     else:
         assert json.loads(capsys.readouterr().out)["rows"] == 3
         assert (tmp_path / "manifest.json").exists()
+
+
+def parser_options(capsys) -> set[str]:
+    """Every --flag that some subcommand's --help lists."""
+    options = set()
+    for command in ("run", "grid", "ntk", "ingest"):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        text = capsys.readouterr().out
+        options |= set(re.findall(r"--[A-Za-z][\w-]*", text))
+    return options
+
+
+def test_every_backticked_flag_is_an_option(capsys):
+    named = set(re.findall(r"`(--[A-Za-z][\w-]*)", README.read_text()))
+    assert named - parser_options(capsys) == set()
