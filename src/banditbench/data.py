@@ -29,7 +29,9 @@ IDX_MAGIC_LABELS = 0x00000801
 
 @dataclass
 class LabeledDataset:
-    """Feature matrix plus integer class labels in [0, n_classes)."""
+    """Feature matrix plus integer class labels in [0, n_classes).  A row's
+    features are its row of `features` divided by `divisor`, which a stream
+    applies one block at a time: IDX pixels stay bytes, divided by 255."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -37,6 +39,7 @@ class LabeledDataset:
     provenance: str = ""  # where data not read from files came from
     n_dropped: int = 0
     sources: tuple[str, ...] = ()  # the files it was read from
+    divisor: float = 1.0
 
     def __post_init__(self):
         if self.features.shape[0] != self.labels.shape[0]:
@@ -191,7 +194,8 @@ def _read_exact(fh, count: int, path: str, what: str) -> bytearray:
 
 
 def ingest_idx(images_path: str, labels_path: str) -> LabeledDataset:
-    """Load an IDX image/label pair; pixel bytes are scaled to [0, 1]."""
+    """Load an IDX image/label pair.  The pixels stay bytes, one per pixel,
+    with a divisor of 255 that scales them to [0, 1] block by block."""
     with _open_maybe_gzip(images_path) as fh:
         magic, n, rows, cols = struct.unpack(
             ">IIII", _read_exact(fh, 16, images_path, "header bytes"))
@@ -200,7 +204,7 @@ def ingest_idx(images_path: str, labels_path: str) -> LabeledDataset:
         if n == 0:
             raise ValueError(f"{images_path}: the header says 0 images")
         raw = _read_exact(fh, n * rows * cols, images_path, "pixel bytes")
-    images = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols) / 255.0
+    images = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols)
 
     with _open_maybe_gzip(labels_path) as fh:
         magic, n_lab = struct.unpack(
@@ -214,7 +218,7 @@ def ingest_idx(images_path: str, labels_path: str) -> LabeledDataset:
 
     return LabeledDataset(images, labels,
                           n_classes=int(labels.max()) + 1,
-                          sources=(images_path, labels_path))
+                          sources=(images_path, labels_path), divisor=255.0)
 
 
 # Rows per block when a stream is built: large enough that each array op
@@ -295,7 +299,7 @@ def classification_rounds(dataset: LabeledDataset,
     def blocks():
         for start in range(0, len(dataset), BLOCK_ROWS):
             block = slice(start, start + BLOCK_ROWS)
-            z = normalize_unit(dataset.features[block])
+            z = normalize_unit(dataset.features[block] / dataset.divisor)
             if duplicate:
                 z = duplicate_half(z)
             contexts = disjoint_encode(z, dataset.n_classes)

@@ -125,5 +125,5 @@ def dataset_rounds(dataset: LabeledDataset, seed, horizon: int,
         raise ValueError(f"horizon {horizon} exceeds dataset size {len(dataset)}")
     rows = np.random.default_rng(seed).permutation(len(dataset))[:horizon]
     played = LabeledDataset(dataset.features[rows], dataset.labels[rows],
-                            dataset.n_classes)
+                            dataset.n_classes, divisor=dataset.divisor)
     return classification_rounds(played, duplicate=duplicate)

@@ -1,14 +1,15 @@
 """From-scratch fully connected ReLU network.
 
 The network is f(x) = sqrt(m) * W_L ReLU(W_{L-1} ... ReLU(W_1 x)), with the
-block-structured random initialization that makes the output exactly zero on
-duplicated-half inputs.  Weights are a ParamStack, layer l of N networks held
-as one (N, rows, cols) array; one network is the stack of one, which
-init_params returns and forward_batch, grad_batch and grad take.  grad_batch
-lays a gradient feature out layer-major, row-major within a layer, the order
-of the design matrix in the posterior module.  Each training iteration is one
-forward, backward and in-place update for a whole stack, and every network of
-a stack gets the same bits as when trained alone.
+block-structured random initialization that makes the output zero, in exact
+arithmetic, on duplicated-half inputs.  Weights are a ParamStack, layer l of
+N networks held as one (N, rows, cols) array; one network is the stack of
+one, which init_params returns and forward_batch, grad_batch and grad take.
+grad_batch returns each gradient as per-layer factors (FactorRows), whose
+flat form is layer-major, row-major within a layer, the order of the design
+matrix in the posterior module.  Each training iteration is one forward,
+backward and in-place update for a whole stack, and every network of a stack
+gets the same bits as when trained alone.
 """
 
 from __future__ import annotations
@@ -129,7 +130,8 @@ def init_params(shape: NetShape, rng_seed: int) -> ParamStack:
     Hidden layers are (W, 0; 0, W) with both diagonal blocks the SAME draw of
     i.i.d. N(0, 4/m) entries; the output layer is (w^T, -w^T) with w i.i.d.
     N(0, 2/m).  On inputs whose two halves are equal this makes the initial
-    output exactly zero.
+    output zero in exact arithmetic; BLAS's row blocking can leave a
+    rounding residue of order 1e-17.
     """
     rng = np.random.default_rng(rng_seed)
     d, m, L = shape.input_dim, shape.width, shape.depth
@@ -196,23 +198,51 @@ def _deltas(layers: list[np.ndarray], pre, seed: np.ndarray,
     return deltas
 
 
-def grad_batch(theta: ParamStack, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Network outputs (n,), with forward_batch's bits, and their per-sample
-    flat gradients (n, p), from one forward and one backward pass.
+class FactorRows:
+    """Per-sample gradients held as per-layer factors.  Layer l's gradient of
+    a sample is the outer product of its row of deltas (the sensitivity of
+    the output to the layer's outputs) and its row of acts (the activations
+    entering the layer), so a row holds sum_l (fan_out + fan_in) numbers
+    where the flat gradient holds p.  factors[l] is (deltas, acts), 1-D for
+    one sample and (n, fan) for a stack of n.  np.asarray flattens them,
+    layer-major and row-major within a layer: the layout of the posterior
+    module's flat features."""
+
+    def __init__(self, factors: list[tuple[np.ndarray, np.ndarray]]):
+        self.factors = factors
+
+    def __len__(self) -> int:
+        return len(self.factors[0][0])
+
+    def __getitem__(self, i) -> "FactorRows":
+        return FactorRows([(d[i], a[i]) for d, a in self.factors])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        # one sample goes through the (1, fan) einsum, which is the faster
+        layers = [(np.atleast_2d(d), np.atleast_2d(a)) for d, a in self.factors]
+        n = len(layers[0][0])
+        flat = np.concatenate([np.einsum("ni,nj->nij", d, a).reshape(n, -1)
+                               for d, a in layers], axis=1)
+        flat = flat[0] if self.factors[0][0].ndim == 1 else flat
+        return flat if dtype is None else flat.astype(dtype, copy=False)
+
+
+def grad_batch(theta: ParamStack, X: np.ndarray) -> tuple[np.ndarray, FactorRows]:
+    """Network outputs (n,), with forward_batch's bits, and the factors of
+    their per-sample gradients, from one forward and one backward pass.
 
     The 1/sqrt(m) posterior scale is NOT folded in here.
     """
     X = _inputs(theta, X)
-    n = X.shape[1]
     out, acts, pre = _forward_cached(theta.layers, X, theta.shape.width)
-    deltas = _deltas(theta.layers, pre, np.ones((1, n)), theta.shape.width)
-    return out[0], np.concatenate([np.einsum("ni,nj->nij", d[0], a[0]).reshape(n, -1)
-                                   for d, a in zip(deltas, acts)], axis=1)
+    deltas = _deltas(theta.layers, pre, np.ones((1, X.shape[1])),
+                     theta.shape.width)
+    return out[0], FactorRows([(d[0], a[0]) for d, a in zip(deltas, acts)])
 
 
-def grad(theta: ParamStack, x: np.ndarray) -> np.ndarray:
-    """Flat gradient of the output at one input x w.r.t. all weights,
-    length p."""
+def grad(theta: ParamStack, x: np.ndarray) -> FactorRows:
+    """The gradient factors of the output at one input x, with 1-D factors;
+    np.asarray gives the flat gradient, length p."""
     return grad_batch(theta, np.asarray(x, dtype=np.float64)[None, :])[1][0]
 
 

@@ -160,7 +160,9 @@ class _NetworkPolicy(Policy):
 
 class NeuralBandit(_NetworkPolicy):
     """NeuralTS (thompson) or NeuralUCB: means from the network, widths from a
-    design matrix over its gradient features, both from one network pass."""
+    design matrix over its gradient features, both from one network pass.
+    The features reach the design as per-layer factors (nn.FactorRows),
+    which its dual form stores as they are."""
 
     def __init__(self, shape: NetShape, cfg: PolicyConfig, seed, thompson: bool):
         super().__init__(shape, cfg, seed)

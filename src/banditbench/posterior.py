@@ -1,23 +1,28 @@
 """Design matrix U = reg*I + sum g g^T / m and the posterior scale sigma.
 
-Full mode keeps the gradient features G (one row per update) and starts in
-dual form: by Woodbury, U^-1 = (I - G^T A^-1 G) / reg with A = reg*m*I + G G^T,
-so it holds only a t x t factor of A^-1, which a BorderedInverse grows by one
-row per update in panels that it never copies.  A sigma is then one product
-with G and one with that factor, and memory grows with t.  Once t is a large
-enough share of dim, the p x p inverse of U costs less per round; full mode
-then forms W = R G, drops G and the factor, builds the inverse from W, and
-keeps it up to date by rank-one Sherman-Morrison updates, applied in place
-one block of rows at a time, so that an update reads the inverse once and
-rewrites it once without a full-size temporary.  The primal inverse stays
-exactly symmetric, since u_i u_j == u_j u_i in IEEE arithmetic.  U itself is
-never stored, so the primal form holds one p x p array however long the run.
-In exact arithmetic an update's Schur complement is at least reg*m and its
-Sherman-Morrison denominator at least 1; if rounding takes either to zero or
-below, the update raises LinAlgError and leaves the design as it was.
-With a bandwidth, an RBF Gram matrix replaces G G^T: the kernel ridge
-posterior, which never leaves dual form.  Diagonal mode keeps only diag(U),
-matching the diagonal approximation used for wide networks.
+Full mode keeps the features G (one row per update) and starts in dual form:
+by Woodbury, U^-1 = (I - G^T A^-1 G) / reg with A = reg*m*I + G G^T, so it
+holds only a t x t factor of A^-1, which a BorderedInverse grows by one row
+per update in panels that it never copies.  A sigma is then one Gram row k =
+G g and one product with that factor, and memory grows with t.  A network's
+gradient is stored as its per-layer factors, layer l's block being the outer
+product of the layer's output sensitivity and its input activations, so that
+g_i . g = sum_l (delta_{l,i} . delta_l)(a_{l,i} . a_l): sum_l (fan_out +
+fan_in) numbers a row in place of p, and no p-wide feature in dual form.  Once
+t is a large enough share of dim, the p x p inverse of U costs less per round;
+full mode then forms W = R G one column block of flat features at a time,
+drops G and the factor, builds the inverse from W, and keeps it up to date by
+rank-one Sherman-Morrison updates, applied in place one block of rows at a
+time, so that an update reads the inverse once and rewrites it once without
+a full-size temporary.  The primal inverse stays exactly symmetric, since
+u_i u_j == u_j u_i in IEEE arithmetic.  U itself is never stored, so the
+primal form holds one p x p array however long the run.  In exact arithmetic
+an update's Schur complement is at least reg*m and its Sherman-Morrison
+denominator at least 1; if rounding takes either to zero or below, the
+update raises LinAlgError and leaves the design as it was.  With a
+bandwidth, an RBF Gram matrix replaces G G^T: the kernel ridge posterior,
+which never leaves dual form.  Diagonal mode keeps only diag(U), matching
+the diagonal approximation used for wide networks.
 """
 
 from __future__ import annotations
@@ -37,12 +42,11 @@ _ROW_BLOCK = 32
 # p x p inverse.  With K=4 arms and one BLAS thread on a 2-vCPU host, a dual
 # round cost 0.21-0.24, 0.26-0.33, 0.35-0.40 and 0.48-0.56 of a primal one at
 # t = 0.5, 0.6, 0.8 and 1.0 dim (dim 1700 and dim 850), and 0.76-0.94 at 1.4
-# dim.  The switch stays at 0.6 for memory: it holds G, the factor, a dense
-# copy of the factor and W = R G, then W and the p x p inverse: 39.0 MiB at
-# dim 1700, against 22.5 MiB after it, and `--posterior full --T 5000` took
-# 46.5 s and peaked at 87.9 MiB (one BLAS thread).  With U stored beside its
-# inverse, that run took 49.1 s and peaked at 143.2 MiB with 1.0, against
-# 56.2 s and 114.6 MiB with 0.6.
+# dim.  The switch stays at 0.6 for memory: it holds G, the factor and
+# W = R G, then W and the p x p inverse, 35.8 MiB traced at dim 1700 against
+# 22.5 MiB after it.  With U stored beside its inverse and flat rows in G,
+# `--posterior full --T 5000` took 49.1 s and peaked at 143.2 MiB with 1.0,
+# against 56.2 s and 114.6 MiB with 0.6 (one BLAS thread).
 _DUAL_FRACTION = 0.6
 # Rows of the triangular factor per stored panel, and per block of a product
 # with it.  A product reads the lower triangle only, one panel at a time; at
@@ -90,6 +94,19 @@ def _add_outer(M: np.ndarray, u: np.ndarray, scale: float,
         M[start:stop] += block
 
 
+def _sum_of_products(layers):
+    """The sum over layers of the product of each layer's terms.  A lone
+    term is returned as it is, so a flat feature's Gram row or squared norm
+    keeps the bits of its one product."""
+    total = None
+    for terms in layers:
+        product = None
+        for term in terms:
+            product = term if product is None else product * term
+        total = product if total is None else total + product
+    return total
+
+
 class BorderedInverse:
     """The inverse of a growing symmetric positive definite n x n matrix A,
     such as a Gram matrix plus a ridge, bordered by one row and column per
@@ -105,14 +122,6 @@ class BorderedInverse:
         # to column j, kept rather than sliced anew by every product
         self._panels: list[tuple[int, int, np.ndarray]] = []
         self.n = 0
-
-    @property
-    def factor(self) -> np.ndarray:
-        """R = L^-1, assembled as a dense copy."""
-        R = np.zeros((self.n, self.n))
-        for i, j, P in self._panels:
-            R[i:j, :j] = P
-        return R
 
     def row(self, i: int) -> np.ndarray:
         """Row i of R up to its diagonal entry (a view)."""
@@ -144,6 +153,11 @@ class BorderedInverse:
         self._panels[-1] = (i, n + 1, self._blocks[-1][:n + 1 - i, :n + 1])
         return s
 
+    def apply(self, B: np.ndarray, out: np.ndarray) -> None:
+        """out = R B for an (n, cols) block B, one panel of R at a time."""
+        for i, j, P in self._panels:
+            np.matmul(P, B[:j], out=out[i:j])
+
     def whiten(self, K: np.ndarray) -> np.ndarray:
         """K R^T for a (rows, n) stack K: each row k becomes R k, whose
         squared norm is k^T A^-1 k."""
@@ -156,9 +170,18 @@ class BorderedInverse:
 class DesignMatrix:
     """Incrementally updated design matrix over features g: a network's
     gradients or a baseline's contexts, under g^T h or, with a bandwidth
-    (full mode only), the RBF Gram k(g, h) = exp(-bandwidth |g - h|^2).  Rows added by observe
-    also give the ridge mean g^T U^-1 b, b = sum reward g / m: V w in dual
-    form, with w = R r grown by one entry per row, or g^T (U^-1 b)."""
+    (full mode only), the RBF Gram k(g, h) = exp(-bandwidth |g - h|^2).
+    Rows added by observe also give the ridge mean g^T U^-1 b, b = sum
+    reward g / m: V w in dual form, with w = R r grown by one entry per row,
+    or g^T (U^-1 b).
+
+    A feature is an array of length dim, or factor rows such as
+    nn.FactorRows: an object whose `factors` lists, per layer, the two
+    vectors whose outer product, row-major, is the layer's block of the
+    feature, and which np.asarray flattens.  The dual form stores rows as
+    the first update brings them, a flat row being one layer of one factor,
+    and takes a Gram entry as the sum over layers of the product of the
+    factors' dot products; the diagonal and primal forms flatten them."""
 
     def __init__(self, dim: int, reg: float, width: int, mode: str = "full",
                  bandwidth: float | None = None):
@@ -174,10 +197,14 @@ class DesignMatrix:
         self.mode = mode
         self.bandwidth = bandwidth
         self.n_updates = 0
+        self._dual: BorderedInverse | None = None
         if mode == "full":
             self._logdet = dim * np.log(reg)
-            self._G = Rows((dim,))
-            self._dual: BorderedInverse | None = BorderedInverse()
+            # the stored rows, made by the first update in the layout of its
+            # feature: per layer, the columns of each factor in a row
+            self._G: Rows | None = None
+            self._cols: list[list[slice]] = []
+            self._dual = BorderedInverse()
             self._inv: np.ndarray | None = None
             # |g|^2 of each row, for the RBF Gram; b, once out of dual form
             self._r, self._w, self._sq_norms = Rows(), Rows(), Rows()
@@ -193,13 +220,50 @@ class DesignMatrix:
             raise ValueError("non-finite entries in gradient feature")
         return g
 
-    def _gram(self, F: np.ndarray) -> np.ndarray:
-        """k(f, h) for each row f of F and each stored row h.  RBF squared
-        distances are expanded as |f|^2 - 2 f.h + |h|^2 and clamped at 0,
-        which rounding can cross for a repeated row."""
-        D = F @ self._G.array.T
+    def _features(self, g, stack: bool = True) -> tuple[list | np.ndarray, bool]:
+        """g as the current form reads it, and whether it is one feature:
+        flat (n, dim) rows in diagonal and primal form; in dual form, per
+        layer, the (n, length) stacks of its factors, a flat stack being one
+        layer of one factor.  Factor rows are flattened unless the dual form
+        stores factor rows or none yet."""
+        layers = getattr(g, "factors", None)
+        if (layers is None or self._dual is None
+                or (self._G is not None and len(self._cols[0]) == 1)):
+            g = self._check(g, stack)
+            F = g.reshape(-1, self.dim)
+            return (F if self._dual is None else [(F,)]), g.ndim == 1
+        single = np.ndim(layers[0][0]) == 1
+        layers = [[np.atleast_2d(np.asarray(f, dtype=np.float64)) for f in q]
+                  for q in layers]
+        if (sum(math.prod(f.shape[1] for f in q) for q in layers) != self.dim
+                or not (single or stack)):
+            raise ValueError(f"factor rows do not match dim {self.dim}")
+        if any(np.count_nonzero(np.isfinite(f)) != f.size
+               for q in layers for f in q):
+            raise ValueError("non-finite entries in gradient feature")
+        return layers, single
+
+    def _gram(self, Q: list) -> np.ndarray:
+        """k(f, h) for each row f of the dual-form stack Q and each stored
+        row h.  A layer's share of f.h is the product of its factors' dot
+        products; a flat stack against stored factor rows meets the flat
+        stored features one column block at a time.  RBF squared distances
+        are expanded as |f|^2 - 2 f.h + |h|^2 and clamped at 0, which
+        rounding can cross for a repeated row."""
+        if self._G is None:
+            return np.empty((len(Q[0][0]), 0))
+        G = self._G.array
+        if len(Q[0]) == len(self._cols[0]):
+            D = _sum_of_products((f @ G[:, c].T for f, c in zip(q, cols))
+                                 for q, cols in zip(Q, self._cols))
+        else:
+            F, a, D = Q[0][0], 0, 0.0
+            for B in self._column_blocks():
+                D = D + F[:, a:a + B.shape[1]] @ B.T
+                a += B.shape[1]
         if self.bandwidth is None:
             return D
+        F = Q[0][0]
         D *= -2.0
         D += np.einsum("kd,kd->k", F, F)[:, None]
         D += self._sq_norms.array
@@ -207,24 +271,38 @@ class DesignMatrix:
         D *= -self.bandwidth
         return np.exp(D, out=D)
 
+    def _column_blocks(self):
+        """The flat stored features, one block of columns at a time: a flat
+        layer as a view, a factored layer built about _PANEL columns at a
+        time from its two factors."""
+        G = self._G.array
+        for cols in self._cols:
+            if len(cols) == 1:
+                yield G[:, cols[0]]
+                continue
+            D, A = (G[:, c] for c in cols)
+            step = max(1, _PANEL // A.shape[1])
+            for o in range(0, D.shape[1], step):
+                yield (D[:, o:o + step, None] * A[:, None, :]).reshape(len(G), -1)
+
     def sigma(self, g):
         """Posterior scale sqrt(reg * g^T U^{-1} g / m): a float for one
         feature, an array for a (K, dim) stack of them.  Raises LinAlgError
         if a sigma is not finite."""
-        g = self._check(g, stack=True)
-        sigmas = self._scan(g.reshape(-1, self.dim))[1]
-        return float(sigmas[0]) if g.ndim == 1 else sigmas
+        X, single = self._features(g)
+        sigmas = self._scan(X)[1]
+        return float(sigmas[0]) if single else sigmas
 
     def posterior(self, F) -> tuple[np.ndarray, np.ndarray]:
         """The ridge means and the sigmas of a (K, dim) stack F, from one
         whitening (full mode, every row added by observe)."""
-        F = self._check(F, stack=True).reshape(-1, self.dim)
-        V, sigmas = self._scan(F)
-        return (F @ (self._inv @ self._b) if V is None
+        X = self._features(F)[0]
+        V, sigmas = self._scan(X)
+        return (X @ (self._inv @ self._b) if V is None
                 else V @ self._w.array), sigmas
 
-    def _scan(self, F: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-        """The sigmas of the stack F and, in dual form, its whitened Gram
+    def _scan(self, X) -> tuple[np.ndarray | None, np.ndarray]:
+        """The sigmas of the stack X and, in dual form, its whitened Gram
         rows V.  A tiny reg can overflow a sigma, which then raises rather
         than warns.  An RBF sigma is sqrt(1 - |v|^2) with |v|^2 <= k(g, g) =
         1 in exact arithmetic, so it is neither guarded nor checked."""
@@ -232,45 +310,60 @@ class DesignMatrix:
         with (np.errstate(over="ignore", invalid="ignore") if dot
               else contextlib.nullcontext()):
             if self.mode == "diagonal":
-                scaled = self.reg * np.sum(F * F / self._diag, axis=1)
+                scaled = self.reg * np.sum(X * X / self._diag, axis=1)
             elif self._inv is not None:
-                scaled = self.reg * np.einsum("kp,kp->k", F @ self._inv, F)
+                scaled = self.reg * np.einsum("kp,kp->k", X @ self._inv, X)
             else:
-                # reg * g^T U^-1 g = k(g, g) - k^T A^-1 k with k the Gram row
-                V = self._dual.whiten(self._gram(F))
-                own = np.einsum("kp,kp->k", F, F) if dot else 1.0
+                # reg * g^T U^-1 g = k(g, g) - k^T A^-1 k with k the Gram
+                # row, and g^T g the sum over layers of the product of the
+                # factors' squared norms
+                V = self._dual.whiten(self._gram(X))
+                own = _sum_of_products((np.einsum("kf,kf->k", f, f)
+                                         for f in q) for q in X) if dot else 1.0
                 scaled = own - np.einsum("kt,kt->k", V, V)
             sigmas = np.sqrt(np.maximum(scaled / self.width, 0.0))
         if dot and not np.isfinite(sigmas).all():
             raise self._failure("posterior scale is not finite")
         return V, sigmas
 
-    def update(self, g: np.ndarray) -> None:
+    def update(self, g) -> None:
         """Rank-one update U += g g^T / m.  Raises LinAlgError, and changes
         nothing, if rounding has cost U its positive definiteness."""
-        g = self._check(g)
+        X = self._features(g, stack=False)[0]
         m = self.width
         if self.mode == "diagonal":
+            g = X[0]
             self._diag += g * g / m
         elif self._inv is None:
+            row = (X[0][0][0] if len(X[0]) == 1
+                   else np.concatenate([f[0] for q in X for f in q]))
+            if self._G is None:
+                self._G, end = Rows(row.shape), 0
+                for q in X:
+                    self._cols.append([slice(end, end := end + f.shape[1])
+                                       for f in q])
+            elif len(X[0]) != len(self._cols[0]):
+                raise ValueError("a flat feature cannot join stored factor "
+                                 "rows")
             # A gains the Gram row of g and the diagonal entry
             # reg*m + k(g, g), and det U grows by the factor s / (reg*m)
-            sq = float(g @ g)
-            s = self._dual.add(self._gram(g[None])[0], self.reg * m
+            sq = _sum_of_products((float(f[0] @ f[0]) for f in q) for q in X)
+            s = self._dual.add(self._gram(X)[0], self.reg * m
                                + (sq if self.bandwidth is None else 1.0))
             if s <= 0.0:
                 raise self._failure("design matrix lost positive definiteness")
-            self._G.append(g)
+            self._G.append(row)
             if self.bandwidth is not None:
                 self._sq_norms.append(sq)
             self._logdet += math.log(s / (self.reg * m))
             if (self.bandwidth is None
                     and len(self._G) >= _DUAL_FRACTION * self.dim):
-                W = self._dual.factor @ self._G.array
+                W = self._whitened()
                 self._G = self._dual = None  # freed before W^T W is formed
                 self._inv = self._primal_inverse(W)
                 self._scratch = np.empty((_ROW_BLOCK, self.dim))
         else:
+            g = X[0]
             u = self._inv @ g
             denom = 1.0 + float(g @ u) / m
             if denom <= 0.0:
@@ -280,13 +373,12 @@ class DesignMatrix:
             self._logdet += math.log(denom)
         self.n_updates += 1
 
-    def observe(self, g: np.ndarray, reward: float) -> None:
+    def observe(self, g, reward: float) -> None:
         """update(g) for a row with its reward (full mode): b gains
         reward g / m and, in dual form, w the entry of the new row of R."""
-        g = np.asarray(g, dtype=np.float64)
         self.update(g)
         if self._b is not None:
-            self._b += (reward / self.width) * g
+            self._b += (reward / self.width) * np.asarray(g, dtype=np.float64)
         if self._dual is not None:
             self._r.append(float(reward))
             self._w.append(self._dual.row(self._dual.n - 1) @ self._r.array)
@@ -295,6 +387,15 @@ class DesignMatrix:
         return np.linalg.LinAlgError(
             f"{what} after {self.n_updates} updates (dim={self.dim}, "
             f"reg={float(self.reg)!r}, width={self.width}); raise --lambda")
+
+    def _whitened(self) -> np.ndarray:
+        """W = R G, one column block of flat stored features at a time, so
+        that neither the flat t x dim features nor a dense R is held."""
+        W, a = np.empty((len(self._G), self.dim)), 0
+        for B in self._column_blocks():
+            self._dual.apply(B, W[:, a:a + B.shape[1]])
+            a += B.shape[1]
+        return W
 
     def _primal_inverse(self, W: np.ndarray) -> np.ndarray:
         """U^-1 = (I - W^T W) / reg from W = R G, the dual form's features

@@ -1,9 +1,10 @@
 """Views of the engine's state that only tests read: network weights as
-one flat vector, the dense inverse of a design matrix and its dual-form
-state, every level of the NTK recursion, the eigenvalue-truncation bound on
-the effective dimension, episode traces read back from JSONL or stripped of
-their wall-clock field, the traced memory peak of a call, and the count of
-rounds a stream builds."""
+one flat vector, the dense inverse of a design matrix, its dual-form state
+and the dense factor of a bordered inverse, every level of the NTK
+recursion, the eigenvalue-truncation bound on the effective dimension,
+episode traces read back from JSONL or stripped of their wall-clock field,
+the traced memory peak of a call, and the count of rounds a stream
+builds."""
 
 import contextlib
 import itertools
@@ -17,7 +18,7 @@ import numpy as np
 from banditbench import data, envs, ntk
 from banditbench.harness import RegretTrace
 from banditbench.nn import NetShape, ParamStack
-from banditbench.posterior import DesignMatrix
+from banditbench.posterior import BorderedInverse, DesignMatrix
 
 
 def flat(theta: ParamStack) -> np.ndarray:
@@ -43,20 +44,32 @@ def inverse(design: DesignMatrix) -> np.ndarray:
     if design.mode == "diagonal":
         return np.diag(1.0 / design._diag)
     if design._inv is None:
-        return design._primal_inverse(design._dual.factor @ design._G.array)
+        W = (np.empty((0, design.dim)) if design._G is None
+             else design._whitened())
+        return design._primal_inverse(W)
     return design._inv.copy()
+
+
+def dense_factor(bordered: BorderedInverse) -> np.ndarray:
+    """R = L^-1 of a BorderedInverse, assembled from its panels as a dense
+    copy."""
+    R = np.zeros((bordered.n, bordered.n))
+    for i, j, P in bordered._panels:
+        R[i:j, :j] = P
+    return R
 
 
 class DualState(NamedTuple):
     R: np.ndarray      # R = L^-1 of A = L L^T, dense
-    rows: np.ndarray   # the stored rows, one per update
+    rows: np.ndarray   # the stored rows, one per update, flat or as factors
     r: np.ndarray      # their rewards
     w: np.ndarray      # R r
 
 
 def dual_state(design: DesignMatrix) -> DualState:
     """The dual form of a full-mode design, before it switches to primal."""
-    return DualState(design._dual.factor, design._G.array, design._r.array,
+    rows = np.empty((0, design.dim)) if design._G is None else design._G.array
+    return DualState(dense_factor(design._dual), rows, design._r.array,
                      design._w.array)
 
 

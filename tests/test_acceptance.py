@@ -67,7 +67,7 @@ def test_criterion_01_gradient_oracle(capfd):
         weights = weights + 0.1 * rng.standard_normal(shape.n_params)
         theta = from_flat(shape, weights)
         x = rng.standard_normal(d)
-        g = grad(theta, x)
+        g = np.asarray(grad(theta, x))
         for i in rng.choice(shape.n_params, size=min(25, shape.n_params),
                             replace=False):
             up, dn = weights.copy(), weights.copy()
@@ -162,7 +162,7 @@ def test_criterion_04_ntk_closed_form(capfd):
         errs = []
         for seed in range(10):
             theta = init_params(NetShape(X.shape[1], m, 2), seed)
-            _, G = grad_batch(theta, X)
+            G = np.asarray(grad_batch(theta, X)[1])
             errs.append(np.abs(G @ G.T / m - H))
         med[m] = float(np.median(np.stack(errs)))
     gram_ok = med[4096] < med[256]

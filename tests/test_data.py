@@ -1,4 +1,5 @@
 import gzip
+import itertools
 import logging
 import struct
 
@@ -107,7 +108,7 @@ class TestIdx:
         ip, lp = write_idx(tmp_path, images, labels)
         ds = bd.ingest_idx(ip, lp)
         assert ds.features.shape == (5, 784)
-        assert ds.features.max() <= 1.0
+        assert (ds.features / ds.divisor).max() <= 1.0
         assert ds.n_classes == 3
 
     def test_gzip_accepted(self, tmp_path):
@@ -117,6 +118,24 @@ class TestIdx:
         ds = bd.ingest_idx(ip, lp)
         assert len(ds) == 2
         np.testing.assert_array_equal(ds.features[0], 0.0)
+
+    def test_pixels_stay_bytes_and_contexts_keep_their_bits(self, tmp_path):
+        # 6,000 images of 784 pixels: 4.7 MB as bytes, 37.6 MB as float64;
+        # every context has the bits of the table divided into float64 first
+        rng = np.random.default_rng(7)
+        images = rng.integers(0, 256, size=(6000, 28, 28), dtype=np.uint8)
+        labels = rng.integers(0, 2, size=6000).astype(np.uint8)
+        ds = bd.ingest_idx(*write_idx(tmp_path, images, labels))
+        assert ds.features.dtype == np.uint8
+        np.testing.assert_array_equal(ds.features, images.reshape(6000, 784))
+        as_float = bd.LabeledDataset(images.reshape(6000, 784) / 255.0,
+                                     ds.labels, ds.n_classes)
+        pairs = zip(bd.classification_rounds(ds),
+                    bd.classification_rounds(as_float), strict=True)
+        played = zip(envs.dataset_rounds(ds, 3, 500),
+                     envs.dataset_rounds(as_float, 3, 500), strict=True)
+        for got, want in itertools.chain(pairs, played):
+            assert got.contexts.tobytes() == want.contexts.tobytes()
 
     def test_magic_mismatch(self, tmp_path):
         images = np.zeros((1, 2, 2), dtype=np.uint8)

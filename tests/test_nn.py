@@ -129,7 +129,7 @@ class TestForward:
 class TestGrad:
     def test_hand_example_output_layer(self):
         shape, theta = small_hand_net()
-        g = grad(theta, np.array([1.0, -1.0]))
+        g = np.asarray(grad(theta, np.array([1.0, -1.0])))
         # last two coords are the output-layer gradient sqrt(2)*ReLU(W1 x)
         np.testing.assert_allclose(g[-2:], [np.sqrt(2.0), 0.0], atol=1e-12)
 
@@ -148,7 +148,7 @@ class TestGrad:
             shape = NetShape(d, m, L)
             theta = random_param_vector(rng, shape)
             x = rng.standard_normal(d)
-            g = grad(theta, x)
+            g = np.asarray(grad(theta, x))
             weights = flat(theta)
             idx = rng.choice(shape.n_params, size=min(10, shape.n_params),
                              replace=False)
@@ -322,9 +322,9 @@ class TestParamStack:
             assert forward_batch(net, X).tobytes() == out.tobytes()
             got_out, got_feats = grad_batch(net, X)
             assert got_out.tobytes() == out.tobytes()
-            assert got_feats.tobytes() == feats.tobytes()
+            assert np.asarray(got_feats).tobytes() == feats.tobytes()
             one = reference_grad_batch(layers, X[:1], shape.width)[1][0]
-            assert grad(net, X[0]).tobytes() == one.tobytes()
+            assert np.asarray(grad(net, X[0])).tobytes() == one.tobytes()
 
     def test_forward_takes_one_network(self):
         stack = ParamStack.of([init_params(NetShape(4, 6, 2), s) for s in (1, 2)])

@@ -7,7 +7,7 @@ from regret_equivalence import assert_regret_equivalent
 
 from banditbench import nn
 from banditbench.data import duplicate_half, normalize_unit
-from banditbench.harness import ExperimentConfig, run_episode
+from banditbench.harness import ExperimentConfig, build_rounds, run_episode
 from banditbench.nn import NetShape, TrainConfig, forward_batch
 from banditbench.policies import (BootstrapNN, Decision, EpsGreedyNN,
                                   LinearPolicy, NeuralBandit, PolicyConfig,
@@ -170,6 +170,24 @@ class TestNeuralBandit:
         monkeypatch.setattr(nn, "_forward_cached", counted)
         policy.select(random_contexts(rng, 3, 4))
         assert len(passes) == 1
+
+    def test_full_posterior_at_the_paper_width_holds_factor_rows(self):
+        # width 100 on mushroom-like contexts (d=204): p = 20,500.  Flat
+        # gradient rows would take 84 MB at a capacity of 512, and the
+        # capacity doubling holds 42 MB more; factor rows take 405 numbers
+        cfg = neural_cfg("neural-ts", width=100)
+        config = ExperimentConfig("mushroom-like", cfg, horizon=300)
+        played = [(r.contexts[0], float(r.rewards[0]))
+                  for r in build_rounds(config, 0)]
+
+        def observes():
+            policy = make_policy(cfg, len(played[0][0]), 0)
+            for context, reward in played:
+                policy.observe(context, reward)
+            assert policy.design.dim == 20_500
+            assert policy.design._G.array.shape == (300, 405)
+
+        assert traced_peak(observes) < 16e6
 
 
 class TestDefaultTraining:
@@ -496,7 +514,7 @@ class TestKernel:
         rows = dual_state(policy.design).rows
         diff = X[:, None, :] - rows[None, :, :]
         want = np.exp(-cfg.bandwidth * np.sum(diff * diff, axis=2))
-        got = policy.design._gram(X)
+        got = policy.design._gram(policy.design._features(X)[0])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         assert np.all(np.diag(got) <= 1.0)
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from banditbench.data import duplicate_half, normalize_unit
+from banditbench.nn import NetShape, grad_batch, init_params
 from banditbench.posterior import (_DUAL_FRACTION, _PANEL, _ROW_BLOCK,
                                   BorderedInverse, DesignMatrix)
-from helpers import dual_state, inverse, traced_peak
+from helpers import dense_factor, dual_state, inverse, traced_peak
 
 
 def _switch_round(p):
@@ -162,7 +164,8 @@ class TestUpdate:
 class SeedDesignMatrix:
     """The one-shot full-mode algorithm the in-place update must reproduce:
     U and its inverse both updated by np.outer every round, and the inverse
-    re-symmetrised after each Sherman-Morrison step."""
+    re-symmetrised after each Sherman-Morrison step.  Factor rows are
+    flattened."""
 
     def __init__(self, dim, reg, width, mode="full"):
         assert mode == "full"
@@ -172,12 +175,14 @@ class SeedDesignMatrix:
         self._inv = np.eye(dim) / reg
 
     def sigma(self, g):
+        g = np.asarray(g, dtype=np.float64)
         if np.ndim(g) == 2:
             return np.array([self.sigma(x) for x in g])
         quad = float(g @ self._inv @ g)
         return float(np.sqrt(max(self.reg * quad / self.width, 0.0)))
 
     def update(self, g):
+        g = np.asarray(g, dtype=np.float64)
         m = self.width
         self._U += np.outer(g, g) / m
         u = self._inv @ g
@@ -246,9 +251,9 @@ class TestInPlaceUpdate:
         assert peak < 2 * p * p * 8
 
     def test_switch_frees_features_and_factor_before_the_inverse(self):
-        # from an empty design through the switch at t updates: G, R, its
-        # assembled copy and W = R G are held together, then only W and the
-        # p x p inverse, never G, R, W and the inverse at once
+        # from an empty design through the switch at t updates: G, R and
+        # W = R G are held together, then only W and the p x p inverse,
+        # never G, R, W and the inverse at once
         p = 400
         G = _features(_switch_round(p), p)
         t = len(G)
@@ -387,6 +392,95 @@ class TestDualForm:
         assert traced_peak(few_updates) < p * p * 8
 
 
+class TestFactorRows:
+    """A design fed a network's gradients as factor rows against one fed
+    the same gradients flattened, and against a dense solve."""
+
+    @staticmethod
+    def _gradients(depth, duplicate, n, seed):
+        # weights moved off the block init, so that no factor is degenerate
+        rng = np.random.default_rng(seed)
+        shape = NetShape(6, 8, depth)
+        theta = init_params(shape, seed)
+        for W in theta.layers:
+            W += 0.3 * rng.standard_normal(W.shape)
+        raw = normalize_unit(rng.standard_normal((n, 3 if duplicate else 6)))
+        X = duplicate_half(raw) if duplicate else raw
+        return shape, grad_batch(theta, X)[1]
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("duplicate", [True, False])
+    def test_matches_flat_design_across_switch(self, depth, duplicate):
+        reg, m = 0.7, 8
+        shape, feats = self._gradients(depth, duplicate, 200, seed=depth)
+        p = shape.n_params
+        switch = _switch_round(p)
+        rows, probes = feats[:switch + 10], feats[-4:]
+        flat_probes = np.asarray(probes)
+        r = np.random.default_rng(30).uniform(size=len(rows))
+        factored, flat = (DesignMatrix(p, reg, m) for _ in range(2))
+        # g^T g from the factors: a fresh design's sigma^2 is g^T g / m
+        np.testing.assert_allclose(factored.sigma(probes) ** 2 * m,
+                                   np.einsum("kp,kp->k", flat_probes,
+                                             flat_probes), rtol=1e-14)
+        np.testing.assert_allclose(factored.sigma(probes),
+                                   flat.sigma(flat_probes), rtol=1e-14)
+        row_length = sum(fan_out + fan_in
+                         for fan_out, fan_in in shape.layer_shapes())
+        checked = set()
+        for t in range(len(rows)):
+            factored.observe(rows[t], r[t])
+            flat.observe(np.asarray(rows[t]), r[t])
+            if t + 1 not in (1, switch - 1, switch, len(rows)):
+                continue
+            dual = t + 1 < switch
+            assert (factored._inv is None) == dual
+            checked.add(dual)
+            if dual:
+                # no p-wide row: fan_out + fan_in numbers a layer
+                assert factored._G.array.shape == (t + 1, row_length)
+                np.testing.assert_allclose(factored.sigma(flat_probes),
+                                           factored.sigma(probes), rtol=1e-12)
+            np.testing.assert_allclose(factored.sigma(probes),
+                                       flat.sigma(flat_probes), rtol=1e-9)
+            assert factored.logdet == pytest.approx(flat.logdet, rel=1e-12)
+            for a, b in zip(factored.posterior(probes),
+                            flat.posterior(flat_probes)):
+                np.testing.assert_allclose(a, b, rtol=1e-9)
+        assert checked == {True, False}
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_switch_builds_w_from_factor_blocks(self, depth):
+        reg, m = 0.4, 8
+        shape, feats = self._gradients(depth, True, 200, seed=10 + depth)
+        p = shape.n_params
+        switch = _switch_round(p)
+        rows, probes = feats[:switch + 5], np.asarray(feats[-4:])
+        design = DesignMatrix(p, reg, m)
+        for g in rows[:switch - 1]:
+            design.update(g)
+        F = np.asarray(rows)
+        want = dense_factor(design._dual) @ F[:switch - 1]
+        np.testing.assert_allclose(design._whitened(), want, rtol=1e-10,
+                                   atol=1e-13 * np.abs(want).max())
+        for t in range(switch - 1, len(rows)):
+            design.update(rows[t])
+            assert design._inv is not None and design._G is None
+            U = reg * np.eye(p) + F[:t + 1].T @ F[:t + 1] / m
+            dense = np.sqrt(reg * np.einsum(
+                "kp,pk->k", probes, np.linalg.solve(U, probes.T)) / m)
+            np.testing.assert_allclose(design.sigma(feats[-4:]), dense,
+                                       rtol=1e-9)
+
+    def test_flat_feature_cannot_join_factor_rows(self):
+        shape, feats = self._gradients(2, True, 3, seed=5)
+        design = DesignMatrix(shape.n_params, 1.0, 8)
+        design.update(feats[0])
+        with pytest.raises(ValueError, match="flat feature"):
+            design.update(np.asarray(feats[1]))
+        assert design.n_updates == 1 and len(design._G) == 1
+
+
 class TestRBF:
     @staticmethod
     def _gram(A, B, gamma):
@@ -446,7 +540,7 @@ class TestBorderedInverse:
             assert s > 0.0
             if n + 1 not in (1, 16, 17, 33, 40, 64, 65, 128, 129, 257, 300):
                 continue
-            R, An = bordered.factor, A[:n + 1, :n + 1]
+            R, An = dense_factor(bordered), A[:n + 1, :n + 1]
             assert R.shape == (n + 1, n + 1)
             np.testing.assert_array_equal(np.triu(R, 1), 0.0)
             np.testing.assert_allclose(R @ An @ R.T, np.eye(n + 1), rtol=1e-9,
@@ -461,10 +555,10 @@ class TestBorderedInverse:
     def test_nonpositive_schur_complement_leaves_inverse(self):
         bordered = BorderedInverse()
         bordered.add(np.zeros(0), 2.0)
-        before = bordered.factor.copy()
+        before = dense_factor(bordered)
         assert bordered.add(np.array([2.0]), 1.0) <= 0.0
         assert bordered.n == 1
-        np.testing.assert_array_equal(bordered.factor, before)
+        np.testing.assert_array_equal(dense_factor(bordered), before)
 
     def test_panels_match_the_doubling_square_bit_for_bit(self):
         # 600 adds cross the panel boundaries at 128, 256, 384 and 512
@@ -478,7 +572,7 @@ class TestBorderedInverse:
             assert np.float64(s).tobytes() == \
                 np.float64(want.add(A[n, :n], A[n, n])).tobytes()
             Kn = K[:, :n + 1]
-            for a, b in ((got.factor, want.factor),
+            for a, b in ((dense_factor(got), want.factor),
                          (got.row(n), want.factor[n]),
                          (got.whiten(Kn), want.whiten(Kn))):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
