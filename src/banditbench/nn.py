@@ -219,12 +219,16 @@ class FactorRows:
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         # one sample goes through the (1, fan) einsum, which is the faster
-        layers = [(np.atleast_2d(d), np.atleast_2d(a)) for d, a in self.factors]
-        n = len(layers[0][0])
-        flat = np.concatenate([np.einsum("ni,nj->nij", d, a).reshape(n, -1)
-                               for d, a in layers], axis=1)
+        flat = np.concatenate([outer_rows(np.atleast_2d(d), np.atleast_2d(a))
+                               for d, a in self.factors], axis=1)
         flat = flat[0] if self.factors[0][0].ndim == 1 else flat
         return flat if dtype is None else flat.astype(dtype, copy=False)
+
+
+def outer_rows(deltas: np.ndarray, acts: np.ndarray) -> np.ndarray:
+    """Row i is deltas[i] outer acts[i], row-major, for (n, fan_out) and (n,
+    fan_in) stacks: the one writer of a layer's flat gradient layout."""
+    return np.einsum("ni,nj->nij", deltas, acts).reshape(len(deltas), -1)
 
 
 def grad_batch(theta: ParamStack, X: np.ndarray) -> tuple[np.ndarray, FactorRows]:

@@ -4,25 +4,26 @@ Full mode keeps the features G (one row per update) and starts in dual form:
 by Woodbury, U^-1 = (I - G^T A^-1 G) / reg with A = reg*m*I + G G^T, so it
 holds only a t x t factor of A^-1, which a BorderedInverse grows by one row
 per update in panels that it never copies.  A sigma is then one Gram row k =
-G g and one product with that factor, and memory grows with t.  A network's
-gradient is stored as its per-layer factors, layer l's block being the outer
-product of the layer's output sensitivity and its input activations, so that
-g_i . g = sum_l (delta_{l,i} . delta_l)(a_{l,i} . a_l): sum_l (fan_out +
-fan_in) numbers a row in place of p, and no p-wide feature in dual form.  Once
-t is a large enough share of dim, the p x p inverse of U costs less per round;
-full mode then forms W = R G one column block of flat features at a time,
-drops G and the factor, builds the inverse from W, and keeps it up to date by
-rank-one Sherman-Morrison updates, applied in place one block of rows at a
-time, so that an update reads the inverse once and rewrites it once without
-a full-size temporary.  The primal inverse stays exactly symmetric, since
-u_i u_j == u_j u_i in IEEE arithmetic.  U itself is never stored, so the
-primal form holds one p x p array however long the run.  In exact arithmetic
-an update's Schur complement is at least reg*m and its Sherman-Morrison
-denominator at least 1; if rounding takes either to zero or below, the
-update raises LinAlgError and leaves the design as it was.  With a
-bandwidth, an RBF Gram matrix replaces G G^T: the kernel ridge posterior,
-which never leaves dual form.  Diagonal mode keeps only diag(U), matching
-the diagonal approximation used for wide networks.
+G g and one product with that factor, and memory grows with t.  G is held as
+per-layer factors, layer l's block of a network's gradient being the outer
+product of the layer's output sensitivity and its input activations, so
+that g_i . g = sum_l (delta_{l,i} . delta_l)(a_{l,i} . a_l) from sum_l
+(fan_out + fan_in) numbers a row; a context is one layer of one factor.
+Once t is a large enough share of dim, the p x p inverse of U costs less
+per round; full mode then forms W = R G one column block of flat features
+at a time, drops G and the factor, builds the inverse from W, and keeps it
+up to date by rank-one Sherman-Morrison updates, applied in place one block
+of rows at a time, so that an update reads the inverse once and rewrites it
+once without a full-size temporary.  The primal inverse stays exactly
+symmetric, since u_i u_j == u_j u_i in IEEE arithmetic.  U itself is never
+stored, so the primal form holds one p x p array however long the run.  In
+exact arithmetic an update's Schur complement is at least reg*m and its
+Sherman-Morrison denominator at least 1; if rounding takes either to zero
+or below, the update raises LinAlgError and leaves the design as it was.
+With a bandwidth, which full mode alone takes, an RBF Gram matrix replaces
+G G^T: the kernel ridge posterior, which never leaves dual form.  Diagonal
+mode keeps only diag(U), matching the diagonal approximation used for wide
+networks.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ import contextlib
 import math
 
 import numpy as np
+
+from .nn import outer_rows
 
 # Rows rewritten per pass of a rank-one update: a 32-row block of the
 # correction (435 KB at dim 1700) stays in cache between its computation and
@@ -44,9 +47,8 @@ _ROW_BLOCK = 32
 # t = 0.5, 0.6, 0.8 and 1.0 dim (dim 1700 and dim 850), and 0.76-0.94 at 1.4
 # dim.  The switch stays at 0.6 for memory: it holds G, the factor and
 # W = R G, then W and the p x p inverse, 35.8 MiB traced at dim 1700 against
-# 22.5 MiB after it.  With U stored beside its inverse and flat rows in G,
-# `--posterior full --T 5000` took 49.1 s and peaked at 143.2 MiB with 1.0,
-# against 56.2 s and 114.6 MiB with 0.6 (one BLAS thread).
+# 22.5 MiB after it.  These times were taken while rows were stored flat,
+# before they were stored as factors; ROADMAP item 4 re-measures the 0.6.
 _DUAL_FRACTION = 0.6
 # Rows of the triangular factor per stored panel, and per block of a product
 # with it.  A product reads the lower triangle only, one panel at a time; at
@@ -105,6 +107,13 @@ def _sum_of_products(layers):
             product = term if product is None else product * term
         total = product if total is None else total + product
     return total
+
+
+def _squared_norms(Q: list) -> np.ndarray:
+    """|f|^2 of each row f of a dual-form stack Q: the sum over layers of
+    the product of the factors' squared norms."""
+    return _sum_of_products((np.einsum("kf,kf->k", f, f) for f in q)
+                            for q in Q)
 
 
 class BorderedInverse:
@@ -178,10 +187,10 @@ class DesignMatrix:
     A feature is an array of length dim, or factor rows such as
     nn.FactorRows: an object whose `factors` lists, per layer, the two
     vectors whose outer product, row-major, is the layer's block of the
-    feature, and which np.asarray flattens.  The dual form stores rows as
-    the first update brings them, a flat row being one layer of one factor,
-    and takes a Gram entry as the sum over layers of the product of the
-    factors' dot products; the diagonal and primal forms flatten them."""
+    feature, and which np.asarray flattens.  The dual form keeps one Rows
+    per factor, a flat row being one layer of one factor, and takes a Gram
+    entry as the sum over layers of the product of the factors' dot
+    products; the diagonal and primal forms flatten factor rows."""
 
     def __init__(self, dim: int, reg: float, width: int, mode: str = "full",
                  bandwidth: float | None = None):
@@ -191,6 +200,8 @@ class DesignMatrix:
             raise ValueError("width must be positive")
         if mode not in ("full", "diagonal"):
             raise ValueError(f"unknown mode {mode!r}")
+        if bandwidth is not None and mode != "full":
+            raise ValueError(f"a bandwidth needs mode 'full', got {mode!r}")
         self.dim = dim
         self.reg = reg
         self.width = width
@@ -200,10 +211,9 @@ class DesignMatrix:
         self._dual: BorderedInverse | None = None
         if mode == "full":
             self._logdet = dim * np.log(reg)
-            # the stored rows, made by the first update in the layout of its
-            # feature: per layer, the columns of each factor in a row
-            self._G: Rows | None = None
-            self._cols: list[list[slice]] = []
+            # per layer, the stored rows of each factor, made by the first
+            # update in the layout of its feature
+            self._G: list[list[Rows]] | None = None
             self._dual = BorderedInverse()
             self._inv: np.ndarray | None = None
             # |g|^2 of each row, for the RBF Gram; b, once out of dual form
@@ -212,36 +222,30 @@ class DesignMatrix:
         else:
             self._diag = np.full(dim, reg)
 
-    def _check(self, g, stack: bool = False) -> np.ndarray:
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape[-1:] != (self.dim,) or g.ndim > (2 if stack else 1):
-            raise ValueError(f"feature length {g.shape} does not match dim {self.dim}")
-        if np.count_nonzero(np.isfinite(g)) != g.size:  # faster than .all()
-            raise ValueError("non-finite entries in gradient feature")
-        return g
-
     def _features(self, g, stack: bool = True) -> tuple[list | np.ndarray, bool]:
         """g as the current form reads it, and whether it is one feature:
         flat (n, dim) rows in diagonal and primal form; in dual form, per
         layer, the (n, length) stacks of its factors, a flat stack being one
-        layer of one factor.  Factor rows are flattened unless the dual form
-        stores factor rows or none yet."""
-        layers = getattr(g, "factors", None)
-        if (layers is None or self._dual is None
-                or (self._G is not None and len(self._cols[0]) == 1)):
-            g = self._check(g, stack)
-            F = g.reshape(-1, self.dim)
-            return (F if self._dual is None else [(F,)]), g.ndim == 1
-        single = np.ndim(layers[0][0]) == 1
-        layers = [[np.atleast_2d(np.asarray(f, dtype=np.float64)) for f in q]
-                  for q in layers]
-        if (sum(math.prod(f.shape[1] for f in q) for q in layers) != self.dim
-                or not (single or stack)):
-            raise ValueError(f"factor rows do not match dim {self.dim}")
-        if any(np.count_nonzero(np.isfinite(f)) != f.size
-               for q in layers for f in q):
+        layer of one factor, and factor rows flattened if the stored rows are
+        flat.  Raises ValueError unless g is one feature, or a stack of them
+        if stack, of length dim with finite entries."""
+        layers = [[np.asarray(f, dtype=np.float64) for f in q]
+                  for q in getattr(g, "factors", [(g,)])]
+        factors = [f for q in layers for f in q]
+        single = factors[0].ndim == 1
+        if (any(f.ndim != 2 - single for f in factors) or not (single or stack)
+                or sum(math.prod(f.shape[-1] for f in q)
+                       for q in layers) != self.dim):
+            raise ValueError(f"feature of shapes {[f.shape for f in factors]}"
+                             f" does not match dim {self.dim}")
+        # count_nonzero is faster than .all()
+        if any(np.count_nonzero(np.isfinite(f)) != f.size for f in factors):
             raise ValueError("non-finite entries in gradient feature")
-        return layers, single
+        if self._dual is None or (self._G is not None
+                                  and len(self._G[0]) < len(layers[0])):
+            F = np.asarray(g, dtype=np.float64).reshape(-1, self.dim)
+            return (F if self._dual is None else [(F,)]), single
+        return [[np.atleast_2d(f) for f in q] for q in layers], single
 
     def _gram(self, Q: list) -> np.ndarray:
         """k(f, h) for each row f of the dual-form stack Q and each stored
@@ -252,10 +256,9 @@ class DesignMatrix:
         rounding can cross for a repeated row."""
         if self._G is None:
             return np.empty((len(Q[0][0]), 0))
-        G = self._G.array
-        if len(Q[0]) == len(self._cols[0]):
-            D = _sum_of_products((f @ G[:, c].T for f, c in zip(q, cols))
-                                 for q, cols in zip(Q, self._cols))
+        if len(Q[0]) == len(self._G[0]):
+            D = _sum_of_products((f @ h.array.T for f, h in zip(q, rows))
+                                 for q, rows in zip(Q, self._G))
         else:
             F, a, D = Q[0][0], 0, 0.0
             for B in self._column_blocks():
@@ -263,9 +266,8 @@ class DesignMatrix:
                 a += B.shape[1]
         if self.bandwidth is None:
             return D
-        F = Q[0][0]
         D *= -2.0
-        D += np.einsum("kd,kd->k", F, F)[:, None]
+        D += _squared_norms(Q)[:, None]
         D += self._sq_norms.array
         np.maximum(D, 0.0, out=D)
         D *= -self.bandwidth
@@ -275,15 +277,14 @@ class DesignMatrix:
         """The flat stored features, one block of columns at a time: a flat
         layer as a view, a factored layer built about _PANEL columns at a
         time from its two factors."""
-        G = self._G.array
-        for cols in self._cols:
-            if len(cols) == 1:
-                yield G[:, cols[0]]
+        for rows in self._G:
+            if len(rows) == 1:
+                yield rows[0].array
                 continue
-            D, A = (G[:, c] for c in cols)
+            D, A = (h.array for h in rows)
             step = max(1, _PANEL // A.shape[1])
             for o in range(0, D.shape[1], step):
-                yield (D[:, o:o + step, None] * A[:, None, :]).reshape(len(G), -1)
+                yield outer_rows(D[:, o:o + step], A)
 
     def sigma(self, g):
         """Posterior scale sqrt(reg * g^T U^{-1} g / m): a float for one
@@ -318,8 +319,7 @@ class DesignMatrix:
                 # row, and g^T g the sum over layers of the product of the
                 # factors' squared norms
                 V = self._dual.whiten(self._gram(X))
-                own = _sum_of_products((np.einsum("kf,kf->k", f, f)
-                                         for f in q) for q in X) if dot else 1.0
+                own = _squared_norms(X) if dot else 1.0
                 scaled = own - np.einsum("kt,kt->k", V, V)
             sigmas = np.sqrt(np.maximum(scaled / self.width, 0.0))
         if dot and not np.isfinite(sigmas).all():
@@ -335,16 +335,9 @@ class DesignMatrix:
             g = X[0]
             self._diag += g * g / m
         elif self._inv is None:
-            row = (X[0][0][0] if len(X[0]) == 1
-                   else np.concatenate([f[0] for q in X for f in q]))
-            if self._G is None:
-                self._G, end = Rows(row.shape), 0
-                for q in X:
-                    self._cols.append([slice(end, end := end + f.shape[1])
-                                       for f in q])
-            elif len(X[0]) != len(self._cols[0]):
-                raise ValueError("a flat feature cannot join stored factor "
-                                 "rows")
+            self._G = self._G or [[Rows(f.shape[1:]) for f in q] for q in X]
+            if len(X[0]) != len(self._G[0]):
+                raise ValueError("a flat feature cannot join factor rows")
             # A gains the Gram row of g and the diagonal entry
             # reg*m + k(g, g), and det U grows by the factor s / (reg*m)
             sq = _sum_of_products((float(f[0] @ f[0]) for f in q) for q in X)
@@ -352,12 +345,15 @@ class DesignMatrix:
                                + (sq if self.bandwidth is None else 1.0))
             if s <= 0.0:
                 raise self._failure("design matrix lost positive definiteness")
-            self._G.append(row)
+            for q, rows in zip(X, self._G):
+                for f, h in zip(q, rows):
+                    h.append(f[0])
+            del rows, h  # a Rows held here would outlive the switch below
             if self.bandwidth is not None:
                 self._sq_norms.append(sq)
             self._logdet += math.log(s / (self.reg * m))
             if (self.bandwidth is None
-                    and len(self._G) >= _DUAL_FRACTION * self.dim):
+                    and self._dual.n >= _DUAL_FRACTION * self.dim):
                 W = self._whitened()
                 self._G = self._dual = None  # freed before W^T W is formed
                 self._inv = self._primal_inverse(W)
@@ -391,7 +387,7 @@ class DesignMatrix:
     def _whitened(self) -> np.ndarray:
         """W = R G, one column block of flat stored features at a time, so
         that neither the flat t x dim features nor a dense R is held."""
-        W, a = np.empty((len(self._G), self.dim)), 0
+        W, a = np.empty((self._dual.n, self.dim)), 0
         for B in self._column_blocks():
             self._dual.apply(B, W[:, a:a + B.shape[1]])
             a += B.shape[1]

@@ -1,10 +1,10 @@
 """Views of the engine's state that only tests read: network weights as
 one flat vector, the dense inverse of a design matrix, its dual-form state
-and the dense factor of a bordered inverse, every level of the NTK
-recursion, the eigenvalue-truncation bound on the effective dimension,
-episode traces read back from JSONL or stripped of their wall-clock field,
-the traced memory peak of a call, and the count of rounds a stream
-builds."""
+and the shape of its stored rows, the dense factor of a bordered inverse,
+every level of the NTK recursion, the eigenvalue-truncation bound on the
+effective dimension, episode traces read back from JSONL or stripped of
+their wall-clock field, the traced memory peak of a call, and the count of
+rounds a stream builds."""
 
 import contextlib
 import itertools
@@ -61,16 +61,26 @@ def dense_factor(bordered: BorderedInverse) -> np.ndarray:
 
 class DualState(NamedTuple):
     R: np.ndarray      # R = L^-1 of A = L L^T, dense
-    rows: np.ndarray   # the stored rows, one per update, flat or as factors
+    rows: np.ndarray   # the stored rows, one per update, flattened
     r: np.ndarray      # their rewards
     w: np.ndarray      # R r
 
 
 def dual_state(design: DesignMatrix) -> DualState:
-    """The dual form of a full-mode design, before it switches to primal."""
-    rows = np.empty((0, design.dim)) if design._G is None else design._G.array
+    """The dual form of a full-mode design, before it switches to primal,
+    with its per-factor rows flattened."""
+    rows = (np.empty((0, design.dim)) if design._G is None
+            else np.hstack(list(design._column_blocks())))
     return DualState(dense_factor(design._dual), rows, design._r.array,
                      design._w.array)
+
+
+def stored_shape(design: DesignMatrix) -> tuple[int, int]:
+    """(rows, numbers a row) held by a dual-form design: its rows as they
+    are stored, one array per factor of each layer."""
+    shapes = [h.array.shape for rows in design._G for h in rows]
+    assert len({n for n, _ in shapes}) == 1
+    return shapes[0][0], sum(length for _, length in shapes)
 
 
 def ntk_levels(contexts: np.ndarray, depth: int):

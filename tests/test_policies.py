@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import dual_state, flat, inverse, traced_peak
+from helpers import dual_state, flat, inverse, stored_shape, traced_peak
 from regret_equivalence import assert_regret_equivalent
 
 from banditbench import nn
@@ -185,7 +185,7 @@ class TestNeuralBandit:
             for context, reward in played:
                 policy.observe(context, reward)
             assert policy.design.dim == 20_500
-            assert policy.design._G.array.shape == (300, 405)
+            assert stored_shape(policy.design) == (300, 405)
 
         assert traced_peak(observes) < 16e6
 

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from banditbench.data import duplicate_half, normalize_unit
-from banditbench.nn import NetShape, grad_batch, init_params
+from banditbench.nn import FactorRows, NetShape, grad_batch, init_params
 from banditbench.posterior import (_DUAL_FRACTION, _PANEL, _ROW_BLOCK,
                                   BorderedInverse, DesignMatrix)
-from helpers import dense_factor, dual_state, inverse, traced_peak
+from helpers import (dense_factor, dual_state, inverse, stored_shape,
+                     traced_peak)
 
 
 def _switch_round(p):
@@ -287,7 +288,8 @@ class TestInPlaceUpdate:
                      "raise --lambda"):
             assert part in message
         assert "--posterior" not in message
-        assert (design.n_updates, len(design._G), design._dual.n) == (1, 1, 1)
+        assert (design.n_updates, len(dual_state(design).rows),
+                design._dual.n) == (1, 1, 1)
         assert design.logdet == logdet
 
     def test_degenerate_primal_update_changes_nothing(self):
@@ -438,7 +440,7 @@ class TestFactorRows:
             checked.add(dual)
             if dual:
                 # no p-wide row: fan_out + fan_in numbers a layer
-                assert factored._G.array.shape == (t + 1, row_length)
+                assert stored_shape(factored) == (t + 1, row_length)
                 np.testing.assert_allclose(factored.sigma(flat_probes),
                                            factored.sigma(probes), rtol=1e-12)
             np.testing.assert_allclose(factored.sigma(probes),
@@ -478,7 +480,56 @@ class TestFactorRows:
         design.update(feats[0])
         with pytest.raises(ValueError, match="flat feature"):
             design.update(np.asarray(feats[1]))
-        assert design.n_updates == 1 and len(design._G) == 1
+        assert design.n_updates == 1 and len(dual_state(design).rows) == 1
+
+
+def _with_nan(feature):
+    """A copy of one feature's factor rows with a NaN in layer 0's acts."""
+    factors = [(d.copy(), a.copy()) for d, a in feature.factors]
+    factors[0][1][0] = np.nan
+    return FactorRows(factors)
+
+
+# Each rejection of a feature: (dim, rows updated first, method, argument of
+# the factor rows F of three gradients of a depth-2 network with p = 56).
+# Every one raises ValueError itself, not the LinAlgError subclass that a
+# NaN reaching sigma would raise, and changes nothing, whatever path checks
+# it.
+_REJECTIONS = {
+    "wrong length": (56, [], "sigma", lambda F: np.ones(55)),
+    "3-D stack": (56, [], "sigma", lambda F: np.ones((2, 2, 56))),
+    "0-d scalar at dim 1": (1, [], "sigma", lambda F: np.float64(1.0)),
+    "non-finite flat entries": (
+        56, [], "update", lambda F: np.r_[np.ones(55), np.inf]),
+    "non-finite factor entries": (
+        56, [0], "sigma", lambda F: _with_nan(F[1])),
+    "factor rows of the wrong total width": (57, [], "sigma", lambda F: F),
+    "a flat stack where one feature is expected": (
+        56, [], "update", lambda F: np.asarray(F)),
+    "a factor stack where one feature is expected": (
+        56, [0], "update", lambda F: F),
+    "a flat row joining stored factor rows": (
+        56, [0], "update", lambda F: np.asarray(F[1])),
+}
+
+
+class TestRejections:
+    # the diagonal form stores no rows for a flat row to join
+    @pytest.mark.parametrize("case,mode", [
+        (case, mode) for case in _REJECTIONS for mode in ("full", "diagonal")
+        if mode == "full" or "joining" not in case])
+    def test_rejected_and_nothing_changes(self, case, mode):
+        dim, before, method, argument = _REJECTIONS[case]
+        F = TestFactorRows._gradients(2, False, 3, seed=50)[1]
+        design = DesignMatrix(dim, 0.5, 8, mode)
+        for i in before:
+            design.update(F[i])
+        logdet, inv = design.logdet, inverse(design)
+        with pytest.raises(ValueError) as err:
+            getattr(design, method)(argument(F))
+        assert type(err.value) is ValueError
+        assert (design.n_updates, design.logdet) == (len(before), logdet)
+        np.testing.assert_array_equal(inverse(design), inv)
 
 
 class TestRBF:
@@ -486,6 +537,31 @@ class TestRBF:
     def _gram(A, B, gamma):
         diff = A[:, None, :] - B[None, :, :]
         return np.exp(-gamma * np.sum(diff * diff, axis=2))
+
+    def test_bandwidth_needs_full_mode(self):
+        # diagonal mode has no RBF Gram: a bandwidth there would be ignored
+        with pytest.raises(ValueError, match="bandwidth needs mode 'full'"):
+            DesignMatrix(3, 1e-320, 1, "diagonal", bandwidth=1.0)
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_factor_rows_match_flat_rows(self, depth):
+        # |g - h|^2 needs |g|^2 of the whole gradient, summed over its
+        # layers; the design observes up to stop_train and is then only read
+        stop_train = 12
+        shape, feats = TestFactorRows._gradients(depth, False, 24,
+                                                 seed=40 + depth)
+        F = np.asarray(feats)
+        gamma = 1.0 / np.mean(np.einsum("kp,kp->k", F, F))
+        r = np.random.default_rng(41).uniform(size=len(F))
+        factored, flat = (DesignMatrix(shape.n_params, 0.5, 1, "full",
+                                       bandwidth=gamma) for _ in range(2))
+        for t in range(len(F) - 4):
+            for a, b in zip(factored.posterior(feats[t:t + 4]),
+                            flat.posterior(F[t:t + 4])):
+                np.testing.assert_allclose(a, b, rtol=1e-12)
+            if t < stop_train:
+                factored.observe(feats[t], r[t])
+                flat.observe(F[t], r[t])
 
     def test_stays_dual_and_matches_kernel_ridge(self):
         # 3 * dim rows: a dot-product design would have left dual form
