@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import envs, ntk
-from .data import write_manifest
+from .data import read_pairs, write_manifest
 from .harness import (ExperimentConfig, build_rounds, emit_grid_summary,
                       emit_outputs, grid_cells, pool_size, run_grid,
                       run_repeats, summarize)
@@ -32,21 +32,6 @@ NEURAL_REG_GRID = (1.0, 0.1, 0.01, 0.001)
 NEURAL_NU_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 LINEAR_KERNEL_NU_GRID = (1.0, 0.1, 0.01)
 EPS_GRID = (0.01, 0.05, 0.1)
-
-
-def read_config_file(path: str) -> dict[str, str]:
-    """Parse `key = value` lines; '#' starts a comment."""
-    values = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"{path}: malformed line {raw.rstrip()!r}")
-            values[key.strip()] = value.strip()
-    return values
 
 
 def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
@@ -95,7 +80,7 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
     and nothing when false.  Each line is parsed alone, so that an error
     names the file and the key as written."""
     try:
-        values = read_config_file(path)
+        values = read_pairs(path, "=")
     except (OSError, ValueError) as err:
         parser.error(f"--config: {err}")
     namespace, by_key = argparse.Namespace(), {}
@@ -154,7 +139,7 @@ def _ntk_report(stream: ExperimentConfig, args: argparse.Namespace) -> dict:
     the budget T*K of a horizon-T episode on its K arms, the rounds' expected
     rewards as h and the stream's noise as R (0 for indicator rewards).  Its
     ValueErrors are all about flags (--lambda, --depth, --T, --delta)."""
-    rounds = list(build_rounds(stream, args.seed))
+    rounds = list(build_rounds(stream, args.seed, warn=True))
     contexts = np.concatenate([r.contexts for r in rounds])
     h = np.concatenate([r.expected_rewards for r in rounds])
     R = stream.noise_sd if stream.dataset in envs.SYNTHETIC else 0.0
@@ -218,7 +203,7 @@ def _inputs(args: argparse.Namespace):
     cells = [experiment]
     if args.command == "grid":
         cells = grid_cells(experiment, **_sweeps(experiment.policy.algorithm))
-    first = build_rounds(experiment, experiment.base_seed)[0]
+    first = build_rounds(experiment, experiment.base_seed, warn=True)[0]
     for cell in cells:
         make_policy(cell.policy, first.contexts.shape[1], cell.base_seed)
     # checked, not created: main reruns this to blame a config line

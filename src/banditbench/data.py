@@ -15,13 +15,10 @@ import gzip
 import hashlib
 import itertools
 import json
-import logging
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
@@ -77,99 +74,96 @@ class BanditRound:
     rewards: np.ndarray         # (K,) realized payoff if the arm were pulled
 
 
-def parse_schema(path: str) -> tuple[dict[str, str], str]:
-    """Read a key-value schema file: `column: numeric|categorical`, `label: col`."""
-    types: dict[str, str] = {}
-    label_col = None
+def read_pairs(path: str, sep: str) -> dict[str, str]:
+    """The `key <sep> value` lines of a text file, by key in file order;
+    '#' starts a comment anywhere on a line.  A line without sep, or a key
+    given twice, is rejected naming the file."""
+    pairs: dict[str, str] = {}
     with open(path) as fh:
         for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
                 continue
-            key, _, value = line.partition(":")
-            key, value = key.strip(), value.strip()
-            if key == "label":
-                label_col = value
-            elif value in ("numeric", "categorical"):
-                types[key] = value
-            else:
-                raise ValueError(f"unknown column type {value!r} for {key!r}")
+            key, found, value = (part.strip() for part in line.partition(sep))
+            if not found:
+                raise ValueError(f"{path}: malformed line {raw.rstrip()!r}")
+            if key in pairs:
+                raise ValueError(f"{path}: repeated key {key!r}")
+            pairs[key] = value
+    return pairs
+
+
+def parse_schema(path: str) -> tuple[dict[str, str], str]:
+    """Read a schema file of `column: numeric|categorical` lines and one
+    `label: column` line."""
+    types = read_pairs(path, ":")
+    label_col = types.pop("label", None)
+    for key, value in types.items():
+        if value not in ("numeric", "categorical"):
+            raise ValueError(f"{path}: unknown column type {value!r} for {key!r}")
     if label_col is None:
         raise ValueError(f"schema {path} does not declare a label column")
     return types, label_col
 
 
+def _levels(cells) -> tuple[np.ndarray, int]:
+    """Each cell's level, levels numbered in order of first appearance, and
+    the number of levels."""
+    levels: dict[str, int] = {}
+    codes = np.asarray([levels.setdefault(v, len(levels)) for v in cells],
+                       dtype=np.int64)
+    return codes, len(levels)
+
+
 def ingest_csv(path: str, label_column: str,
                schema: dict[str, str]) -> LabeledDataset:
-    """Load a CSV into a numeric dataset.
-
-    Categorical columns are one-hot expanded (level order = first appearance)
-    into uint8 blocks, so an all-categorical table stays uint8 and a numeric
-    column makes it float64; rows with missing values are dropped and
-    counted.  Row order follows the file.
-    """
+    """Load a CSV, whose first row is a header if it names the label column
+    and whose columns are c0, c1, ... if not.  Rows with a "" or "?" cell
+    or the wrong length are dropped and counted, and the kept rows are read
+    column by column, in file order.  Categorical columns are one-hot in
+    uint8 blocks, so an all-categorical table stays uint8."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+        rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise ValueError(f"{path}: empty file")
-
-    header = rows[0]
-    known = set(schema) | {label_column}
-    if set(header) >= {label_column} and set(header) <= known:
-        columns = header
-        rows = rows[1:]
+    if label_column in rows[0]:
+        columns, rows = rows[0], rows[1:]
     else:
-        # headerless: schema keys are positional names c0, c1, ...
         columns = [f"c{i}" for i in range(len(rows[0]))]
         if label_column not in columns:
-            raise ValueError(
-                f"label column {label_column!r} not found (headerless file uses c0..)"
-            )
-    col_index = {c: i for i, c in enumerate(columns)}
-    feat_cols = [c for c in columns if c != label_column]
-    for c in feat_cols:
-        if c not in schema:
-            raise ValueError(f"column {c!r} missing from schema")
+            raise ValueError(f"{path}: label column {label_column!r} not "
+                             "found (headerless file uses c0..)")
+    for c in columns:
+        if columns.count(c) > 1:
+            raise ValueError(f"{path}: column {c!r} repeats in the header")
+        if c != label_column and c not in schema:
+            raise ValueError(f"{path}: column {c!r} is not in the schema")
 
-    dropped = 0
-    kept_rows = []
-    for row in rows:
-        if len(row) != len(columns) or any(v.strip() in ("", "?") for v in row):
-            dropped += 1
-            continue
-        kept_rows.append(row)
-    if not kept_rows:
+    kept = [cells for cells in ([v.strip() for v in row] for row in rows)
+            if len(cells) == len(columns)
+            and "" not in cells and "?" not in cells]
+    if not kept:
         raise ValueError(f"{path}: zero usable rows after dropping incomplete ones")
 
-    label_levels: dict[str, int] = {}
-    labels = []
-    for row in kept_rows:
-        v = row[col_index[label_column]].strip()
-        labels.append(label_levels.setdefault(v, len(label_levels)))
-
     blocks = []
-    for c in feat_cols:
-        vals = [row[col_index[c]].strip() for row in kept_rows]
-        if schema[c] == "numeric":
+    for c, cells in zip(columns, zip(*kept)):
+        if c == label_column:
+            labels, n_classes = _levels(cells)
+        elif schema[c] == "numeric":
             try:
-                blocks.append(np.asarray([float(v) for v in vals])[:, None])
+                block = np.asarray([float(v) for v in cells])[:, None]
+                if not np.isfinite(block).all():
+                    bad = cells[np.argmin(np.isfinite(block))]
+                    raise ValueError(f"non-finite value {bad!r}")
             except ValueError as err:
                 raise ValueError(f"{path}: numeric column {c!r}: {err}") from None
+            blocks.append(block)
         else:
-            levels: dict[str, int] = {}
-            idx = np.asarray([levels.setdefault(v, len(levels)) for v in vals])
-            onehot = np.zeros((len(vals), len(levels)), np.uint8)
-            onehot[np.arange(len(vals)), idx] = 1
-            blocks.append(onehot)
+            codes, n_levels = _levels(cells)
+            blocks.append(np.eye(n_levels, dtype=np.uint8)[codes])
 
-    return LabeledDataset(
-        features=np.hstack(blocks),
-        labels=np.asarray(labels, dtype=np.int64),
-        n_classes=len(label_levels),
-        n_dropped=dropped,
-        sources=(path,),
-    )
+    return LabeledDataset(np.hstack(blocks), labels, n_classes,
+                          n_dropped=len(rows) - len(kept), sources=(path,))
 
 
 def _open_maybe_gzip(path: str):
@@ -214,7 +208,8 @@ def ingest_idx(images_path: str, labels_path: str) -> LabeledDataset:
         labels = np.frombuffer(_read_exact(fh, n_lab, labels_path, "labels"),
                                dtype=np.uint8).astype(np.int64)
     if n != n_lab:
-        raise ValueError(f"image count {n} != label count {n_lab}")
+        raise ValueError(f"{images_path}, {labels_path}: image count {n} "
+                         f"!= label count {n_lab}")
 
     return LabeledDataset(images, labels,
                           n_classes=int(labels.max()) + 1,
@@ -294,8 +289,7 @@ def disjoint_encode(x: np.ndarray, n_arms: int) -> np.ndarray:
 def classification_rounds(dataset: LabeledDataset,
                           duplicate: bool = True) -> RoundStream:
     """Every row as a bandit round with 0/1 indicator rewards, built
-    BLOCK_ROWS rows at a time; each round holds views into its block.  The
-    zero-feature rows are counted, and warned about, once, here."""
+    BLOCK_ROWS rows at a time; each round holds views into its block."""
     def blocks():
         for start in range(0, len(dataset), BLOCK_ROWS):
             block = slice(start, start + BLOCK_ROWS)
@@ -308,9 +302,6 @@ def classification_rounds(dataset: LabeledDataset,
             expected[np.arange(len(labels)), labels] = 1.0
             yield map(BanditRound, contexts, expected, expected.copy())
 
-    n_zero = dataset.n_zero_rows
-    if n_zero:
-        log.warning("%d zero-feature rows replaced by the unit basis vector", n_zero)
     return RoundStream(blocks, len(dataset))
 
 

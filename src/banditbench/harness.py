@@ -14,6 +14,7 @@ import csv
 import functools
 import itertools
 import json
+import logging
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -24,6 +25,8 @@ from . import envs
 from .data import RoundStream
 from .nn import TrainingDiverged
 from .policies import PolicyConfig, make_policy
+
+log = logging.getLogger(__name__)
 
 # a JSONL record's fields, in file order
 FIELDS = ("t", "arm", "reward", "regret", "cum_regret", "sigma", "wall_us")
@@ -91,16 +94,20 @@ class RegretTrace:
         return list(self.rows())
 
 
-def build_rounds(config: ExperimentConfig, seed) -> RoundStream:
+def build_rounds(config: ExperimentConfig, seed, warn=False) -> RoundStream:
     """The `horizon` rounds one episode seed plays, as a stream that builds
     each block when iteration reaches it; a dataset's size is checked
-    against the horizon here."""
+    against the horizon here.  With warn, a dataset's zero-feature rows,
+    the count its manifest records, are logged as a warning."""
     name = config.dataset
     if name in envs.SYNTHETIC:
         return envs.synthetic_rounds(name, config.n_arms, config.raw_dim,
                                      config.horizon, seed, config.noise_sd,
                                      config.duplicate)
     dataset = envs.load_dataset(name, config.schema)
+    if warn and dataset.n_zero_rows:
+        log.warning("%d zero-feature rows replaced by the unit basis vector",
+                    dataset.n_zero_rows)
     return envs.dataset_rounds(dataset, seed, config.horizon, config.duplicate)
 
 

@@ -1,8 +1,26 @@
 import pytest
 
+from banditbench import data, envs
+from banditbench.data import ingest_csv
+from helpers import assert_same_dataset, reference_ingest_csv
+
 
 @pytest.fixture
 def in_process(monkeypatch):
     """Episodes play in-process: BANDITBENCH_THREADS=1 sizes the pool of
     harness.run_cells at one worker, and one worker is no pool."""
     monkeypatch.setenv("BANDITBENCH_THREADS", "1")
+
+
+@pytest.fixture(autouse=True)
+def csv_matches_reference(monkeypatch):
+    """Every CSV a test ingests is read by the row-wise reference reader
+    too, which must give the same dataset."""
+    def checked(path, label_column, schema):
+        dataset = ingest_csv(path, label_column, schema)
+        assert_same_dataset(dataset,
+                            reference_ingest_csv(path, label_column, schema))
+        return dataset
+
+    monkeypatch.setattr(data, "ingest_csv", checked)
+    monkeypatch.setattr(envs, "ingest_csv", checked)

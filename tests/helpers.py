@@ -3,10 +3,12 @@ one flat vector, the dense inverse of a design matrix, its dual-form state
 and the shape of its stored rows, the dense factor of a bordered inverse,
 every level of the NTK recursion, the eigenvalue-truncation bound on the
 effective dimension, episode traces read back from JSONL or stripped of
-their wall-clock field, the traced memory peak of a call, and the count of
-rounds a stream builds."""
+their wall-clock field, the traced memory peak of a call, the count of
+rounds a stream builds, and the row-wise CSV reader that ingest_csv must
+match."""
 
 import contextlib
+import csv
 import itertools
 import json
 import os
@@ -176,3 +178,74 @@ def rounds_built():
     finally:
         for module, original in zip(modules, originals):
             module.BanditRound = original
+
+
+def reference_ingest_csv(path: str, label_column: str,
+                         schema: dict[str, str]) -> data.LabeledDataset:
+    """A CSV read row by row, with a column index keyed by name and one
+    level dict per column: the reader ingest_csv replaced, which it must
+    match on every file it accepts.  Its header rule takes the first row as
+    the header when it names the label column and no name outside the
+    schema, and a non-finite cell reaches the dataset's own check."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    header = rows[0]
+    known = set(schema) | {label_column}
+    if set(header) >= {label_column} and set(header) <= known:
+        columns = header
+        rows = rows[1:]
+    else:
+        columns = [f"c{i}" for i in range(len(rows[0]))]
+        if label_column not in columns:
+            raise ValueError(f"label column {label_column!r} not found")
+    col_index = {c: i for i, c in enumerate(columns)}
+    feat_cols = [c for c in columns if c != label_column]
+    for c in feat_cols:
+        if c not in schema:
+            raise ValueError(f"column {c!r} missing from schema")
+
+    dropped = 0
+    kept_rows = []
+    for row in rows:
+        if len(row) != len(columns) or any(v.strip() in ("", "?") for v in row):
+            dropped += 1
+            continue
+        kept_rows.append(row)
+    if not kept_rows:
+        raise ValueError(f"{path}: zero usable rows")
+
+    label_levels: dict[str, int] = {}
+    labels = []
+    for row in kept_rows:
+        v = row[col_index[label_column]].strip()
+        labels.append(label_levels.setdefault(v, len(label_levels)))
+
+    blocks = []
+    for c in feat_cols:
+        vals = [row[col_index[c]].strip() for row in kept_rows]
+        if schema[c] == "numeric":
+            blocks.append(np.asarray([float(v) for v in vals])[:, None])
+        else:
+            levels: dict[str, int] = {}
+            idx = np.asarray([levels.setdefault(v, len(levels)) for v in vals])
+            onehot = np.zeros((len(vals), len(levels)), np.uint8)
+            onehot[np.arange(len(vals)), idx] = 1
+            blocks.append(onehot)
+    return data.LabeledDataset(np.hstack(blocks),
+                               np.asarray(labels, dtype=np.int64),
+                               len(label_levels), n_dropped=dropped,
+                               sources=(path,))
+
+
+def assert_same_dataset(got: data.LabeledDataset,
+                        want: data.LabeledDataset) -> None:
+    """The same feature dtype, shape and bytes, labels, class count and
+    dropped-row count."""
+    assert got.features.dtype == want.features.dtype
+    assert got.features.shape == want.features.shape
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.labels.dtype == want.labels.dtype
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert (got.n_classes, got.n_dropped) == (want.n_classes, want.n_dropped)

@@ -1,15 +1,18 @@
 import csv
 import gzip
 import json
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from banditbench import cli, harness, ntk
-from banditbench.cli import main, read_config_file
-from banditbench.data import BLOCK_ROWS
+from banditbench.cli import main
+from banditbench.data import BLOCK_ROWS, read_pairs
 from banditbench.harness import ExperimentConfig, build_rounds
 from banditbench.nn import TrainConfig
 from banditbench.policies import ALGORITHMS, PolicyConfig
@@ -632,17 +635,44 @@ class TestIngest:
         assert info.value.code == 2
 
 
-class TestConfigFile:
-    def test_parse(self, tmp_path):
-        cfg = tmp_path / "a.cfg"
-        cfg.write_text("# comment\nalgo = neural-ts\nnu = 0.01\n")
-        assert read_config_file(str(cfg)) == {"algo": "neural-ts", "nu": "0.01"}
+class TestReadPairs:
+    """read_pairs reads config files (`=`) and schema files (`:`) alike."""
 
-    def test_malformed(self, tmp_path):
-        cfg = tmp_path / "a.cfg"
-        cfg.write_text("just words\n")
-        with pytest.raises(ValueError):
-            read_config_file(str(cfg))
+    @pytest.mark.parametrize("sep", ["=", ":"])
+    def test_parse(self, tmp_path, sep):
+        path = tmp_path / "pairs.txt"
+        path.write_text(f"# comment\nalgo {sep} neural-ts\n\n"
+                        f"  nu{sep}0.01   # trailing comment\n"
+                        f"out {sep} a{sep}b\n")
+        assert read_pairs(str(path), sep) == {"algo": "neural-ts",
+                                              "nu": "0.01", "out": f"a{sep}b"}
+
+    @pytest.mark.parametrize("sep", ["=", ":"])
+    def test_malformed(self, tmp_path, sep):
+        path = tmp_path / "pairs.txt"
+        path.write_text(f"T {sep} 5\njust words  # no separator\n")
+        with pytest.raises(ValueError) as info:
+            read_pairs(str(path), sep)
+        assert str(info.value) == (
+            f"{path}: malformed line 'just words  # no separator'")
+
+    @pytest.mark.parametrize("sep", ["=", ":"])
+    def test_repeated_key(self, tmp_path, sep):
+        path = tmp_path / "pairs.txt"
+        path.write_text(f"T {sep} 5\nnu {sep} 1\nT{sep}6\n")
+        with pytest.raises(ValueError) as info:
+            read_pairs(str(path), sep)
+        assert str(info.value) == f"{path}: repeated key 'T'"
+
+    def test_repeated_config_key_exits_2(self, tmp_path, capsys):
+        # the second line used to win silently
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("T = 5\nT = 6\n")
+        with pytest.raises(SystemExit) as info:
+            main(run_args(tmp_path, "--config", str(cfg)))
+        assert info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"banditbench run: error: --config: {cfg}: repeated key 'T'")
 
 
 class TestDefaultsTrainStably:
@@ -829,6 +859,56 @@ class TestIngestErrors:
         assert last.endswith(f"{tmp_path / 'l'}: truncated: expected 10 "
                              "labels, found 7")
 
+    @pytest.mark.parametrize("case", [
+        "unknown type", "malformed schema line", "repeated schema key",
+        "image count", "column not in schema", "label not found", "nan",
+        "inf", "header names a column the schema lacks", "repeated header"])
+    def test_rejection_names_the_file_and_the_cause(self, tmp_path, capsys,
+                                                    case):
+        table, schema = tmp_path / "t.csv", tmp_path / "schema.txt"
+        images, labels = tmp_path / "i", tmp_path / "l"
+        table.write_text("a,b,y\n1.0,x,p\n2.0,z,q\n")
+        schema.write_text("a: numeric\nb: categorical\nlabel: y\n")
+        dataset = f"csv:{table}"
+        if case == "unknown type":
+            schema.write_text("a: numeric\nb: text\nlabel: y\n")
+            message = f"{schema}: unknown column type 'text' for 'b'"
+        elif case == "malformed schema line":
+            schema.write_text("a: numeric\nb categorical\nlabel: y\n")
+            message = f"{schema}: malformed line 'b categorical'"
+        elif case == "repeated schema key":
+            schema.write_text("a: numeric\nb: categorical\na: numeric\n"
+                              "label: y\n")
+            message = f"{schema}: repeated key 'a'"
+        elif case == "image count":
+            images.write_bytes(struct.pack(">IIII", 0x803, 3, 2, 2)
+                               + bytes(12))
+            labels.write_bytes(struct.pack(">II", 0x801, 2) + bytes([0, 1]))
+            dataset = f"idx:{images},{labels}"
+            message = f"{images}, {labels}: image count 3 != label count 2"
+        elif case == "column not in schema":
+            table.write_text("1.0,x,p\n2.0,z,q\n")
+            schema.write_text("c0: numeric\nlabel: c2\n")
+            message = f"{table}: column 'c1' is not in the schema"
+        elif case == "label not found":
+            table.write_text("1.0,x,p\n2.0,z,q\n")
+            message = (f"{table}: label column 'y' not found (headerless "
+                       "file uses c0..)")
+        elif case in ("nan", "inf"):
+            table.write_text(f"a,b,y\n1.0,x,p\n{case},z,q\n")
+            message = (f"{table}: numeric column 'a': non-finite value "
+                       f"'{case}'")
+        elif case == "header names a column the schema lacks":
+            schema.write_text("a: numeric\nlabel: y\n")
+            message = f"{table}: column 'b' is not in the schema"
+        else:
+            table.write_text("a,a,y\n1,5,p\n2,6,q\n3,7,p\n")
+            message = f"{table}: column 'a' repeats in the header"
+        last = self._rejection(["ingest", "--dataset", dataset, "--schema",
+                                str(schema), "--out-file",
+                                str(tmp_path / "m.json")], capsys)
+        assert last == f"banditbench ingest: error: {message}"
+
     def test_non_numeric_cell_names_file_and_column(self, tmp_path, capsys):
         csv_path = tmp_path / "t.csv"
         csv_path.write_text("a,kind\n1.0,x\nabc,y\n")
@@ -879,6 +959,30 @@ class TestIngestErrors:
         assert main(["ingest", *dataset,
                      "--out-file", str(tmp_path / "m.json")]) == 0
         assert json.loads((tmp_path / "m.json").read_text())["n_classes"] == 1
+
+
+class TestZeroRowWarning:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    def test_printed_once_per_command(self, tmp_path, command, threads):
+        # the dataset's count, as its manifest records it, however many
+        # episodes play and whichever rows they play
+        table = tmp_path / "t.csv"
+        table.write_text("a,b,kind\n1.0,2.0,x\n0,0,y\n0.5,1,x\n0,0,x\n"
+                         "3,1,y\n")
+        schema = tmp_path / "schema.txt"
+        schema.write_text("a: numeric\nb: numeric\nlabel: kind\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "banditbench.cli", command, "--dataset",
+             f"csv:{table}", "--schema", str(schema), "--algo", "uniform",
+             "--T", "3", "--repeats", "2", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src,
+                 "BANDITBENCH_THREADS": threads, "OPENBLAS_NUM_THREADS": "1"})
+        warning = "2 zero-feature rows replaced by the unit basis vector"
+        assert done.stderr.splitlines().count(warning) == 1
+        assert "zero-feature" not in done.stderr.replace(warning, "", 1)
 
 
 class TestDivergenceMessage:

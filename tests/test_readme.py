@@ -10,7 +10,7 @@ import shlex
 
 import pytest
 
-from banditbench import cli
+from banditbench import cli, data
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -74,3 +74,12 @@ def parser_options(capsys) -> set[str]:
 def test_every_backticked_flag_is_an_option(capsys):
     named = set(re.findall(r"`(--[A-Za-z][\w-]*)", README.read_text()))
     assert named - parser_options(capsys) == set()
+
+
+def test_schema_example_parses(tmp_path):
+    block = re.search(r"`--schema` file.*?```text\n(.*?)```", README.read_text(),
+                      re.S).group(1)
+    path = tmp_path / "schema.txt"
+    path.write_text(block)
+    assert data.parse_schema(str(path)) == (
+        {"size": "numeric", "color": "categorical"}, "kind")
