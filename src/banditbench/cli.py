@@ -134,12 +134,13 @@ def _sweeps(algo: str) -> dict:
     return {}
 
 
-def _ntk_report(stream: ExperimentConfig, args: argparse.Namespace) -> dict:
+def _ntk_report(stream: ExperimentConfig, args: argparse.Namespace,
+                warn: bool) -> dict:
     """NTK diagnostics over every arm's context in the stream's rounds, with
     the budget T*K of a horizon-T episode on its K arms, the rounds' expected
     rewards as h and the stream's noise as R (0 for indicator rewards).  Its
     ValueErrors are all about flags (--lambda, --depth, --T, --delta)."""
-    rounds = list(build_rounds(stream, args.seed, warn=True))
+    rounds = list(build_rounds(stream, args.seed, warn))
     contexts = np.concatenate([r.contexts for r in rounds])
     h = np.concatenate([r.expected_rewards for r in rounds])
     R = stream.noise_sd if stream.dataset in envs.SYNTHETIC else 0.0
@@ -170,7 +171,7 @@ def _ntk_report(stream: ExperimentConfig, args: argparse.Namespace) -> dict:
     return out
 
 
-def _inputs(args: argparse.Namespace):
+def _inputs(args: argparse.Namespace, warn=True):
     """What the subcommand runs on, built from its flags: the dataset for
     ingest, the report for ntk, the experiment for run and its cells for
     grid.  For run's config or every grid cell, the first episode's first
@@ -197,13 +198,13 @@ def _inputs(args: argparse.Namespace):
             dataset=args.dataset, policy=PolicyConfig("neural-ts", reg=args.reg),
             horizon=args.n, duplicate=not args.no_duplicate,
             n_arms=args.arms, raw_dim=args.raw_dim, schema=args.schema)
-        return _ntk_report(stream, args)
+        return _ntk_report(stream, args, warn)
     experiment = build_experiment(args)
     pool_size()  # rejects a BANDITBENCH_THREADS that is not an integer
     cells = [experiment]
     if args.command == "grid":
         cells = grid_cells(experiment, **_sweeps(experiment.policy.algorithm))
-    first = build_rounds(experiment, experiment.base_seed, warn=True)[0]
+    first = build_rounds(experiment, experiment.base_seed, warn)[0]
     for cell in cells:
         make_policy(cell.policy, first.contexts.shape[1], cell.base_seed)
     # checked, not created: main reruns this to blame a config line
@@ -215,10 +216,10 @@ def _inputs(args: argparse.Namespace):
     return cells if args.command == "grid" else experiment
 
 
-def _rejection(args: argparse.Namespace) -> str | None:
+def _rejection(args: argparse.Namespace, warn=True) -> str | None:
     """Builds args.inputs, or returns why it cannot be built."""
     try:
-        args.inputs = _inputs(args)
+        args.inputs = _inputs(args, warn)
     except (ValueError, OSError) as err:
         return str(err)
     return None
@@ -300,11 +301,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     message = _rejection(args)
     if message is not None:
-        # name the file's line without which this rejection goes away
+        # name the file's line without which it goes away; reruns don't warn
         for key, (dest, _) in lines.items():
             without = argparse.Namespace(**vars(args))
             setattr(without, dest, getattr(flags, dest))
-            if _rejection(without) != message:
+            if _rejection(without, warn=False) != message:
                 message = f"--config {args.config}: {key}: {message}"
                 break
         command.error(message)

@@ -139,9 +139,10 @@ def ingest_csv(path: str, label_column: str,
         if c != label_column and c not in schema:
             raise ValueError(f"{path}: column {c!r} is not in the schema")
 
-    kept = [cells for cells in ([v.strip() for v in row] for row in rows)
-            if len(cells) == len(columns)
-            and "" not in cells and "?" not in cells]
+    for row in rows:
+        row[:] = [v.strip() for v in row]
+    kept = [row for row in rows if len(row) == len(columns)
+            and "" not in row and "?" not in row]
     if not kept:
         raise ValueError(f"{path}: zero usable rows after dropping incomplete ones")
 
@@ -160,7 +161,7 @@ def ingest_csv(path: str, label_column: str,
             blocks.append(block)
         else:
             codes, n_levels = _levels(cells)
-            blocks.append(np.eye(n_levels, dtype=np.uint8)[codes])
+            blocks.append((codes[:, None] == range(n_levels)).view(np.uint8))
 
     return LabeledDataset(np.hstack(blocks), labels, n_classes,
                           n_dropped=len(rows) - len(kept), sources=(path,))

@@ -14,12 +14,17 @@ def in_process(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def csv_matches_reference(monkeypatch):
-    """Every CSV a test ingests is read by the row-wise reference reader
-    too, which must give the same dataset."""
+    """Every CSV that ingest_csv accepts in a test is read by the row-wise
+    reference reader too, which must accept it and give the same dataset.
+    A rejection is ingest_csv's alone."""
     def checked(path, label_column, schema):
         dataset = ingest_csv(path, label_column, schema)
-        assert_same_dataset(dataset,
-                            reference_ingest_csv(path, label_column, schema))
+        try:
+            want = reference_ingest_csv(path, label_column, schema)
+        except ValueError as err:
+            pytest.fail(f"ingest_csv accepted {path}, which the reference "
+                        f"rejects: {err}")
+        assert_same_dataset(dataset, want)
         return dataset
 
     monkeypatch.setattr(data, "ingest_csv", checked)

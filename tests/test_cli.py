@@ -962,27 +962,48 @@ class TestIngestErrors:
 
 
 class TestZeroRowWarning:
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    @pytest.mark.parametrize("command", ["run", "grid"])
-    def test_printed_once_per_command(self, tmp_path, command, threads):
-        # the dataset's count, as its manifest records it, however many
-        # episodes play and whichever rows they play
+    warning = "2 zero-feature rows replaced by the unit basis vector"
+
+    @staticmethod
+    def _dataset(tmp_path):
+        """--dataset and --schema of a CSV with 2 all-zero rows among 5."""
         table = tmp_path / "t.csv"
         table.write_text("a,b,kind\n1.0,2.0,x\n0,0,y\n0.5,1,x\n0,0,x\n"
                          "3,1,y\n")
         schema = tmp_path / "schema.txt"
         schema.write_text("a: numeric\nb: numeric\nlabel: kind\n")
+        return ["--dataset", f"csv:{table}", "--schema", str(schema)]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    def test_printed_once_per_command(self, tmp_path, command, threads):
+        # the dataset's count, as its manifest records it, however many
+        # episodes play and whichever rows they play
         src = os.path.dirname(os.path.dirname(cli.__file__))
         done = subprocess.run(
-            [sys.executable, "-m", "banditbench.cli", command, "--dataset",
-             f"csv:{table}", "--schema", str(schema), "--algo", "uniform",
+            [sys.executable, "-m", "banditbench.cli", command,
+             *self._dataset(tmp_path), "--algo", "uniform",
              "--T", "3", "--repeats", "2", "--out", str(tmp_path / "out")],
             capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": src,
                  "BANDITBENCH_THREADS": threads, "OPENBLAS_NUM_THREADS": "1"})
-        warning = "2 zero-feature rows replaced by the unit basis vector"
-        assert done.stderr.splitlines().count(warning) == 1
-        assert "zero-feature" not in done.stderr.replace(warning, "", 1)
+        assert done.stderr.splitlines().count(self.warning) == 1
+        assert "zero-feature" not in done.stderr.replace(self.warning, "", 1)
+
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    def test_printed_once_when_a_config_line_is_blamed(self, tmp_path, caplog,
+                                                       capsys, command):
+        # main reruns the pre-run check once for each config line to find
+        # the line to blame, and the reruns do not warn again
+        (tmp_path / "file").write_text("")
+        config = tmp_path / "e.cfg"
+        config.write_text(f"algo = uniform\nout = {tmp_path / 'file'}/sub\n")
+        with pytest.raises(SystemExit) as info:
+            main([command, *self._dataset(tmp_path), "--config", str(config),
+                  "--T", "3", "--repeats", "2"])
+        assert info.value.code == 2
+        assert f"--config {config}: out: --out " in capsys.readouterr().err
+        assert [r.getMessage() for r in caplog.records] == [self.warning]
 
 
 class TestDivergenceMessage:

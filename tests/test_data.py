@@ -8,7 +8,7 @@ import pytest
 from banditbench import data as bd
 from banditbench import envs
 from banditbench.nn import NetShape, forward_batch, init_params
-from helpers import assert_same_dataset, reference_ingest_csv
+from helpers import reference_ingest_csv
 
 
 @pytest.fixture
@@ -127,19 +127,19 @@ def random_csv(rng, path):
 
 
 def test_ingest_csv_matches_row_wise_reference(tmp_path):
-    # the conftest fixture checks every test's file; this is a seeded set
+    # the conftest fixture compares every file ingest_csv accepts with the
+    # reference; a file it rejects, the reference must reject too
     rng = np.random.default_rng(2024)
     read = 0
     for i in range(40):
         path = tmp_path / f"t{i}.csv"
         label, schema = random_csv(rng, path)
         try:
-            want = reference_ingest_csv(str(path), label, schema)
+            bd.ingest_csv(str(path), label, schema)
         except ValueError:
             with pytest.raises(ValueError):
-                bd.ingest_csv(str(path), label, schema)
+                reference_ingest_csv(str(path), label, schema)
             continue
-        assert_same_dataset(bd.ingest_csv(str(path), label, schema), want)
         read += 1
     assert read >= 30
 
