@@ -4,10 +4,10 @@ Subcommands: `run` (one configuration), `grid` (hyperparameter sweep),
 `ntk` (kernel diagnostics report as JSON, over the contexts of the stream
 that run plays), `ingest` (dataset manifest).  Each option is declared once,
 in the flag group of the subcommands that take it, with the default of the
-config field it sets where that has one.  run's and grid's defaults can
-come from a `key = value` config file whose keys are the long flag names;
-flags always win.  A flag value that a subcommand's inputs cannot be built
-from stops it with exit status 2 and the reason.
+config field it sets where that has one.  run and grid read a `key = value`
+config file, keyed by the long flag names, as flags ahead of the command
+line's, so flags win.  A flag value that a subcommand's inputs cannot be
+built from stops it with exit status 2 and the reason.
 """
 
 from __future__ import annotations
@@ -74,35 +74,23 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="out")
 
 
-def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
-    """The (dest, value) that each of a config file's `key = value` lines
-    gives, by key: --key=value, or for a switch --key when the value is true
-    and nothing when false.  Each line is parsed alone, so that an error
-    names the file and the key as written."""
+def _config_words(parser: argparse.ArgumentParser, path: str) -> list:
+    """Each of a config file's `key = value` lines as its key and the
+    command-line words it stands for: --key=value, or for a switch --key
+    when the value is true and nothing when false."""
     try:
-        values = read_pairs(path, "=")
+        pairs = read_pairs(path, "=")
     except (OSError, ValueError) as err:
         parser.error(f"--config: {err}")
-    namespace, by_key = argparse.Namespace(), {}
-    parser.exit_on_error = False    # raise ArgumentError instead of exiting
-    for key, value in values.items():
+    lines = []
+    for key, value in pairs.items():
         flag = "--" + key.replace("_", "-")
         action = parser._option_string_actions.get(flag)
         if action is not None and action.nargs == 0 and value in ("true", "false"):
-            argv = [flag] if value == "true" else []
+            lines.append((key, [flag] if value == "true" else []))
         else:
-            argv = [f"{flag}={value}"]  # argparse rejects what is wrong
-        try:
-            _, extra = parser.parse_known_args(argv, namespace)
-            if extra:
-                raise argparse.ArgumentError(
-                    None, f"unrecognized arguments: {' '.join(extra)}")
-        except argparse.ArgumentError as err:
-            parser.error(f"--config {path}: {key}: {err}")
-        if argv:
-            by_key[key] = (action.dest, getattr(namespace, action.dest))
-    parser.exit_on_error = True
-    return by_key
+            lines.append((key, [f"{flag}={value}"]))  # argparse rejects what is wrong
+    return lines
 
 
 def build_experiment(args: argparse.Namespace) -> ExperimentConfig:
@@ -134,13 +122,12 @@ def _sweeps(algo: str) -> dict:
     return {}
 
 
-def _ntk_report(stream: ExperimentConfig, args: argparse.Namespace,
-                warn: bool) -> dict:
+def _ntk_report(stream: ExperimentConfig, args: argparse.Namespace) -> dict:
     """NTK diagnostics over every arm's context in the stream's rounds, with
     the budget T*K of a horizon-T episode on its K arms, the rounds' expected
     rewards as h and the stream's noise as R (0 for indicator rewards).  Its
     ValueErrors are all about flags (--lambda, --depth, --T, --delta)."""
-    rounds = list(build_rounds(stream, args.seed, warn))
+    rounds = list(build_rounds(stream, args.seed, warn=True))
     contexts = np.concatenate([r.contexts for r in rounds])
     h = np.concatenate([r.expected_rewards for r in rounds])
     R = stream.noise_sd if stream.dataset in envs.SYNTHETIC else 0.0
@@ -198,7 +185,7 @@ def _inputs(args: argparse.Namespace, warn=True):
             dataset=args.dataset, policy=PolicyConfig("neural-ts", reg=args.reg),
             horizon=args.n, duplicate=not args.no_duplicate,
             n_arms=args.arms, raw_dim=args.raw_dim, schema=args.schema)
-        return _ntk_report(stream, args, warn)
+        return _ntk_report(stream, args)
     experiment = build_experiment(args)
     pool_size()  # rejects a BANDITBENCH_THREADS that is not an integer
     cells = [experiment]
@@ -207,7 +194,7 @@ def _inputs(args: argparse.Namespace, warn=True):
     first = build_rounds(experiment, experiment.base_seed, warn)[0]
     for cell in cells:
         make_policy(cell.policy, first.contexts.shape[1], cell.base_seed)
-    # checked, not created: main reruns this to blame a config line
+    # checked, not created: main replays this to blame a config line
     head = os.path.abspath(args.out)
     while not os.path.exists(head):
         head = os.path.dirname(head)
@@ -216,17 +203,17 @@ def _inputs(args: argparse.Namespace, warn=True):
     return cells if args.command == "grid" else experiment
 
 
-def _rejection(args: argparse.Namespace, warn=True) -> str | None:
-    """Builds args.inputs, or returns why it cannot be built."""
-    try:
-        args.inputs = _inputs(args, warn)
-    except (ValueError, OSError) as err:
-        return str(err)
-    return None
+def _check(command: argparse.ArgumentParser, words: list[str], warn=True):
+    """The namespace of a subcommand's words and the inputs it runs on.
+    Raises the ValueError, OSError or argparse.ArgumentError of why it
+    cannot run."""
+    args, extra = command.parse_known_args(words)
+    if extra:
+        raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
+    return args, _inputs(args, warn)
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    config = args.inputs
+def cmd_run(args: argparse.Namespace, config: ExperimentConfig) -> int:
     traces = run_repeats(config)
     stats = summarize(traces)
     emit_outputs(traces, stats, args.out)
@@ -236,8 +223,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_grid(args: argparse.Namespace) -> int:
-    table, best = run_grid(args.inputs)
+def cmd_grid(args: argparse.Namespace, cells: list) -> int:
+    table, best = run_grid(cells)
     emit_grid_summary(table, args.out)
     for row in table:
         print(f"lambda={row['reg']:<8g} nu={row['nu']:<8g} eps={row['eps']:<6g} "
@@ -247,8 +234,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_ntk(args: argparse.Namespace) -> int:
-    text = json.dumps(args.inputs, indent=2)
+def cmd_ntk(args: argparse.Namespace, report: dict) -> int:
+    text = json.dumps(report, indent=2)
     if args.out_file:
         with open(args.out_file, "w") as fh:
             fh.write(text)
@@ -257,8 +244,8 @@ def cmd_ntk(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    manifest = write_manifest(args.inputs, args.out_file,
+def cmd_ingest(args: argparse.Namespace, dataset) -> int:
+    manifest = write_manifest(dataset, args.out_file,
                               duplicate=not args.no_duplicate)
     print(json.dumps(manifest, indent=2))
     return 0
@@ -276,7 +263,7 @@ def main(argv=None) -> int:
             ("ingest", cmd_ingest, "build a dataset manifest")):
         command = commands[name] = sub.add_parser(name, help=text,
                                                   allow_abbrev=False)
-        command.set_defaults(func=func)
+        command.set_defaults(func=func, command=name)
         _add_dataset_flags(command)
         if name != "ingest":
             _add_stream_flags(command)
@@ -291,26 +278,32 @@ def main(argv=None) -> int:
     ntk_parser.add_argument("--delta", type=float, default=0.1)
     commands["ingest"].set_defaults(out_file="manifest.json")
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv)  # the flags alone, with argparse's errors
     command = commands[args.command]
-    flags, lines = args, {}
-    if getattr(args, "config", None):
-        # the file's values become the defaults, so explicit flags win
-        lines = _config_defaults(command, args.config)
-        command.set_defaults(**dict(lines.values()))
-        args = parser.parse_args(argv)
-    message = _rejection(args)
-    if message is not None:
-        # name the file's line without which it goes away; reruns don't warn
-        for key, (dest, _) in lines.items():
-            without = argparse.Namespace(**vars(args))
-            setattr(without, dest, getattr(flags, dest))
-            if _rejection(without, warn=False) != message:
-                message = f"--config {args.config}: {key}: {message}"
-                break
-        command.error(message)
+    command.exit_on_error = False  # _check raises argparse's errors
+    argv = list(sys.argv[1:] if argv is None else argv)
+    flags = argv[argv.index(args.command) + 1:]
+    lines = (_config_words(command, args.config)
+             if getattr(args, "config", None) else [])
+    rejected = (ValueError, OSError, argparse.ArgumentError)
     try:
-        return args.func(args)
+        # the file's words come first, so explicit flags win
+        args, inputs = _check(command, [w for _, ws in lines for w in ws] + flags)
+    except rejected as err:
+        # blame the line whose head of the file first gives the message;
+        # the replay does not warn again
+        head, blamed = [], None
+        for key, words in lines:
+            try:
+                _check(command, head + flags, warn=False)
+            except rejected as again:
+                if str(again) == str(err):
+                    break
+            head, blamed = head + words, key
+        command.error(str(err) if blamed is None
+                      else f"--config {args.config}: {blamed}: {err}")
+    try:
+        return args.func(args, inputs)
     except (TrainingDiverged, np.linalg.LinAlgError) as err:
         print(f"banditbench: error: {err}", file=sys.stderr)
         return 1

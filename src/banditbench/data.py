@@ -117,11 +117,15 @@ def _levels(cells) -> tuple[np.ndarray, int]:
 
 def ingest_csv(path: str, label_column: str,
                schema: dict[str, str]) -> LabeledDataset:
-    """Load a CSV, whose first row is a header if it names the label column
-    and whose columns are c0, c1, ... if not.  Rows with a "" or "?" cell
-    or the wrong length are dropped and counted, and the kept rows are read
-    column by column, in file order.  Categorical columns are one-hot in
-    uint8 blocks, so an all-categorical table stays uint8."""
+    """Load a CSV, whose first row is a header if it names the label column;
+    if not, its columns are c0, c1, ... up to the last that the schema or
+    the label names.  A file column the schema lacks and a schema column the
+    file lacks are rejected.  Rows with a "" or "?" cell or the wrong length
+    are dropped and counted, and the kept rows are read column by column, in
+    file order.  Categorical columns are one-hot in uint8 blocks, so an
+    all-categorical table stays uint8."""
+    if not schema.keys() - {label_column}:
+        raise ValueError(f"{path}: the schema names no feature column")
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
@@ -129,22 +133,27 @@ def ingest_csv(path: str, label_column: str,
     if label_column in rows[0]:
         columns, rows = rows[0], rows[1:]
     else:
-        columns = [f"c{i}" for i in range(len(rows[0]))]
+        width = max((int(c[1:]) + 1 for c in (*schema, label_column)
+                     if c[:1] == "c" and c[1:].isdecimal()), default=0)
+        columns = [f"c{i}" for i in range(width)]
         if label_column not in columns:
             raise ValueError(f"{path}: label column {label_column!r} not "
                              "found (headerless file uses c0..)")
-    for c in columns:
+    for c in [*columns, *schema]:
         if columns.count(c) > 1:
             raise ValueError(f"{path}: column {c!r} repeats in the header")
         if c != label_column and c not in schema:
             raise ValueError(f"{path}: column {c!r} is not in the schema")
+        if c not in columns:
+            raise ValueError(f"{path}: schema column {c!r} is not in the file")
 
     for row in rows:
         row[:] = [v.strip() for v in row]
     kept = [row for row in rows if len(row) == len(columns)
             and "" not in row and "?" not in row]
     if not kept:
-        raise ValueError(f"{path}: zero usable rows after dropping incomplete ones")
+        raise ValueError(f"{path}: zero usable rows after dropping incomplete "
+                         f"ones (a usable row is {len(columns)} cells, none '' or '?')")
 
     blocks = []
     for c, cells in zip(columns, zip(*kept)):

@@ -148,17 +148,15 @@ def init_params(shape: NetShape, rng_seed: int) -> ParamStack:
 
 
 def _forward_cached(layers: list[np.ndarray], X: np.ndarray, m: int):
-    """Outputs (N, n), the activations entering each layer and the hidden
-    pre-activations of a stack (weights (N, rows, cols)) on X (N, n, d).
-    np.matmul runs each slice through the BLAS call of that network's 2-D
-    product, so a network's bits do not depend on the stack it is in."""
-    acts, pre = [X], []
+    """Outputs (N, n) and the activations entering each layer of a stack
+    (weights (N, rows, cols)) on X (N, n, d).  np.matmul runs each slice
+    through the BLAS call of that network's 2-D product, so a network's bits
+    do not depend on the stack it is in."""
+    acts = [X]
     for W in layers[:-1]:
-        Z = acts[-1] @ W.swapaxes(-1, -2)
-        pre.append(Z)
-        acts.append(np.maximum(Z, 0.0))
+        acts.append(np.maximum(acts[-1] @ W.swapaxes(-1, -2), 0.0))
     out = np.sqrt(m) * (acts[-1] @ layers[-1].swapaxes(-1, -2))[..., 0]
-    return out, acts, pre
+    return out, acts
 
 
 def _inputs(theta: ParamStack, X: np.ndarray) -> np.ndarray:
@@ -174,25 +172,24 @@ def _inputs(theta: ParamStack, X: np.ndarray) -> np.ndarray:
 
 def forward_batch(theta: ParamStack, X: np.ndarray) -> np.ndarray:
     """Network outputs for a batch of inputs, shape (n,)."""
-    out, _, _ = _forward_cached(theta.layers, _inputs(theta, X), theta.shape.width)
+    out, _ = _forward_cached(theta.layers, _inputs(theta, X), theta.shape.width)
     return out[0]
 
 
-def _deltas(layers: list[np.ndarray], pre, seed: np.ndarray,
+def _deltas(layers: list[np.ndarray], acts, seed: np.ndarray,
             m: int) -> list[np.ndarray]:
     """Sensitivity of sum_i seed_i * f(x_i) to each layer's outputs, per
-    sample: deltas[l] is (N, n, fan_out of layer l), from the
-    pre-activations of _forward_cached and seed (N, n).  Layer l's gradient
-    for sample i of network j is the outer product of deltas[l][j, i] and the
-    activations entering the layer.
-
-    ReLU subgradient at exactly 0 is taken as 0.
-    """
+    sample: deltas[l] is (N, n, fan_out of layer l), from the activations
+    of _forward_cached and seed (N, n).  Layer l's gradient for sample i of
+    network j is the outer product of deltas[l][j, i] and the activations
+    entering the layer.  The ReLU mask reads the activations, relu(z) > 0,
+    which is z > 0 for every z, as ReLU keeps NaN and maps -0.0 to a zero;
+    so the subgradient at exactly 0 is taken as 0."""
     deltas = [None] * len(layers)
     deltas[-1] = np.sqrt(m) * seed[..., None]
     back = deltas[-1] @ layers[-1]
     for l in range(len(layers) - 2, -1, -1):
-        deltas[l] = back * (pre[l] > 0.0)
+        deltas[l] = back * (acts[l + 1] > 0.0)
         if l > 0:
             back = deltas[l] @ layers[l]
     return deltas
@@ -238,8 +235,8 @@ def grad_batch(theta: ParamStack, X: np.ndarray) -> tuple[np.ndarray, FactorRows
     The 1/sqrt(m) posterior scale is NOT folded in here.
     """
     X = _inputs(theta, X)
-    out, acts, pre = _forward_cached(theta.layers, X, theta.shape.width)
-    deltas = _deltas(theta.layers, pre, np.ones((1, X.shape[1])),
+    out, acts = _forward_cached(theta.layers, X, theta.shape.width)
+    deltas = _deltas(theta.layers, acts, np.ones((1, X.shape[1])),
                      theta.shape.width)
     return out[0], FactorRows([(d[0], a[0]) for d, a in zip(deltas, acts)])
 
@@ -319,7 +316,7 @@ def train(theta0: ParamStack, theta: ParamStack, data: Batches,
         for it in range(cfg.iterations):
             if it < len(rows):
                 Xb, rb = data.X[rows[it]], data.r[rows[it]]
-            out, acts, pre = _forward_cached(W, Xb, m)
+            out, acts = _forward_cached(W, Xb, m)
             resid = out - rb
             finite = np.isfinite(resid)
             if not finite.all():
@@ -327,7 +324,7 @@ def train(theta0: ParamStack, theta: ParamStack, data: Batches,
                 raise TrainingDiverged(_diverged(cfg, m, bad, data.n_rows[bad], it))
             resid *= scale
             grads = [delta.swapaxes(-1, -2) @ act
-                     for delta, act in zip(_deltas(W, pre, resid, m), acts)]
+                     for delta, act in zip(_deltas(W, acts, resid, m), acts)]
             # W <- W - step * (G + m*reg*(W - W0)), in place, in that order
             for Wl, W0l, G in zip(W, W0, grads):
                 drift = Wl - W0l

@@ -186,7 +186,12 @@ def reference_ingest_csv(path: str, label_column: str,
     level dict per column: the reader ingest_csv replaced, which it must
     match on every file it accepts.  Its header rule takes the first row as
     the header when it names the label column and no name outside the
-    schema, and a non-finite cell reaches the dataset's own check."""
+    schema, and a non-finite cell reaches the dataset's own check.  Like
+    ingest_csv, it takes a headerless file's width from the highest cN that
+    the schema or the label names, and rejects a schema column the file
+    lacks and a schema of no feature column."""
+    if not schema.keys() - {label_column}:
+        raise ValueError(f"{path}: no feature column")
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
@@ -197,7 +202,9 @@ def reference_ingest_csv(path: str, label_column: str,
         columns = header
         rows = rows[1:]
     else:
-        columns = [f"c{i}" for i in range(len(rows[0]))]
+        indices = [int(c[1:]) for c in known
+                   if c.startswith("c") and c[1:].isdecimal()]
+        columns = [f"c{i}" for i in range(max(indices, default=-1) + 1)]
         if label_column not in columns:
             raise ValueError(f"label column {label_column!r} not found")
     col_index = {c: i for i, c in enumerate(columns)}
@@ -205,6 +212,9 @@ def reference_ingest_csv(path: str, label_column: str,
     for c in feat_cols:
         if c not in schema:
             raise ValueError(f"column {c!r} missing from schema")
+    for c in schema:
+        if c not in col_index:
+            raise ValueError(f"schema column {c!r} missing from the file")
 
     dropped = 0
     kept_rows = []

@@ -109,8 +109,8 @@ class TestPreRunChecksBuildOneRound:
         # 50000 rounds of the default stream take about 50 MiB; the width
         # and the policy checks need one
         seen = []
-        monkeypatch.setattr(cli, "_rejection", seen.append)
-        monkeypatch.setattr(cli, "cmd_run", lambda args: 0)
+        monkeypatch.setattr(cli, "cmd_run",
+                            lambda args, inputs: seen.append(args) or 0)
         main(run_args(tmp_path, "--T", "50000"))
         args, = seen
         assert args.horizon == 50000
@@ -120,8 +120,8 @@ class TestPreRunChecksBuildOneRound:
                                          "mushroom-like"])
     def test_builds_at_most_one_block(self, tmp_path, monkeypatch, dataset):
         seen = []
-        monkeypatch.setattr(cli, "_rejection", seen.append)
-        monkeypatch.setattr(cli, "cmd_run", lambda args: 0)
+        monkeypatch.setattr(cli, "cmd_run",
+                            lambda args, inputs: seen.append(args) or 0)
         main(run_args(tmp_path, "--dataset", dataset, "--T", "2000"))
         args, = seen
         with rounds_built() as built:
@@ -546,8 +546,22 @@ class TestUnwritableOutput:
         assert info.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith(
             "banditbench run: error: --config e.cfg: out: --out file/sub: ")
-        # finding the line to blame reruns the checks with --out's default
+        # finding the line to blame replays the checks with --out's default
         assert sorted(p.name for p in tmp_path.iterdir()) == ["e.cfg", "file"]
+
+    def test_the_line_that_gives_the_rejection_is_blamed(self, tmp_path,
+                                                         monkeypatch, capsys):
+        # without T = 3 the default horizon outruns the 5-row dataset, a
+        # different rejection, but T = 3 alone gives none
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("")
+        (tmp_path / "r.cfg").write_text("T = 3\nout = file/sub\n")
+        with pytest.raises(SystemExit) as info:
+            main(["run", *TestZeroRowWarning._dataset(tmp_path),
+                  "--config", "r.cfg"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "banditbench run: error: --config r.cfg: out: --out file/sub: ")
 
     @pytest.mark.parametrize("argv", [["ntk", "--n", "5"],
                                       ["ingest", "--dataset", "mushroom-like"]])
@@ -728,8 +742,8 @@ class TestDefaultsComeFromTheConfigClasses:
     def parsed(monkeypatch):
         """The namespace that `run` parses with no flags."""
         seen = []
-        monkeypatch.setattr(cli, "_rejection", seen.append)
-        monkeypatch.setattr(cli, "cmd_run", lambda args: 0)
+        monkeypatch.setattr(cli, "cmd_run",
+                            lambda args, inputs: seen.append(args) or 0)
         assert main(["run"]) == 0
         return seen[0]
 
@@ -779,6 +793,65 @@ class TestConfigKeysAreFlags:
         key = line.partition("=")[0].strip()
         assert (f"banditbench run: error: --config {tmp_path / 'exp.cfg'}: "
                 f"{key}: {error}") in capsys.readouterr().err.splitlines()[-1]
+
+    def test_a_bad_key_after_a_good_dataset_line_is_named(self, tmp_path,
+                                                          capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("dataset = mushroom-like\nT = 5\nlamda = 5\n")
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"banditbench run: error: --config {cfg}: lamda: "
+            "unrecognized arguments: --lamda=5")
+
+    # a value for each run and grid option that takes one, none a default
+    VALUES = {"dataset": "mushroom-like", "schema": "s.txt", "T": "7",
+              "seed": "3", "arms": "3", "raw-dim": "5", "lambda": "0.5",
+              "width": "8", "depth": "3", "algo": "lin-ts", "repeats": "2",
+              "delay": "1", "nu": "0.3", "eps": "0.2", "iters": "3",
+              "lr": "0.005", "train-mode": "gd", "batch-size": "8",
+              "stop-train": "4", "posterior": "full", "out": "elsewhere"}
+
+    @staticmethod
+    def namespace(monkeypatch, argv):
+        """What main parses from argv for run or grid, but for the config
+        file's path and the patched subcommand."""
+        seen = []
+        for name in ("cmd_run", "cmd_grid"):
+            monkeypatch.setattr(cli, name,
+                                lambda args, inputs: seen.append(args) or 0)
+        assert main(argv) == 0
+        args, = seen
+        return {k: v for k, v in vars(args).items()
+                if k not in ("config", "func")}
+
+    def test_every_option_with_a_value_has_one(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        dests = set(self.namespace(monkeypatch, ["run"]))
+        assert len(dests - {"command", "no_duplicate"}) == len(self.VALUES)
+
+    @pytest.mark.parametrize("key", sorted(VALUES))
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    def test_a_line_parses_as_its_flag(self, tmp_path, monkeypatch, command,
+                                       key):
+        monkeypatch.chdir(tmp_path)
+        value = self.VALUES[key]
+        (tmp_path / "exp.cfg").write_text(f"{key} = {value}\n")
+        from_flag = self.namespace(monkeypatch, [command, f"--{key}", value])
+        assert self.namespace(monkeypatch, [command, "--config",
+                                            "exp.cfg"]) == from_flag
+        assert from_flag != self.namespace(monkeypatch, [command])
+
+    @pytest.mark.parametrize("value,flags", [("true", ["--no-duplicate"]),
+                                             ("false", [])])
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    def test_a_switch_line_parses_as_the_switch(self, tmp_path, monkeypatch,
+                                                command, value, flags):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.cfg").write_text(f"no-duplicate = {value}\n")
+        assert self.namespace(monkeypatch, [command, "--config", "exp.cfg"]) \
+            == self.namespace(monkeypatch, [command, *flags])
 
     def test_a_rejected_flag_does_not_name_the_file(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
@@ -862,7 +935,9 @@ class TestIngestErrors:
     @pytest.mark.parametrize("case", [
         "unknown type", "malformed schema line", "repeated schema key",
         "image count", "column not in schema", "label not found", "nan",
-        "inf", "header names a column the schema lacks", "repeated header"])
+        "inf", "header names a column the schema lacks", "repeated header",
+        "schema names a column the file lacks", "no feature column",
+        "headerless rows wider than the schema"])
     def test_rejection_names_the_file_and_the_cause(self, tmp_path, capsys,
                                                     case):
         table, schema = tmp_path / "t.csv", tmp_path / "schema.txt"
@@ -901,6 +976,19 @@ class TestIngestErrors:
         elif case == "header names a column the schema lacks":
             schema.write_text("a: numeric\nlabel: y\n")
             message = f"{table}: column 'b' is not in the schema"
+        elif case == "schema names a column the file lacks":
+            table.write_text("a,y\n1.0,p\n2.0,q\n")
+            schema.write_text("a: numeric\nb: numeric\nlabel: y\n")
+            message = f"{table}: schema column 'b' is not in the file"
+        elif case == "no feature column":
+            table.write_text("y\np\nq\n")
+            schema.write_text("label: y\n")
+            message = f"{table}: the schema names no feature column"
+        elif case == "headerless rows wider than the schema":
+            table.write_text("1.0,p,9\n2.0,q,9\n")
+            schema.write_text("c0: numeric\nlabel: c1\n")
+            message = (f"{table}: zero usable rows after dropping incomplete "
+                       "ones (a usable row is 2 cells, none '' or '?')")
         else:
             table.write_text("a,a,y\n1,5,p\n2,6,q\n3,7,p\n")
             message = f"{table}: column 'a' repeats in the header"
@@ -993,8 +1081,8 @@ class TestZeroRowWarning:
     @pytest.mark.parametrize("command", ["run", "grid"])
     def test_printed_once_when_a_config_line_is_blamed(self, tmp_path, caplog,
                                                        capsys, command):
-        # main reruns the pre-run check once for each config line to find
-        # the line to blame, and the reruns do not warn again
+        # main replays the pre-run check over heads of the config file to
+        # find the line to blame, and the replays do not warn again
         (tmp_path / "file").write_text("")
         config = tmp_path / "e.cfg"
         config.write_text(f"algo = uniform\nout = {tmp_path / 'file'}/sub\n")

@@ -55,6 +55,17 @@ class TestCsv:
         assert len(ds) == 2
         assert ds.n_classes == 2
 
+    def test_headerless_width_comes_from_the_schema(self, tmp_path):
+        # a short first row is dropped, not taken for the file's width
+        path = tmp_path / "short.csv"
+        path.write_text("1.0,p\n2.0,x,q\n3.0,y,p\n4.0,x,q\n")
+        ds = bd.ingest_csv(str(path), "c2", {"c0": "numeric",
+                                             "c1": "categorical"})
+        assert (len(ds), ds.n_dropped) == (3, 1)
+        np.testing.assert_array_equal(ds.features,
+                                      [[2, 1, 0], [3, 0, 1], [4, 1, 0]])
+        np.testing.assert_array_equal(ds.labels, [0, 1, 0])
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

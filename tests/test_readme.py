@@ -41,7 +41,7 @@ def test_command_works(tmp_path, monkeypatch, capsys, argv):
     started = []
     for name in ("cmd_run", "cmd_grid"):
         monkeypatch.setattr(cli, name,
-                            lambda args: started.append(args.inputs) or 0)
+                            lambda args, inputs: started.append(inputs) or 0)
     assert cli.main(argv) == 0
     if argv[0] in ("run", "grid"):
         [inputs] = started
